@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParameterError, OutOfRegimeError
 from .special import trigamma
@@ -157,6 +156,9 @@ def correlation_quadrature(t: float, bath: BathSpec, epsabs: float = 1e-13) -> c
     for any exponent d > 0. Oscillatory weights are integrated with the
     dedicated cos/sin rules.
     """
+    # imported on use: scipy.integrate costs more than the rest of `import qsearch`
+    from scipy.integrate import quad
+
     t = float(t)
     if t < 0:
         return correlation_quadrature(-t, bath, epsabs=epsabs).conjugate()

@@ -24,6 +24,8 @@ from .bath import BathSpec, correlation_finite_T, correlation_zero_T, validate_a
 from .errors import ConfigError, InvalidParameterError, NoEstimateError
 from .model import (
     DENSE_LIMIT,
+    DisorderField,
+    GraphSpec,
     build_complete_graph,
     build_custom_graph,
     build_search_hamiltonian,
@@ -40,7 +42,13 @@ from .redfield import (
     solution_population,
     steady_state,
 )
-from .spectral import TwoLevelSystem, coupling_coefficients, eigendecompose, reduce_two_level
+from .spectral import (
+    TwoLevelSystem,
+    coupling_coefficients,
+    eigendecompose,
+    reduce_two_level,
+    secular_spectrum,
+)
 from .unitary import evolve_closed, reduced_peak, regime_classify, success_probability_reduced
 from .version import __version__
 
@@ -185,7 +193,11 @@ def _parse_sweep(doc: dict) -> SweepConfig:
     seeds = int(doc.get("seeds", 8))
     if seeds < 1:
         raise ConfigError(f"sweep.seeds must be >= 1, got {seeds}")
-    return SweepConfig(parameter=parameter, values=tuple(vals), seeds=seeds, fit=bool(doc.get("fit", True)))
+    fit = bool(doc.get("fit", True))
+    if fit and min(vals) <= 0:
+        # refused before any point runs: the log-log fit cannot take them
+        raise ConfigError(f"sweep.fit needs positive values, got {min(vals)}")
+    return SweepConfig(parameter=parameter, values=tuple(vals), seeds=seeds, fit=fit)
 
 
 def config_hash(doc: dict) -> str:
@@ -264,9 +276,25 @@ def _write_json(path: str, cfg_hash: str, payload: dict) -> None:
         f.write("\n")
 
 
-def _reduced_system(sys_cfg: SystemConfig) -> Tuple[TwoLevelSystem, float]:
-    """Two-level reduction of the configured system; returns (tl, eps_w)."""
-    disorder = sample_disorder(sys_cfg.n, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
+def _disorder(sys_cfg: SystemConfig) -> DisorderField:
+    return sample_disorder(sys_cfg.n, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
+
+
+def _graph(sys_cfg: SystemConfig) -> GraphSpec:
+    if sys_cfg.kind == "custom":
+        return build_custom_graph(np.asarray(sys_cfg.adjacency, dtype=float))
+    return build_complete_graph(sys_cfg.n)
+
+
+def _reduced_system(
+    sys_cfg: SystemConfig, disorder: Optional[DisorderField] = None
+) -> Tuple[TwoLevelSystem, float]:
+    """Two-level reduction of the configured system; returns (tl, eps_w).
+
+    disorder is the field drawn from sys_cfg, sampled here when not given.
+    """
+    if disorder is None:
+        disorder = _disorder(sys_cfg)
     eps_w = float(disorder.epsilons[sys_cfg.w])
     sigma_arg = sys_cfg.sigma if (sys_cfg.sigma > 0 or sys_cfg.gamma_policy == "shifted") else None
     tl = reduce_two_level(sys_cfg.n, eps_w, sigma=sigma_arg, policy=sys_cfg.gamma_policy)
@@ -292,18 +320,20 @@ def _gibbs_p_suc(beta: float, delta: float) -> float:
     return 1.0 / (1.0 + math.exp(-beta * delta))
 
 
+def _hamiltonian(sys_cfg: SystemConfig, graph: GraphSpec, disorder: DisorderField):
+    """The configured Hamiltonian; a complete graph stays symbolic for the secular solver."""
+    gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
+    return build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder, materialize=False)
+
+
 def _run_unitary(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
     sys_cfg = cfg.system
-    if sys_cfg.kind == "custom":
-        graph = build_custom_graph(np.asarray(sys_cfg.adjacency, dtype=float))
-    else:
-        graph = build_complete_graph(sys_cfg.n)
-    gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
-    disorder = sample_disorder(sys_cfg.n, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
-    tl, eps_w = _reduced_system(sys_cfg)
+    graph = _graph(sys_cfg)
+    disorder = _disorder(sys_cfg)
+    tl, eps_w = _reduced_system(sys_cfg, disorder)
     times = _times(cfg.grid, 3.0 * math.pi / tl.delta)
     if sys_cfg.n <= DENSE_LIMIT:
-        h = build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
+        h = _hamiltonian(sys_cfg, graph, disorder)
         result = evolve_closed(h, times)
         p_w = result.p_w
         summary = result.summary()
@@ -448,20 +478,21 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]
     sys_cfg = cfg.system
     if sys_cfg.n > DENSE_LIMIT:
         raise ConfigError(f"spectrum mode needs n <= {DENSE_LIMIT}, got {sys_cfg.n}")
-    if sys_cfg.kind == "custom":
-        graph = build_custom_graph(np.asarray(sys_cfg.adjacency, dtype=float))
+    graph = _graph(sys_cfg)
+    disorder = _disorder(sys_cfg)
+    h = _hamiltonian(sys_cfg, graph, disorder)
+    if graph.kind == "complete":
+        spectrum = secular_spectrum(h)
+        ground_w = spectrum.w_overlaps[0]
     else:
-        graph = build_complete_graph(sys_cfg.n)
-    gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
-    disorder = sample_disorder(sys_cfg.n, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
-    h = build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
-    spectrum = eigendecompose(h)
-    tl, eps_w = _reduced_system(sys_cfg)
+        spectrum = eigendecompose(h)
+        ground_w = spectrum.eigenvectors[sys_cfg.w, 0]
+    tl, eps_w = _reduced_system(sys_cfg, disorder)
     summary = {
         "gap": spectrum.gap,
         "gap2": spectrum.gap2,
         "eigenvalues": [float(x) for x in spectrum.eigenvalues],
-        "ground_w_overlap_sq": float(spectrum.eigenvectors[sys_cfg.w, 0] ** 2),
+        "ground_w_overlap_sq": float(ground_w**2),
         "reduced": tl.to_dict(),
         "eps_w": eps_w,
     }

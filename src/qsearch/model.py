@@ -71,8 +71,10 @@ class DisorderField:
 class SearchHamiltonian:
     """marked-node projector of depth `marked_energy`, hopping -gamma*A, plus disorder.
 
-    ``matrix`` is None for symbolic complete-graph instances above the dense
-    limit; those are usable only through the two-level reduction.
+    ``matrix`` is None for symbolic complete-graph instances: those above
+    the dense limit, usable only through the two-level reduction, and
+    those built with ``materialize=False``, which the secular solver
+    handles up to the dense limit.
     """
 
     graph: GraphSpec
@@ -181,12 +183,14 @@ def build_search_hamiltonian(
     disorder: Optional[DisorderField] = None,
     marked_energy: float = -1.0,
     dense_limit: int = DENSE_LIMIT,
+    materialize: bool = True,
 ) -> SearchHamiltonian:
     """H = marked_energy * |w><w|  -  gamma * A  +  diag(epsilons).
 
-    Dense for n <= dense_limit. A complete graph above the limit yields a
-    symbolic Hamiltonian carrying only its parameters; a custom graph above
-    the limit is refused.
+    Dense for n <= dense_limit. A complete graph above the limit, or any
+    complete graph when materialize is False, yields a symbolic
+    Hamiltonian carrying only its parameters; a custom graph above the
+    limit is refused, and below it is always dense.
     """
     n = graph.n
     if not (0 <= w < n):
@@ -197,11 +201,11 @@ def build_search_hamiltonian(
         raise ContractViolationError(
             f"disorder field has {disorder.n} sites but the graph has {n}"
         )
-    if n > dense_limit:
-        if graph.kind != "complete":
-            raise DenseLimitError(
-                f"custom graph with n={n} exceeds dense limit {dense_limit}"
-            )
+    if n > dense_limit and graph.kind != "complete":
+        raise DenseLimitError(
+            f"custom graph with n={n} exceeds dense limit {dense_limit}"
+        )
+    if graph.kind == "complete" and (n > dense_limit or not materialize):
         return SearchHamiltonian(
             graph=graph, w=w, gamma=gamma, disorder=disorder,
             marked_energy=marked_energy, matrix=None,

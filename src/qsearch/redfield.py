@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .bath import BathSpec, correlation_time, rate_S
@@ -246,6 +245,9 @@ def integrate_master(
                 prev = ti
             rhos[i] = cur.reshape(m, m)
         return Trajectory(times=t, rhos=rhos)
+
+    # imported on use: scipy.integrate costs more than the rest of `import qsearch`
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         lambda _ti, y: gen @ y,

@@ -1,7 +1,10 @@
 """Exact eigendecomposition and the two-level reduction of the search problem.
 
-The reduction projects the problem onto the marked node |w> and the
-uniform superposition |s_wbar> over the remaining nodes. Coupling
+The complete-graph Hamiltonian is a diagonal matrix minus a rank-one term,
+so its spectrum and the overlaps closed dynamics need come from the
+secular equation without building the n x n matrix. The reduction
+projects the problem onto the marked node |w> and the uniform
+superposition |s_wbar> over the remaining nodes. Coupling
 coefficients derived from either the exact spectrum or the reduced pair
 feed the open-system modules. Large reduced systems are handled without
 ever materializing per-site arrays: the unmarked sites share one row of
@@ -16,10 +19,15 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidParameterError, OutOfRegimeError
-from .model import SearchHamiltonian
+from .errors import ContractViolationError, DenseLimitError, InvalidParameterError, OutOfRegimeError
+from .model import DENSE_LIMIT, SearchHamiltonian
 
 _HERMITICITY_TOL = 1e-10
+
+_EPS = np.finfo(float).eps
+# elements per (roots x poles) work array of the secular solver
+_SECULAR_BLOCK = 1 << 18
+_SECULAR_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,174 @@ def eigendecompose(h: Union[np.ndarray, SearchHamiltonian]) -> Spectrum:
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, gap=gap, gap2=gap2)
+
+
+@dataclass(frozen=True)
+class SecularSpectrum:
+    """Spectrum of a complete-graph search Hamiltonian from its secular equation.
+
+    eigenvalues holds all n levels ascending. roots are the levels with a
+    nonzero overlap with the uniform state |s>, one per group of tied
+    diagonal entries, with w_overlaps = <w|lam> and s_overlaps = <lam|s>.
+    The other n - len(roots) levels sit on tied diagonal entries and are
+    orthogonal to |s>. roots[0] is the nondegenerate ground state.
+    """
+
+    eigenvalues: np.ndarray
+    roots: np.ndarray
+    w_overlaps: np.ndarray
+    s_overlaps: np.ndarray
+    gap: float
+    gap2: float
+
+
+def _secular_block(poles, weights, gamma: float, start: int, stop: int, work: np.ndarray):
+    """Roots start..stop-1 of 1 = gamma * sum_j weights_j / (poles_j - mu).
+
+    Root r lies in (poles[r-1], poles[r]), root 0 below poles[0]. Each is
+    returned as (origin, tau, norm2): the nearer pole's index, the offset
+    mu - poles[origin] and sum_j weights_j / (poles_j - mu)^2. Every
+    difference poles_j - mu is formed as (poles_j - poles[origin]) - tau,
+    without cancellation (LAPACK dlaed4). The step solves a model that
+    keeps the two bracketing poles exact and fits the remaining terms on
+    each side by one pole with matching value and slope (Bunch, Nielsen &
+    Sorensen 1978); a step that leaves the bracket is replaced by bisection.
+    work is a (>= stop - start, poles.size) scratch array.
+    """
+    lower = np.arange(start, stop) - 1  # pole below each root; -1 for the ground root
+    ground = lower < 0
+    lo_pole = np.maximum(lower, 0)
+    hi_pole = lower + 1
+    half = np.where(ground, 0.5 * gamma * weights.sum(), 0.5 * (poles[hi_pole] - poles[lo_pole]))
+    # start at the bracket midpoint; the ground root lies in [poles[0] - gamma n, poles[0])
+    origin = lo_pole.copy()
+    tau = np.where(ground, -half, half)
+    lo = np.where(ground, -2.0 * half, 0.0)
+    hi = np.where(ground, 0.0, 2.0 * half)
+    norm2 = np.empty(stop - start)
+    # poles before start lie below every root of the block, poles from stop on above
+    strip = np.arange(start, stop)
+    # terms are carried as r_j = sqrt(weights_j) / (poles_j - mu), so that
+    # psi = sum_j weights_j / (poles_j - mu) = r . sqrt(weights) and psi' = r . r
+    sqrt_w = np.sqrt(weights)
+    w_lo, w_strip, w_hi = sqrt_w[:start], sqrt_w[start:stop], sqrt_w[stop:]
+    active = np.arange(stop - start)
+    for it in range(_SECULAR_MAX_ITER):
+        a = active
+        rows = np.arange(a.size)
+        delta = np.subtract(poles, poles[origin[a], None], out=work[: a.size])
+        delta -= tau[a, None]
+        d_lo = delta[rows, lo_pole[a]]
+        d_hi = delta[rows, hi_pole[a]]
+        r = np.divide(sqrt_w, delta, out=delta)
+        r_lo, r_hi = r[:, :start], r[:, stop:]
+        below = strip < lower[a, None] + 1
+        strip_lo = np.where(below, r[:, start:stop], 0.0)
+        strip_hi = np.where(below, 0.0, r[:, start:stop])
+        psi_lo = r_lo @ w_lo + strip_lo @ w_strip
+        psi_hi = r_hi @ w_hi + strip_hi @ w_strip
+        dpsi_lo = np.einsum("ij,ij->i", r_lo, r_lo) + np.einsum("ij,ij->i", strip_lo, strip_lo)
+        dpsi_hi = np.einsum("ij,ij->i", r_hi, r_hi) + np.einsum("ij,ij->i", strip_hi, strip_hi)
+        g = 1.0 - gamma * (psi_lo + psi_hi)
+        tau_a = tau[a]
+        lo_a = np.where(g > 0, tau_a, lo[a])
+        hi_a = np.where(g < 0, tau_a, hi[a])
+        if it == 0:
+            # a root in the upper half of its gap is measured from the upper pole
+            up = ~ground & (g > 0)
+            origin[up] = hi_pole[up]
+            tau_a = np.where(up, -half, tau_a)
+            lo_a = np.where(up, -half, lo_a)
+            hi_a = np.where(up, 0.0, hi_a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = g + gamma * (np.where(ground[a], 0.0, d_lo * dpsi_lo) + d_hi * dpsi_hi)
+            p = -gamma * d_lo * d_lo * dpsi_lo
+            q = -gamma * d_hi * d_hi * dpsi_hi
+            # c + p/(d_lo - eta) + q/(d_hi - eta) = 0 as a quadratic in eta
+            qb = -(c * (d_lo + d_hi) + p + q)
+            qc = d_lo * d_hi * g
+            root = np.sqrt(np.maximum(qb * qb - 4.0 * c * qc, 0.0))
+            big = -0.5 * (qb + np.copysign(root, qb))
+            eta = qc / big
+            eta = np.where((eta > d_lo) & (eta < d_hi), eta, big / c)
+            eta = np.where(ground[a], d_hi * g / c, eta)
+        step = tau_a + eta
+        step = np.where((step > lo_a) & (step < hi_a), step, 0.5 * (lo_a + hi_a))
+        # rounding bound on g: the summed terms plus the representation of tau
+        noise = _EPS * (
+            2.0 + 8.0 * gamma * (psi_hi - psi_lo) + np.abs(tau_a) * gamma * (dpsi_lo + dpsi_hi)
+        )
+        settled = np.abs(g) <= noise
+        done = (
+            settled
+            | (np.abs(step - tau_a) <= 2.0 * _EPS * np.abs(step))
+            | (hi_a - lo_a <= 2.0 * _EPS * np.maximum(np.abs(lo_a), np.abs(hi_a)))
+        )
+        # a converged step moves tau by ulps, so the norm at this iterate stands
+        norm2[a] = dpsi_lo + dpsi_hi
+        tau[a] = np.where(settled, tau_a, step)
+        lo[a], hi[a] = lo_a, hi_a
+        active = a[~done]
+        if active.size == 0:
+            return origin, tau, norm2
+    raise np.linalg.LinAlgError(
+        f"secular iteration left {active.size} roots unconverged after {_SECULAR_MAX_ITER} steps"
+    )
+
+
+def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
+    """All levels of a complete-graph Hamiltonian and the overlaps of those |s> reaches.
+
+    H = diag(a) + gamma (I - 11^T), with a the disorder plus the marked
+    energy at w. Tied entries of a deflate: a group of k becomes one pole
+    of weight k plus k - 1 levels at that entry orthogonal to |s>. Entries
+    within 8 eps ||H|| of each other count as tied, a change of H at its
+    own rounding level (as in LAPACK dlaed2) that keeps 1/(a_j - mu)^2
+    finite. The other levels are lam = mu + gamma over the roots mu of the
+    secular equation; their eigenvectors are u_j = 1/(a_j - mu), which gives
+    <w|lam> = 1/((a_w - mu)||u||) and <lam|s> = 1/(gamma sqrt(n) ||u||).
+    Work arrays hold a block of roots against all poles, never n x n.
+    """
+    if h.graph.kind != "complete":
+        raise InvalidParameterError(f"secular spectrum needs a complete graph, got {h.graph.kind!r}")
+    n = h.n
+    if n > DENSE_LIMIT:
+        raise DenseLimitError(f"n={n} exceeds dense limit {DENSE_LIMIT} for the full spectrum")
+    diag = np.zeros(n) if h.disorder is None else np.array(h.disorder.epsilons, dtype=float)
+    diag[h.w] += h.marked_energy
+    gamma = float(h.gamma)
+    order = np.argsort(diag, kind="stable")
+    ranked = diag[order]
+    tol = 8.0 * _EPS * max(float(np.abs(ranked).max()), gamma * n)
+    # bins of width tol, so no chain of close entries merges across a wider span
+    first = np.concatenate([[True], np.diff(np.floor((ranked - ranked[0]) / tol)) > 0])
+    poles = ranked[first]
+    counts = np.diff(np.append(np.flatnonzero(first), n))
+    weights = counts.astype(float)
+    k = poles.size
+    group = np.cumsum(first) - 1  # pole of each ranked entry
+    w_pole = poles[group[np.flatnonzero(order == h.w)[0]]]
+    block = max(1, _SECULAR_BLOCK // k)
+    work = np.empty((min(block, k), k))
+    roots = np.empty(k)
+    w_overlaps = np.empty(k)
+    norms = np.empty(k)
+    for start in range(0, k, block):
+        stop = min(start + block, k)
+        origin, tau, norm2 = _secular_block(poles, weights, gamma, start, stop, work)
+        base = poles[origin]
+        norms[start:stop] = np.sqrt(norm2)
+        w_overlaps[start:stop] = 1.0 / (((w_pole - base) - tau) * norms[start:stop])
+        roots[start:stop] = (base + tau) + gamma
+    s_overlaps = 1.0 / (gamma * math.sqrt(n) * norms)
+    eigenvalues = np.sort(np.concatenate([roots, np.repeat(poles + gamma, counts - 1)]))
+    for arr in (eigenvalues, roots, w_overlaps, s_overlaps):
+        arr.setflags(write=False)
+    return SecularSpectrum(
+        eigenvalues=eigenvalues, roots=roots, w_overlaps=w_overlaps, s_overlaps=s_overlaps,
+        gap=float(eigenvalues[1] - eigenvalues[0]),
+        gap2=float(eigenvalues[2] - eigenvalues[0]) if n >= 3 else math.nan,
+    )
 
 
 @dataclass(frozen=True)

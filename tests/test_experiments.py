@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from qsearch import ConfigError, InvalidParameterError
+from qsearch.cli import EXIT_CONFIG
+from qsearch.cli import main as cli_main
 from qsearch.experiments import (
     MODES,
     SWEEP_PARAMETERS,
@@ -320,6 +322,25 @@ def test_sweep_without_fit_is_silent() -> None:
     cfg = parse_config(_small_sweep_doc([10.0, 30.0], fit=False))
     result = sweep(cfg, force=True)
     assert result.fit is None
+
+
+def test_sweep_fit_over_nonpositive_values_is_refused_at_parse(tmp_path, monkeypatch) -> None:
+    doc = _small_sweep_doc([0.0, 0.02, 0.04])
+    doc["sweep"]["parameter"] = "sigma"
+    with pytest.raises(ConfigError, match="positive"):
+        parse_config(doc)
+    doc["sweep"]["fit"] = False
+    assert parse_config(doc).sweep.values[0] == 0.0
+    # the CLI refuses it with exit 2 before any point runs
+    doc["sweep"]["fit"] = True
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+
+    def no_points(*_args, **_kwargs):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr("qsearch.experiments._sweep_point", no_points)
+    assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_run_sweep_writes_rows_and_summary(tmp_path, read_csv) -> None:

@@ -1,0 +1,132 @@
+"""The rank-one secular solver of the complete graph against dense eigh."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qsearch.spectral as spectral
+import qsearch.unitary as unitary
+from qsearch import (
+    DENSE_LIMIT,
+    DenseLimitError,
+    DisorderField,
+    build_complete_graph,
+    build_search_hamiltonian,
+    evolve_closed,
+    gamma_policy,
+    sample_disorder,
+)
+from qsearch.experiments import parse_config, run
+from qsearch.model import GraphSpec
+from qsearch.spectral import secular_spectrum
+
+TIES = ("none", "exact", "marked", "near")
+
+
+def _epsilons(n: int, sigma: float, seed: int, ties: str) -> np.ndarray:
+    """Disorder with the requested kind of tie among the diagonal entries."""
+    eps = np.array(sample_disorder(n, sigma, seed=seed).epsilons)
+    rng = np.random.default_rng(seed)
+    if ties == "exact" and sigma > 0:
+        eps = eps[rng.integers(0, max(1, n // 4), size=n)]
+    elif ties == "marked":
+        # an unmarked site on exactly the marked site's diagonal entry
+        eps[rng.integers(1, n)] = eps[0] + (-1.0)
+    elif ties == "near":
+        # a chain of entries a few ulps of ||H|| apart; the closest deflate as ties
+        start = int(rng.integers(0, n))
+        for j in rng.choice(n, size=min(n, 6), replace=False):
+            eps[j] = eps[start] + int(rng.integers(1, 40)) * np.spacing(1.0)
+            start = j
+    return eps
+
+
+def _hamiltonian(n: int, sigma: float, seed: int, policy: str, ties: str):
+    if ties == "exact" and seed % 2 == 0:
+        sigma = 0.0
+    eps = _epsilons(n, sigma, seed, ties)
+    field = DisorderField(epsilons=eps, sigma=sigma, seed=seed, distribution="uniform")
+    gamma = gamma_policy(n, sigma, policy)
+    return build_search_hamiltonian(build_complete_graph(n), w=0, gamma=gamma, disorder=field)
+
+
+def _dense_population(h, times: np.ndarray) -> np.ndarray:
+    values, vectors = np.linalg.eigh(h.dense())
+    weights = vectors[h.w, :] * (vectors.T @ np.full(h.n, 1.0 / math.sqrt(h.n)))
+    return np.abs(np.exp(-1j * np.outer(times, values)) @ weights) ** 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 256),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.floats(0.0, 0.5, exclude_max=True),
+    policy=st.sampled_from(("plain", "shifted")),
+    ties=st.sampled_from(TIES),
+)
+def test_secular_solver_matches_dense_eigh(n, seed, sigma, policy, ties) -> None:
+    h = _hamiltonian(n, sigma, seed, policy, ties)
+    values, vectors = np.linalg.eigh(h.dense())
+    spectrum = secular_spectrum(h)
+    assert spectrum.eigenvalues.shape == (n,)
+    assert np.max(np.abs(spectrum.eigenvalues - values)) <= 1e-12
+    assert spectrum.gap == pytest.approx(values[1] - values[0], abs=1e-12)
+    assert spectrum.w_overlaps[0] ** 2 == pytest.approx(vectors[0, 0] ** 2, abs=1e-10)
+    # a uniform grid longer than one phase restart interval
+    times = np.linspace(0.0, 1.5 * math.pi * math.sqrt(n), 150)
+    result = evolve_closed(h, times)
+    assert np.max(np.abs(result.p_w - _dense_population(h, times))) <= 1e-11
+    assert result.p_w[0] == pytest.approx(1.0 / n, abs=1e-12)
+
+
+def test_secular_blocks_do_not_change_results(monkeypatch) -> None:
+    h = _hamiltonian(200, 0.05, 7, "shifted", "near")
+    uniform = np.linspace(0.0, 60.0, 500)
+    scattered = np.sort(np.random.default_rng(1).uniform(0.0, 60.0, 300))
+    whole = secular_spectrum(h)
+    p_whole = [evolve_closed(h, t).p_w for t in (uniform, scattered)]
+    # three roots per solver block and a few times or levels per phase block
+    monkeypatch.setattr(spectral, "_SECULAR_BLOCK", 3 * whole.roots.size)
+    monkeypatch.setattr(unitary, "_PHASE_BLOCK", 7 * whole.roots.size)
+    blocked = secular_spectrum(h)
+    assert np.max(np.abs(blocked.eigenvalues - whole.eigenvalues)) <= 1e-14
+    assert np.max(np.abs(blocked.w_overlaps - whole.w_overlaps)) <= 1e-13
+    for t, p in zip((uniform, scattered), p_whole):
+        assert np.max(np.abs(evolve_closed(h, t).p_w - p)) <= 1e-13
+
+
+def test_complete_graph_closed_path_never_calls_dense_eigh(monkeypatch) -> None:
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dense path used")
+
+    monkeypatch.setattr(unitary, "eigendecompose", refuse)
+    n = 64
+    h = build_search_hamiltonian(build_complete_graph(n), w=0, gamma=1.0 / n)
+    assert evolve_closed(h, [0.0, 4.0 * math.pi]).p_w[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_experiment_closed_path_builds_no_matrix(monkeypatch, tmp_path) -> None:
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("n x n matrix requested")
+
+    monkeypatch.setattr(GraphSpec, "adjacency_matrix", refuse)
+    monkeypatch.setattr("qsearch.experiments.eigendecompose", refuse)
+    monkeypatch.setattr(unitary, "eigendecompose", refuse)
+    for mode in ("unitary", "spectrum"):
+        doc = {"mode": mode, "system": {"n": 128, "sigma": 0.05, "seed": 3, "gamma_policy": "shifted"}}
+        run(parse_config(doc), out_dir=str(tmp_path))
+
+
+def test_symbolic_hamiltonian_above_dense_limit_is_refused() -> None:
+    n = DENSE_LIMIT + 1
+    h = build_search_hamiltonian(build_complete_graph(n), w=0, gamma=1.0 / n)
+    assert h.is_symbolic
+    with pytest.raises(DenseLimitError):
+        evolve_closed(h, [0.0, 1.0])
+    with pytest.raises(DenseLimitError):
+        secular_spectrum(h)
