@@ -133,7 +133,14 @@ def _parse_system(doc: dict) -> SystemConfig:
         raise ConfigError(f"system.w must be in [0, {sys_cfg.n}), got {sys_cfg.w}")
     if sys_cfg.gamma_policy not in ("plain", "shifted"):
         raise ConfigError(f"unknown gamma_policy {sys_cfg.gamma_policy!r}")
-    if sys_cfg.distribution not in ("uniform", "gaussian-truncated"):
+    if sys_cfg.distribution == "gaussian-truncated":
+        # 3-sigma tails put |eps_w| > sigma for about a third of seeds,
+        # which the two-level reduction every mode runs refuses
+        raise ConfigError(
+            "distribution 'gaussian-truncated' is not supported by the runner: "
+            "the two-level reduction needs |eps_w| <= sigma, which its 3-sigma tails break"
+        )
+    if sys_cfg.distribution != "uniform":
         raise ConfigError(f"unknown distribution {sys_cfg.distribution!r}")
     if sys_cfg.kind not in ("complete", "custom"):
         raise ConfigError(f"unknown graph kind {sys_cfg.kind!r}")
@@ -360,86 +367,79 @@ def _run_unitary(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
     return [csv_path, json_path], summary
 
 
-def _run_redfield(cfg: ExperimentConfig, out_dir: str, force: bool) -> Tuple[List[str], dict]:
-    tl, eps_w = _reduced_system(cfg.system)
+def _relax(
+    system: SystemConfig, bath: BathSpec, grid: GridConfig, force: bool, secular: bool
+) -> Tuple[TwoLevelSystem, np.ndarray, Tuple[np.ndarray, ...], dict]:
+    """Relax the projected uniform state of the reduced pair and fit t_rel.
+
+    The secular path propagates the populations on transfer rates (default
+    window 6 t_rel, zero coherence); the tensor path integrates the full
+    two-level Redfield tensor (default window 6/gamma). Returns (tl, times,
+    columns, summary): the columns are p_w, rho11, rho22, re_rho12 and
+    im_rho12; the summary carries the scalar results, with t_rel_fit None
+    and the reason in fit_note when no decay time can be fitted.
+    """
+    tl, eps_w = _reduced_system(system)
     coeffs = coupling_coefficients(tl, retained=2)
-    tensor = assemble_redfield(coeffs, tl, cfg.bath, force=force)
     rho0, defect = _projected_initial_state(tl)
-    times = _times(cfg.grid, 0.0)
-    traj = integrate_master(tensor, rho0, times)
-    series = solution_population(traj, tl)
-    gamma = damping_rate(coeffs, cfg.bath, tl.delta)
-    rho_star = steady_state(tensor)
-    wrow = np.array([tl.a1, tl.a2])
-    p_w_steady = float(np.real(wrow @ rho_star @ wrow))
-    report = validate_approximations(cfg.bath, tl.delta, tl.n)
+    if secular:
+        rates = secular_rates(coeffs, bath, tl.delta, force=force)
+        times = _times(grid, 6.0 * rates.t_rel)
+        rho11 = secular_populations(rates, times, float(np.real(rho0[0, 0])))
+        rho22 = 1.0 - rho11
+        zeros = np.zeros_like(times)
+        columns = (tl.a1**2 * rho11 + tl.a2**2 * rho22, rho11, rho22, zeros, zeros)
+        p_suc = rates.p_suc
+        p_w_steady = tl.a1**2 * p_suc + tl.a2**2 * (1.0 - p_suc)
+        summary = {"rates": rates.to_dict(), "t_rel_formula": rates.t_rel}
+    else:
+        tensor = assemble_redfield(coeffs, tl, bath, force=force)
+        gamma = damping_rate(coeffs, bath, tl.delta)
+        times = _times(grid, 6.0 / gamma)
+        traj = integrate_master(tensor, rho0, times)
+        series = solution_population(traj, tl)
+        rhos = traj.rhos
+        columns = (
+            series.values, np.real(rhos[:, 0, 0]), np.real(rhos[:, 1, 1]),
+            np.real(rhos[:, 0, 1]), np.imag(rhos[:, 0, 1]),
+        )
+        p_suc = _gibbs_p_suc(bath.beta, tl.delta)
+        wrow = np.array([tl.a1, tl.a2])
+        p_w_steady = float(np.real(wrow @ steady_state(tensor) @ wrow))
+        summary = {
+            "gamma_damping": gamma,
+            "regime": "underdamped" if gamma < tl.delta else "overdamped",
+            "t_rel_formula": 1.0 / (2.0 * gamma),
+            "truncation_bound": series.truncation_bound,
+        }
+    report = validate_approximations(bath, tl.delta, tl.n)
     try:
-        t_rel_fit = extract_relaxation_time(times, series.values, p_w_steady)
+        t_rel_fit = extract_relaxation_time(times, columns[0], p_w_steady)
         fit_note = ""
     except NoEstimateError as exc:
         t_rel_fit = None
         fit_note = str(exc)
-    summary = {
+    summary.update({
         "delta": tl.delta,
         "eps_w": eps_w,
-        "gamma_damping": gamma,
-        "regime": "underdamped" if gamma < tl.delta else "overdamped",
-        "p_suc": _gibbs_p_suc(cfg.bath.beta, tl.delta),
+        "p_suc": p_suc,
         "p_w_steady": p_w_steady,
-        "t_rel_formula": 1.0 / (2.0 * gamma),
         "t_rel_fit": t_rel_fit,
         "fit_note": fit_note,
         "projection_defect": defect,
-        "truncation_bound": series.truncation_bound,
         "validity": report.to_dict(),
-    }
-    rows = zip(
-        times, series.values,
-        np.real(traj.rhos[:, 0, 0]), np.real(traj.rhos[:, 1, 1]),
-        np.real(traj.rhos[:, 0, 1]), np.imag(traj.rhos[:, 0, 1]),
+    })
+    return tl, times, columns, summary
+
+
+def _run_relaxation(cfg: ExperimentConfig, out_dir: str, force: bool) -> Tuple[List[str], dict]:
+    _, times, columns, summary = _relax(
+        cfg.system, cfg.bath, cfg.grid, force, secular=cfg.mode == "secular"
     )
     csv_path = os.path.join(out_dir, f"{cfg.stem}.csv")
     json_path = os.path.join(out_dir, f"{cfg.stem}_summary.json")
-    _write_csv(csv_path, cfg.config_hash, ["t", "p_w", "rho11", "rho22", "re_rho12", "im_rho12"], rows)
-    _write_json(json_path, cfg.config_hash, summary)
-    return [csv_path, json_path], summary
-
-
-def _run_secular(cfg: ExperimentConfig, out_dir: str, force: bool) -> Tuple[List[str], dict]:
-    tl, eps_w = _reduced_system(cfg.system)
-    coeffs = coupling_coefficients(tl, retained=2)
-    rates = secular_rates(coeffs, cfg.bath, tl.delta, force=force)
-    rho0, defect = _projected_initial_state(tl)
-    rho11_0 = float(np.real(rho0[0, 0]))
-    times = _times(cfg.grid, 0.0)
-    rho11 = secular_populations(rates, times, rho11_0)
-    rho22 = 1.0 - rho11
-    p_w = tl.a1**2 * rho11 + tl.a2**2 * rho22
-    p_w_steady = tl.a1**2 * rates.p_suc + tl.a2**2 * (1.0 - rates.p_suc)
-    report = validate_approximations(cfg.bath, tl.delta, tl.n)
-    try:
-        t_rel_fit = extract_relaxation_time(times, p_w, p_w_steady)
-        fit_note = ""
-    except NoEstimateError as exc:
-        t_rel_fit = None
-        fit_note = str(exc)
-    summary = {
-        "delta": tl.delta,
-        "eps_w": eps_w,
-        "rates": rates.to_dict(),
-        "t_rel_formula": rates.t_rel,
-        "t_rel_fit": t_rel_fit,
-        "fit_note": fit_note,
-        "p_suc": rates.p_suc,
-        "p_w_steady": p_w_steady,
-        "projection_defect": defect,
-        "validity": report.to_dict(),
-    }
-    zeros = np.zeros_like(times)
-    rows = zip(times, p_w, rho11, rho22, zeros, zeros)
-    csv_path = os.path.join(out_dir, f"{cfg.stem}.csv")
-    json_path = os.path.join(out_dir, f"{cfg.stem}_summary.json")
-    _write_csv(csv_path, cfg.config_hash, ["t", "p_w", "rho11", "rho22", "re_rho12", "im_rho12"], rows)
+    header = ["t", "p_w", "rho11", "rho22", "re_rho12", "im_rho12"]
+    _write_csv(csv_path, cfg.config_hash, header, zip(times, *columns))
     _write_json(json_path, cfg.config_hash, summary)
     return [csv_path, json_path], summary
 
@@ -548,49 +548,22 @@ def _apply_sweep_value(
 def _sweep_point(
     system: SystemConfig, bath: BathSpec, grid: GridConfig, force: bool
 ) -> dict:
-    tl, eps_w = _reduced_system(system)
-    coeffs = coupling_coefficients(tl, retained=2)
-    report = validate_approximations(bath, tl.delta, system.n)
-    _, p_peak = reduced_peak(tl)
-    note = ""
-    if system.sigma > 0:
-        # disordered points relax on secular population rates
-        rates = secular_rates(coeffs, bath, tl.delta, force=force)
-        t_rel_formula = rates.t_rel
-        p_suc = rates.p_suc
-        times = _times(grid, 6.0 * t_rel_formula)
-        rho11 = secular_populations(rates, times, 1.0 / system.n)
-        values = tl.a1**2 * rho11 + tl.a2**2 * (1.0 - rho11)
-        target = tl.a1**2 * p_suc + tl.a2**2 * (1.0 - p_suc)
-    else:
-        # disorder-free points integrate the full two-level tensor
-        tensor = assemble_redfield(coeffs, tl, bath, force=force)
-        gamma = damping_rate(coeffs, bath, tl.delta)
-        t_rel_formula = 1.0 / (2.0 * gamma)
-        p_suc = _gibbs_p_suc(bath.beta, tl.delta)
-        rho0, _ = _projected_initial_state(tl)
-        times = _times(grid, 6.0 / gamma)
-        traj = integrate_master(tensor, rho0, times)
-        values = solution_population(traj, tl).values
-        wrow = np.array([tl.a1, tl.a2])
-        target = float(np.real(wrow @ steady_state(tensor) @ wrow))
-    try:
-        t_rel_fit = extract_relaxation_time(times, values, target)
-    except NoEstimateError as exc:
-        t_rel_fit = math.nan
-        note = str(exc)
+    # disordered points relax on secular population rates, disorder-free
+    # points on the full two-level tensor
+    tl, _, _, summary = _relax(system, bath, grid, force, secular=system.sigma > 0)
+    validity = summary["validity"]
     return {
         "seed": system.seed,
-        "eps_w": eps_w,
+        "eps_w": summary["eps_w"],
         "delta": tl.delta,
-        "t_rel_fit": t_rel_fit,
-        "t_rel_formula": t_rel_formula,
-        "p_suc": p_suc,
-        "p_peak": p_peak,
-        "markov_status": report.markov_status,
-        "secular_status": report.secular_status,
-        "two_level_ok": report.two_level_ok,
-        "note": note,
+        "t_rel_fit": math.nan if summary["t_rel_fit"] is None else summary["t_rel_fit"],
+        "t_rel_formula": summary["t_rel_formula"],
+        "p_suc": summary["p_suc"],
+        "p_peak": reduced_peak(tl)[1],
+        "markov_status": validity["markov_status"],
+        "secular_status": validity["secular_status"],
+        "two_level_ok": validity["two_level_ok"],
+        "note": summary["fit_note"],
     }
 
 
@@ -683,10 +656,8 @@ def run(
     os.makedirs(out_dir, exist_ok=True)
     if cfg.mode == "unitary":
         return _run_unitary(cfg, out_dir)
-    if cfg.mode == "redfield":
-        return _run_redfield(cfg, out_dir, force)
-    if cfg.mode == "secular":
-        return _run_secular(cfg, out_dir, force)
+    if cfg.mode in ("redfield", "secular"):
+        return _run_relaxation(cfg, out_dir, force)
     if cfg.mode == "correlation":
         return _run_correlation(cfg, out_dir)
     if cfg.mode == "validate":

@@ -2,8 +2,8 @@
 
 Assembles the full relaxation tensor from coupling coefficients and bath
 rates, integrates the master equation (spectral propagation of the
-constant generator by default, with stepping fallbacks), and provides
-the two-level Pauli-basis form, the closed-form coherence solution, the
+constant generator, with an adaptive RK45 fallback), and provides the
+two-level Pauli-basis matrix, the closed-form coherence solution, the
 secular population rates with their closed-form solution, steady states,
 and a relaxation-time estimator.
 
@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bath import BathSpec, correlation_time, rate_S
 from .errors import (
@@ -70,44 +69,6 @@ class Trajectory:
     @property
     def traces(self) -> np.ndarray:
         return np.real(np.trace(self.rhos, axis1=1, axis2=2))
-
-    def bloch_series(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rho_x, rho_y, rho_z) series; two-level trajectories only."""
-        if self.m != 2:
-            raise InvalidParameterError(f"Bloch components need m=2, got m={self.m}")
-        r01 = self.rhos[:, 0, 1]
-        return (
-            2.0 * np.real(r01),
-            -2.0 * np.imag(r01),
-            np.real(self.rhos[:, 0, 0] - self.rhos[:, 1, 1]),
-        )
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Bloch components of a two-level density matrix."""
-
-    rho_x: float
-    rho_y: float
-    rho_z: float
-    time: float = 0.0
-
-    def norm(self) -> float:
-        return math.sqrt(self.rho_x**2 + self.rho_y**2 + self.rho_z**2)
-
-
-def rho_from_bloch(state: BlochState) -> np.ndarray:
-    x, y, z = state.rho_x, state.rho_y, state.rho_z
-    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
-
-
-def bloch_from_rho(rho: np.ndarray, time: float = 0.0) -> BlochState:
-    return BlochState(
-        rho_x=float(2.0 * np.real(rho[0, 1])),
-        rho_y=float(-2.0 * np.imag(rho[0, 1])),
-        rho_z=float(np.real(rho[0, 0] - rho[1, 1])),
-        time=time,
-    )
 
 
 def _eigenvalues_of(source: Union[Spectrum, TwoLevelSystem, np.ndarray], m: int) -> np.ndarray:
@@ -199,10 +160,11 @@ def integrate_master(
 ) -> Trajectory:
     """Propagate rho0 (the state at t=0) to every requested time.
 
-    The generator is constant, so "auto" diagonalizes it once and
-    evaluates all times directly, falling back to matrix-exponential
-    stepping when the eigenvector basis is ill-conditioned. "rk45" uses
-    adaptive embedded Runge-Kutta stepping with dense output instead.
+    The generator is constant, so "eig" diagonalizes it once and evaluates
+    all times directly. "rk45" steps adaptively with embedded Runge-Kutta
+    instead. "auto" takes "eig" unless the eigenvector basis is
+    ill-conditioned (condition number above 1e10, e.g. a defective
+    generator), and "rk45" then.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -211,7 +173,7 @@ def integrate_master(
         raise InvalidParameterError("time grid must be finite and nonnegative")
     if np.any(np.diff(t) < 0):
         raise InvalidParameterError("time grid must be nondecreasing")
-    if method not in ("auto", "eig", "expm", "rk45"):
+    if method not in ("auto", "eig", "rk45"):
         raise InvalidParameterError(f"unknown method {method!r}")
     m = tensor.m
     rho = _validate_rho0(rho0, m)
@@ -227,24 +189,6 @@ def integrate_master(
             vecs = phases * coefs[None, :] @ p.T
             rhos = vecs.reshape(len(t), m, m)
             return Trajectory(times=t, rhos=rhos)
-        method = "expm"
-
-    if method == "expm":
-        rhos = np.empty((len(t), m, m), dtype=complex)
-        cache: dict = {}
-        cur = v0
-        prev = 0.0
-        for i, ti in enumerate(t):
-            dt = ti - prev
-            if dt > 0:
-                step = cache.get(dt)
-                if step is None:
-                    step = expm(gen * dt)
-                    cache[dt] = step
-                cur = step @ cur
-                prev = ti
-            rhos[i] = cur.reshape(m, m)
-        return Trajectory(times=t, rhos=rhos)
 
     # imported on use: scipy.integrate costs more than the rest of `import qsearch`
     from scipy.integrate import solve_ivp
@@ -316,16 +260,6 @@ def pauli_two_level_matrix(
     ])
     b = np.array([0.0, 0.0, coeffs.o1 * (s_plus - s_minus)])
     return m, b
-
-
-def pauli_two_level_rhs(
-    state: BlochState, coeffs: CouplingCoefficients, bath: BathSpec, delta: float
-) -> BlochState:
-    """Time derivative of the Bloch components under the reduced dynamics."""
-    m, b = pauli_two_level_matrix(coeffs, bath, delta)
-    n = np.array([state.rho_x, state.rho_y, state.rho_z])
-    dn = m @ n + b
-    return BlochState(rho_x=float(dn[0]), rho_y=float(dn[1]), rho_z=float(dn[2]), time=state.time)
 
 
 def analytic_rho_x(t, gamma_rate: float, delta: float):

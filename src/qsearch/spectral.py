@@ -405,12 +405,6 @@ class CouplingCoefficients:
         """Materialized n x m coefficient matrix (marked-node row first)."""
         return np.repeat(self.rows, self.counts.astype(int), axis=0)
 
-    @property
-    def a12(self) -> np.ndarray:
-        """Per-site products c_i1 c_i2 of the two lowest retained levels."""
-        c = self.c
-        return c[:, 0] * c[:, 1]
-
 
 def coupling_coefficients(
     source: Union[Spectrum, TwoLevelSystem],

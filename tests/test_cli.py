@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qsearch
 from qsearch import StiffnessError
 from qsearch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VALIDITY, main
 
@@ -110,3 +114,12 @@ def test_unknown_mode_rejected_by_argparse(tmp_path) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["melt", "--config", _write(tmp_path, _unitary_doc())])
     assert exc.value.code == 2
+
+
+def test_import_loads_no_scipy() -> None:
+    # every CLI run pays the import; scipy modules are imported where used
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsearch.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import qsearch, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

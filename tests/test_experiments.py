@@ -120,6 +120,17 @@ def test_parse_config_beta_strings_and_custom_graphs() -> None:
         parse_config(custom)
 
 
+def test_parse_config_refuses_gaussian_truncated_distribution() -> None:
+    doc = _unitary_doc(distribution="gaussian-truncated")
+    with pytest.raises(ConfigError, match="eps_w"):
+        parse_config(doc)
+    doc["system"]["distribution"] = "cauchy"
+    with pytest.raises(ConfigError, match="unknown distribution"):
+        parse_config(doc)
+    doc["system"]["distribution"] = "uniform"
+    assert parse_config(doc).system.distribution == "uniform"
+
+
 def test_config_hash_is_order_independent() -> None:
     a = {"mode": "unitary", "system": {"n": 64, "sigma": 0.0}}
     b = {"system": {"sigma": 0.0, "n": 64}, "mode": "unitary"}
@@ -209,6 +220,31 @@ def test_run_secular_curve(tmp_path, read_csv) -> None:
     p_w = np.asarray(cols["p_w"])
     assert bool(np.all(np.diff(p_w) > 0.0))
     assert summary["p_suc"] == pytest.approx(1.0 / (1.0 + math.exp(-15.0 * summary["delta"])), rel=1e-9)
+
+
+def test_secular_mode_and_sweep_start_from_the_projected_state(tmp_path, monkeypatch) -> None:
+    import qsearch.experiments as experiments
+    from qsearch.redfield import secular_populations
+
+    received = []
+
+    def recording(rates, t, rho11_0):
+        received.append(rho11_0)
+        return secular_populations(rates, t, rho11_0)
+
+    monkeypatch.setattr(experiments, "secular_populations", recording)
+    doc = _secular_doc()
+    run(parse_config(doc), out_dir=str(tmp_path))
+    # a one-point n sweep over the same system takes the secular path (sigma > 0)
+    doc["mode"] = "sweep"
+    doc["sweep"] = {"parameter": "n", "values": [doc["system"]["n"]], "seeds": 1, "fit": False}
+    sweep(parse_config(doc))
+    cfg = parse_config(_secular_doc())
+    tl, _ = experiments._reduced_system(cfg.system)
+    s1, s2 = tl.s_overlap(1), tl.s_overlap(2)
+    projected = s1 * s1 / (s1 * s1 + s2 * s2)
+    assert abs(projected - 1.0 / cfg.system.n) > 1e-3
+    assert received == [pytest.approx(projected, rel=1e-12)] * 2
 
 
 def test_run_correlation_series(tmp_path, read_csv) -> None:

@@ -10,11 +10,11 @@ from qsearch import (
     ContractViolationError,
     InvalidParameterError,
     NoEstimateError,
+    RedfieldTensor,
     ValidityError,
     analytic_population,
     analytic_rho_x,
     assemble_redfield,
-    bloch_from_rho,
     coupling_coefficients,
     damping_rate,
     eigendecompose,
@@ -22,7 +22,6 @@ from qsearch import (
     integrate_master,
     pauli_two_level_matrix,
     reduce_two_level,
-    rho_from_bloch,
     secular_populations,
     secular_rates,
     solution_population,
@@ -353,14 +352,6 @@ def test_solution_population_shifted_ground_state() -> None:
     assert pw.truncation_bound == pytest.approx(1.0 / (sigma * 100.0), rel=1e-12)
 
 
-def test_bloch_round_trip() -> None:
-    rho = np.array([[0.65, 0.1 - 0.22j], [0.1 + 0.22j, 0.35]], dtype=complex)
-    state = bloch_from_rho(rho)
-    assert state.norm() <= 1.0
-    back = rho_from_bloch(state)
-    assert np.max(np.abs(back - rho)) < 1e-14
-
-
 def test_integrate_master_input_validation() -> None:
     tl, co = _clean_system(256)
     tensor = assemble_redfield(co, tl, ZERO_T)
@@ -375,8 +366,37 @@ def test_integrate_master_input_validation() -> None:
         integrate_master(tensor, neg, times)
     with pytest.raises(InvalidParameterError):
         integrate_master(tensor, good, np.array([1.0, 0.5]))
-    with pytest.raises(InvalidParameterError):
-        integrate_master(tensor, good, times, method="simpson")
+    for method in ("simpson", "expm"):
+        with pytest.raises(InvalidParameterError):
+            integrate_master(tensor, good, times, method=method)
+
+
+def test_auto_falls_back_to_rk45_on_a_defective_generator(monkeypatch) -> None:
+    import scipy.integrate
+    from scipy.linalg import expm
+
+    # one Jordan block: rho11 feeds rho00 at the shared decay rate, so the
+    # generator has no eigenvector basis and "auto" must leave "eig"
+    gen = -0.5 * np.eye(4)
+    gen[0, 3] = 0.3
+    tensor = RedfieldTensor(
+        m=2, r=gen.reshape(2, 2, 2, 2), omegas=np.zeros((2, 2)), eigenvalues=np.zeros(2)
+    )
+    assert np.linalg.cond(np.linalg.eig(tensor.generator())[1]) > 1e10
+    calls = []
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    rho0 = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]], dtype=complex)
+    times = np.linspace(0.0, 12.0, 40)
+    traj = integrate_master(tensor, rho0, times)
+    assert len(calls) == 1
+    oracle = np.array([expm(gen * t) @ rho0.reshape(4) for t in times])
+    assert np.max(np.abs(traj.rhos.reshape(len(times), 4) - oracle)) < 1e-7
 
 
 def test_assemble_rejects_oversized_systems() -> None:

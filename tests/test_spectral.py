@@ -147,7 +147,8 @@ def test_coupling_disorder_free_quartics() -> None:
     assert abs(coeffs.o2) < 1e-12
     assert abs(coeffs.o3) < 1e-12
     assert abs(coeffs.o1 - 0.25) < 1.0 / n
-    assert coeffs.o1 == pytest.approx(float(np.sum(coeffs.a12**2)), rel=1e-12)
+    c = coeffs.c
+    assert coeffs.o1 == pytest.approx(float(np.sum((c[:, 0] * c[:, 1]) ** 2)), rel=1e-12)
 
 
 def test_coupling_lambda_symmetric_nonnegative() -> None:
