@@ -243,13 +243,7 @@ class ValidityReport:
         }
 
 
-def validate_approximations(
-    bath: BathSpec,
-    delta: float,
-    n: int,
-    chi_markov: float = CHI_MARKOV,
-    chi_secular: float = CHI_SECULAR,
-) -> ValidityReport:
+def validate_approximations(bath: BathSpec, delta: float, n: int) -> ValidityReport:
     """Evaluate g*delta_t, g*sqrt(delta_t/delta), and the two-level bound.
 
     The memoryless-bath condition needs g << 1/delta_t; the
@@ -265,8 +259,8 @@ def validate_approximations(
     dt = correlation_time(bath)
     markov_margin = bath.g * dt
     secular_margin = bath.g * math.sqrt(dt / delta)
-    markov_status = _grade(markov_margin, chi_markov)
-    secular_status = _grade(secular_margin, chi_secular)
+    markov_status = _grade(markov_margin, CHI_MARKOV)
+    secular_status = _grade(secular_margin, CHI_SECULAR)
     rest_gap = 1.0 - delta
     if rest_gap > 0:
         beta_star = math.log(n) / rest_gap

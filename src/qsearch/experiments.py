@@ -54,6 +54,8 @@ from .version import __version__
 
 MODES = ("unitary", "redfield", "secular", "correlation", "sweep", "validate", "spectrum")
 SWEEP_PARAMETERS = ("n", "sigma", "beta", "g", "omega_c")
+# the other modes read only the complete-graph two-level reduction
+_CUSTOM_GRAPH_MODES = ("unitary", "spectrum")
 
 _TOP_KEYS = {"mode", "system", "bath", "grid", "sweep", "output"}
 _SYSTEM_KEYS = {"n", "sigma", "seed", "w", "gamma_policy", "distribution", "kind", "adjacency"}
@@ -112,16 +114,32 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _number(value, where: str, integer: bool = False):
+    """A finite JSON number from a config; an int when integer is set."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if integer and isinstance(value, int):
+        return value
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        kind = "integer" if integer else "number"
+        raise ConfigError(f"{where} must be a finite {kind}, got {value!r}")
+    return int(x) if integer else x
+
+
 def _parse_system(doc: dict) -> SystemConfig:
     _reject_unknown(doc, _SYSTEM_KEYS, "system")
-    n = _require(doc, "n", "system")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    n = _number(_require(doc, "n", "system"), "system.n", integer=True)
+    if n < 2:
         raise ConfigError(f"system.n must be an integer >= 2, got {n!r}")
     sys_cfg = SystemConfig(
         n=n,
-        sigma=float(doc.get("sigma", 0.0)),
-        seed=int(doc.get("seed", 0)),
-        w=int(doc.get("w", 0)),
+        sigma=_number(doc.get("sigma", 0.0), "system.sigma"),
+        seed=_number(doc.get("seed", 0), "system.seed", integer=True),
+        w=_number(doc.get("w", 0), "system.w", integer=True),
         gamma_policy=str(doc.get("gamma_policy", "plain")),
         distribution=str(doc.get("distribution", "uniform")),
         kind=str(doc.get("kind", "complete")),
@@ -129,6 +147,8 @@ def _parse_system(doc: dict) -> SystemConfig:
     )
     if sys_cfg.sigma < 0:
         raise ConfigError(f"system.sigma must be nonnegative, got {sys_cfg.sigma}")
+    if sys_cfg.seed < 0:
+        raise ConfigError(f"system.seed must be nonnegative, got {sys_cfg.seed}")
     if not (0 <= sys_cfg.w < sys_cfg.n):
         raise ConfigError(f"system.w must be in [0, {sys_cfg.n}), got {sys_cfg.w}")
     if sys_cfg.gamma_policy not in ("plain", "shifted"):
@@ -144,8 +164,14 @@ def _parse_system(doc: dict) -> SystemConfig:
         raise ConfigError(f"unknown distribution {sys_cfg.distribution!r}")
     if sys_cfg.kind not in ("complete", "custom"):
         raise ConfigError(f"unknown graph kind {sys_cfg.kind!r}")
-    if sys_cfg.kind == "custom" and sys_cfg.adjacency is None:
-        raise ConfigError("kind=custom requires an adjacency matrix")
+    if sys_cfg.kind == "custom":
+        rows = sys_cfg.adjacency
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(row, list) and len(row) == n for row in rows)):
+            raise ConfigError(f"kind=custom requires system.adjacency as {n} rows of {n} numbers")
+        for row in rows:
+            for x in row:
+                _number(x, "system.adjacency")
     return sys_cfg
 
 
@@ -157,14 +183,14 @@ def _parse_bath(doc: dict) -> BathSpec:
             raise ConfigError(f"bath.beta must be a number or \"inf\", got {beta_raw!r}")
         beta = math.inf
     else:
-        beta = float(beta_raw)
+        beta = math.inf if beta_raw == math.inf else _number(beta_raw, "bath.beta")
     try:
         return BathSpec(
-            g=float(_require(doc, "g", "bath")),
+            g=_number(_require(doc, "g", "bath"), "bath.g"),
             beta=beta,
-            omega_c=float(doc.get("omega_c", 2.0)),
-            eta=float(doc.get("eta", 1.0)),
-            d=float(doc.get("d", 1.0)),
+            omega_c=_number(doc.get("omega_c", 2.0), "bath.omega_c"),
+            eta=_number(doc.get("eta", 1.0), "bath.eta"),
+            d=_number(doc.get("d", 1.0), "bath.d"),
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
@@ -174,10 +200,10 @@ def _parse_grid(doc: dict) -> GridConfig:
     _reject_unknown(doc, _GRID_KEYS, "grid")
     t_max = doc.get("t_max")
     if t_max is not None:
-        t_max = float(t_max)
-        if not (t_max > 0 and math.isfinite(t_max)):
+        t_max = _number(t_max, "grid.t_max")
+        if t_max <= 0:
             raise ConfigError(f"grid.t_max must be positive and finite, got {t_max}")
-    points = int(doc.get("points", 2000))
+    points = _number(doc.get("points", 2000), "grid.points", integer=True)
     if points < 2:
         raise ConfigError(f"grid.points must be >= 2, got {points}")
     return GridConfig(t_max=t_max, points=points)
@@ -191,13 +217,8 @@ def _parse_sweep(doc: dict) -> SweepConfig:
     values = _require(doc, "values", "sweep")
     if not isinstance(values, (list, tuple)) or len(values) == 0:
         raise ConfigError("sweep.values must be a nonempty list")
-    vals = []
-    for v in values:
-        v = float(v)
-        if not math.isfinite(v):
-            raise ConfigError(f"sweep values must be finite, got {v}")
-        vals.append(v)
-    seeds = int(doc.get("seeds", 8))
+    vals = [_number(v, "sweep.values") for v in values]
+    seeds = _number(doc.get("seeds", 8), "sweep.seeds", integer=True)
     if seeds < 1:
         raise ConfigError(f"sweep.seeds must be >= 1, got {seeds}")
     fit = bool(doc.get("fit", True))
@@ -232,6 +253,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     needs_bath = {"redfield", "secular", "correlation", "sweep", "validate"}
     if mode in needs_system and system is None:
         raise ConfigError(f"mode {mode!r} requires a system section")
+    if system is not None and system.kind == "custom" and mode not in _CUSTOM_GRAPH_MODES:
+        raise ConfigError(
+            f"system.kind 'custom' is honoured only by modes {_CUSTOM_GRAPH_MODES}; "
+            f"mode {mode!r} reads the complete-graph two-level reduction"
+        )
     if mode in needs_bath and bath is None:
         raise ConfigError(f"mode {mode!r} requires a bath section")
     if mode == "sweep" and sweep_cfg is None:
@@ -327,12 +353,6 @@ def _gibbs_p_suc(beta: float, delta: float) -> float:
     return 1.0 / (1.0 + math.exp(-beta * delta))
 
 
-def _hamiltonian(sys_cfg: SystemConfig, graph: GraphSpec, disorder: DisorderField):
-    """The configured Hamiltonian; a complete graph stays symbolic for the secular solver."""
-    gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
-    return build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder, materialize=False)
-
-
 def _run_unitary(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
     sys_cfg = cfg.system
     graph = _graph(sys_cfg)
@@ -340,7 +360,8 @@ def _run_unitary(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
     tl, eps_w = _reduced_system(sys_cfg, disorder)
     times = _times(cfg.grid, 3.0 * math.pi / tl.delta)
     if sys_cfg.n <= DENSE_LIMIT:
-        h = _hamiltonian(sys_cfg, graph, disorder)
+        gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
+        h = build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
         result = evolve_closed(h, times)
         p_w = result.p_w
         summary = result.summary()
@@ -480,7 +501,8 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]
         raise ConfigError(f"spectrum mode needs n <= {DENSE_LIMIT}, got {sys_cfg.n}")
     graph = _graph(sys_cfg)
     disorder = _disorder(sys_cfg)
-    h = _hamiltonian(sys_cfg, graph, disorder)
+    gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
+    h = build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
     if graph.kind == "complete":
         spectrum = secular_spectrum(h)
         ground_w = spectrum.w_overlaps[0]

@@ -1,4 +1,7 @@
-"""Graphs, static diagonal disorder, and search Hamiltonians.
+"""Graphs, static diagonal disorder, and search Hamiltonians held as parameters.
+
+``SearchHamiltonian.dense()`` is the one place that builds an n x n search
+matrix, on demand and only up to ``DENSE_LIMIT`` nodes.
 
 Units: hbar = k_B = 1. Energies are measured in units of the marked-node
 depth (default -1), times in inverse energy.
@@ -14,7 +17,7 @@ import numpy as np
 from .errors import ContractViolationError, DenseLimitError, InvalidParameterError, OutOfRegimeError
 
 # Above this node count dense n x n storage and O(n^3) eigensolves are
-# refused; complete graphs fall back to the symbolic two-level path.
+# refused; complete graphs fall back to the two-level reduction.
 DENSE_LIMIT = 4096
 
 _SYMMETRY_TOL = 1e-12
@@ -22,26 +25,14 @@ _SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Search graph: node count, kind tag, and (optionally) its adjacency.
+    """Search graph: node count, kind tag, and the adjacency of a custom graph.
 
-    For kind="complete" the adjacency is not materialized at construction
-    time; ``adjacency_matrix()`` builds it on demand, subject to the dense
-    limit.
+    A complete graph carries no adjacency; its structure is implied by n.
     """
 
     n: int
     kind: str
     adjacency: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def adjacency_matrix(self, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-        if self.adjacency is not None:
-            return self.adjacency
-        if self.n > dense_limit:
-            raise DenseLimitError(
-                f"complete graph on n={self.n} nodes exceeds dense limit {dense_limit}"
-            )
-        a = np.ones((self.n, self.n)) - np.eye(self.n)
-        return a
 
 
 @dataclass(frozen=True)
@@ -69,12 +60,11 @@ class DisorderField:
 
 @dataclass(frozen=True)
 class SearchHamiltonian:
-    """marked-node projector of depth `marked_energy`, hopping -gamma*A, plus disorder.
+    """H = marked_energy |w><w| - gamma A + diag(epsilons), held as its parameters.
 
-    ``matrix`` is None for symbolic complete-graph instances: those above
-    the dense limit, usable only through the two-level reduction, and
-    those built with ``materialize=False``, which the secular solver
-    handles up to the dense limit.
+    No n x n matrix is stored: the secular solver and the two-level
+    reduction read the parameters, and ``dense()`` builds the matrix for
+    the dense eigensolver when a caller asks for it.
     """
 
     graph: GraphSpec
@@ -82,22 +72,25 @@ class SearchHamiltonian:
     gamma: float
     disorder: Optional[DisorderField] = None
     marked_energy: float = -1.0
-    matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    @property
-    def is_symbolic(self) -> bool:
-        return self.matrix is None
-
     def dense(self) -> np.ndarray:
-        if self.matrix is None:
-            raise DenseLimitError(
-                f"n={self.n} Hamiltonian was built symbolically; no dense matrix available"
-            )
-        return self.matrix
+        """A new n x n matrix of H, built in one allocation; refused above DENSE_LIMIT."""
+        n = self.n
+        if n > DENSE_LIMIT:
+            raise DenseLimitError(f"n={n} Hamiltonian exceeds dense limit {DENSE_LIMIT}")
+        if self.graph.kind == "complete":
+            h = np.full((n, n), -self.gamma, dtype=float)
+            np.fill_diagonal(h, 0.0)
+        else:
+            h = -self.gamma * self.graph.adjacency
+        h[self.w, self.w] += self.marked_energy
+        if self.disorder is not None:
+            h[np.diag_indices(n)] += self.disorder.epsilons
+        return h
 
     def eps_w(self) -> float:
         if self.disorder is None:
@@ -106,7 +99,7 @@ class SearchHamiltonian:
 
 
 def build_complete_graph(n: int) -> GraphSpec:
-    """Complete graph on n nodes; the adjacency stays unmaterialized."""
+    """Complete graph on n nodes; no adjacency is stored."""
     if n < 2:
         raise InvalidParameterError(f"graph needs at least 2 nodes, got n={n}")
     return GraphSpec(n=int(n), kind="complete", adjacency=None)
@@ -182,15 +175,11 @@ def build_search_hamiltonian(
     gamma: float,
     disorder: Optional[DisorderField] = None,
     marked_energy: float = -1.0,
-    dense_limit: int = DENSE_LIMIT,
-    materialize: bool = True,
 ) -> SearchHamiltonian:
-    """H = marked_energy * |w><w|  -  gamma * A  +  diag(epsilons).
+    """Checked constructor of H = marked_energy |w><w| - gamma A + diag(epsilons).
 
-    Dense for n <= dense_limit. A complete graph above the limit, or any
-    complete graph when materialize is False, yields a symbolic
-    Hamiltonian carrying only its parameters; a custom graph above the
-    limit is refused, and below it is always dense.
+    A custom graph above DENSE_LIMIT is refused here, since every use of
+    it needs the dense matrix; a complete graph of any size is accepted.
     """
     n = graph.n
     if not (0 <= w < n):
@@ -201,21 +190,8 @@ def build_search_hamiltonian(
         raise ContractViolationError(
             f"disorder field has {disorder.n} sites but the graph has {n}"
         )
-    if n > dense_limit and graph.kind != "complete":
+    if n > DENSE_LIMIT and graph.kind != "complete":
         raise DenseLimitError(
-            f"custom graph with n={n} exceeds dense limit {dense_limit}"
+            f"custom graph with n={n} exceeds dense limit {DENSE_LIMIT}"
         )
-    if graph.kind == "complete" and (n > dense_limit or not materialize):
-        return SearchHamiltonian(
-            graph=graph, w=w, gamma=gamma, disorder=disorder,
-            marked_energy=marked_energy, matrix=None,
-        )
-    h = -gamma * graph.adjacency_matrix(dense_limit)
-    h[w, w] += marked_energy
-    if disorder is not None:
-        h[np.diag_indices(n)] += disorder.epsilons
-    h.setflags(write=False)
-    return SearchHamiltonian(
-        graph=graph, w=w, gamma=gamma, disorder=disorder,
-        marked_energy=marked_energy, matrix=h,
-    )
+    return SearchHamiltonian(graph, w, gamma, disorder, marked_energy)

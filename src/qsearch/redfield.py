@@ -34,6 +34,8 @@ from .spectral import CouplingCoefficients, Spectrum, TwoLevelSystem
 FULL_DIM_LIMIT = 128
 
 _EIG_COND_LIMIT = 1e10
+_RK45_RTOL = 1e-8
+_RK45_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,6 @@ def integrate_master(
     rho0: np.ndarray,
     times,
     method: str = "auto",
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> Trajectory:
     """Propagate rho0 (the state at t=0) to every requested time.
 
@@ -199,8 +199,8 @@ def integrate_master(
         y0=v0,
         t_eval=t if t[-1] > 0 else None,
         method="RK45",
-        rtol=rtol,
-        atol=atol,
+        rtol=_RK45_RTOL,
+        atol=_RK45_ATOL,
     )
     if sol.status < 0 or not sol.success:
         raise StiffnessError(f"adaptive integration failed: {sol.message}")

@@ -115,6 +115,10 @@ def test_parse_config_beta_strings_and_custom_graphs() -> None:
     custom = _unitary_doc(n=3, kind="custom")
     custom["system"]["adjacency"] = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     assert parse_config(custom).system.kind == "custom"
+    for bad in ([[0, 1], [1, 0]], [[0, 1, 1], [1, 0, 1], [1, 1]], [[0, 1, "x"], [1, 0, 1], [1, 1, 0]]):
+        custom["system"]["adjacency"] = bad
+        with pytest.raises(ConfigError, match="system.adjacency"):
+            parse_config(custom)
     del custom["system"]["adjacency"]
     with pytest.raises(ConfigError):
         parse_config(custom)
@@ -129,6 +133,50 @@ def test_parse_config_refuses_gaussian_truncated_distribution() -> None:
         parse_config(doc)
     doc["system"]["distribution"] = "uniform"
     assert parse_config(doc).system.distribution == "uniform"
+
+
+def test_parse_config_refuses_custom_graph_in_reduced_modes() -> None:
+    path4 = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+    for mode in ("redfield", "secular", "sweep", "validate", "correlation"):
+        doc = _small_sweep_doc([10.0, 20.0, 30.0])
+        doc["mode"] = mode
+        doc["system"].update(n=4, kind="custom", adjacency=path4)
+        doc["grid"] = {"t_max": 10.0, "points": 30}
+        with pytest.raises(ConfigError, match="custom"):
+            parse_config(doc)
+    for mode in ("unitary", "spectrum"):
+        doc = _unitary_doc(n=4, kind="custom", adjacency=path4)
+        doc["mode"] = mode
+        assert parse_config(doc).system.kind == "custom"
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "value"),
+    [
+        ("system", "n", 64.5),
+        ("system", "sigma", "wide"),
+        ("system", "sigma", math.nan),
+        pytest.param("system", "sigma", 10**400, id="system-sigma-overflow"),
+        ("system", "seed", [1]),
+        ("system", "seed", -1),
+        ("system", "w", True),
+        ("bath", "g", "abc"),
+        ("bath", "g", math.nan),
+        ("bath", "beta", [15.0]),
+        ("grid", "points", "abc"),
+        ("grid", "points", 2.7),
+        ("grid", "t_max", math.inf),
+        ("sweep", "seeds", 2.5),
+        ("sweep", "values", [10.0, "x", 30.0]),
+    ],
+)
+def test_malformed_numbers_exit_with_config_error(tmp_path, capsys, section, key, value) -> None:
+    doc = _small_sweep_doc([10.0, 20.0, 30.0]) if section == "sweep" else _secular_doc()
+    doc[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main([doc["mode"], "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert section in capsys.readouterr().err
 
 
 def test_config_hash_is_order_independent() -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,22 +21,12 @@ from qsearch import (
 )
 
 
-def test_complete_graph_smallest_adjacency() -> None:
-    graph = build_complete_graph(2)
-    assert np.array_equal(graph.adjacency_matrix(), [[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_complete_graph_row_sums_are_degree() -> None:
-    a = build_complete_graph(4).adjacency_matrix()
-    assert np.array_equal(a.sum(axis=1), [3.0, 3.0, 3.0, 3.0])
-    assert np.array_equal(np.diag(a), np.zeros(4))
-
-
 def test_complete_graph_large_is_not_materialized() -> None:
     graph = build_complete_graph(10**6)
     assert graph.adjacency is None
+    h = build_search_hamiltonian(graph, w=0, gamma=1e-6)
     with pytest.raises(DenseLimitError):
-        graph.adjacency_matrix()
+        h.dense()
 
 
 def test_complete_graph_rejects_single_node() -> None:
@@ -47,7 +38,7 @@ def test_custom_graph_round_trip() -> None:
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
     graph = build_custom_graph(a)
     assert graph.kind == "custom"
-    assert np.array_equal(graph.adjacency_matrix(), a)
+    assert np.array_equal(graph.adjacency, a)
 
 
 def test_custom_graph_rejects_asymmetric() -> None:
@@ -125,10 +116,36 @@ def test_gamma_policy_rejects_sigma_of_order_one() -> None:
 
 def test_hamiltonian_entries_complete_n4() -> None:
     h = build_search_hamiltonian(build_complete_graph(4), w=0, gamma=0.25).dense()
-    assert h[0, 0] == -1.0
+    assert np.array_equal(np.diag(h), [-1.0, 0.0, 0.0, 0.0])
     off = h[~np.eye(4, dtype=bool)]
     assert np.all(off == -0.25)
     assert np.array_equal(h, h.T)
+
+
+def test_hamiltonian_entries_custom_graph() -> None:
+    a = np.diag(np.ones(4), 1)
+    a = a + a.T
+    field = sample_disorder(5, 0.2, "uniform", seed=4)
+    h = build_search_hamiltonian(
+        build_custom_graph(a), w=2, gamma=0.5, disorder=field, marked_energy=-0.75
+    ).dense()
+    expected = -0.5 * a + np.diag(field.epsilons)
+    expected[2, 2] += -0.75
+    assert np.array_equal(h, expected)
+
+
+def test_dense_build_peaks_at_one_matrix() -> None:
+    n = 1024
+    graph = build_complete_graph(n)
+    field = sample_disorder(n, 0.1, "uniform", seed=2)
+    tracemalloc.start()
+    try:
+        h = build_search_hamiltonian(graph, w=0, gamma=1.0 / n, disorder=field).dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (n, n)
+    assert peak <= 1.25 * n * n * 8
 
 
 def test_hamiltonian_single_site_disorder_entry() -> None:
@@ -162,17 +179,17 @@ def test_projector_form_shifts_spectrum_by_gamma() -> None:
 
 def test_symbolic_hamiltonian_above_dense_limit() -> None:
     h = build_search_hamiltonian(build_complete_graph(5000), w=0, gamma=1.0 / 5000)
-    assert h.is_symbolic
     with pytest.raises(DenseLimitError):
         h.dense()
 
 
-def test_custom_graph_above_dense_limit_is_refused() -> None:
+def test_custom_graph_above_dense_limit_is_refused(monkeypatch) -> None:
     a = np.zeros((8, 8))
     a[0, 1] = a[1, 0] = 1.0
     graph = build_custom_graph(a)
+    monkeypatch.setattr("qsearch.model.DENSE_LIMIT", 4)
     with pytest.raises(DenseLimitError):
-        build_search_hamiltonian(graph, w=0, gamma=0.1, dense_limit=4)
+        build_search_hamiltonian(graph, w=0, gamma=0.1)
 
 
 def test_hamiltonian_rejects_bad_marked_index_and_mismatched_disorder() -> None:

@@ -22,7 +22,7 @@ from qsearch import (
     sample_disorder,
 )
 from qsearch.experiments import parse_config, run
-from qsearch.model import GraphSpec
+from qsearch.model import SearchHamiltonian
 from qsearch.spectral import secular_spectrum
 
 TIES = ("none", "exact", "marked", "near")
@@ -114,7 +114,7 @@ def test_experiment_closed_path_builds_no_matrix(monkeypatch, tmp_path) -> None:
     def refuse(*_args, **_kwargs):
         raise AssertionError("n x n matrix requested")
 
-    monkeypatch.setattr(GraphSpec, "adjacency_matrix", refuse)
+    monkeypatch.setattr(SearchHamiltonian, "dense", refuse)
     monkeypatch.setattr("qsearch.experiments.eigendecompose", refuse)
     monkeypatch.setattr(unitary, "eigendecompose", refuse)
     for mode in ("unitary", "spectrum"):
@@ -125,7 +125,8 @@ def test_experiment_closed_path_builds_no_matrix(monkeypatch, tmp_path) -> None:
 def test_symbolic_hamiltonian_above_dense_limit_is_refused() -> None:
     n = DENSE_LIMIT + 1
     h = build_search_hamiltonian(build_complete_graph(n), w=0, gamma=1.0 / n)
-    assert h.is_symbolic
+    with pytest.raises(DenseLimitError):
+        h.dense()
     with pytest.raises(DenseLimitError):
         evolve_closed(h, [0.0, 1.0])
     with pytest.raises(DenseLimitError):
