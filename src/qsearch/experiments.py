@@ -221,7 +221,9 @@ def _parse_sweep(doc: dict) -> SweepConfig:
     seeds = _number(doc.get("seeds", 8), "sweep.seeds", integer=True)
     if seeds < 1:
         raise ConfigError(f"sweep.seeds must be >= 1, got {seeds}")
-    fit = bool(doc.get("fit", True))
+    fit = doc.get("fit", True)
+    if not isinstance(fit, bool):
+        raise ConfigError(f"sweep.fit must be true or false, got {fit!r}")
     if fit and min(vals) <= 0:
         # refused before any point runs: the log-log fit cannot take them
         raise ConfigError(f"sweep.fit needs positive values, got {min(vals)}")
@@ -262,6 +264,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"mode {mode!r} requires a bath section")
     if mode == "sweep" and sweep_cfg is None:
         raise ConfigError("mode 'sweep' requires a sweep section")
+    if mode in ("redfield", "secular", "sweep"):
+        g_values = sweep_cfg.values if mode == "sweep" and sweep_cfg.parameter == "g" else (bath.g,)
+        if min(g_values) <= 0:
+            # nothing relaxes at g = 0: the rates vanish and the default window is 6/gamma
+            raise ConfigError(f"mode {mode!r} needs g > 0, got {min(g_values)}")
     if mode in ("correlation",) and grid.t_max is None:
         raise ConfigError("mode 'correlation' requires grid.t_max")
     if mode in ("redfield", "secular") and grid.t_max is None:
@@ -416,6 +423,8 @@ def _relax(
     else:
         tensor = assemble_redfield(coeffs, tl, bath, force=force)
         gamma = damping_rate(coeffs, bath, tl.delta)
+        if gamma == 0.0:  # g > 0 whose square underflows
+            raise InvalidParameterError(f"the damping rate at g = {bath.g} is zero; nothing relaxes")
         times = _times(grid, 6.0 / gamma)
         traj = integrate_master(tensor, rho0, times)
         series = solution_population(traj, tl)

@@ -7,6 +7,16 @@ two-level Pauli-basis matrix, the closed-form coherence solution, the
 secular population rates with their closed-form solution, steady states,
 and a relaxation-time estimator.
 
+Propagation and the steady state work in real Hermitian coordinates:
+x holds sqrt2 Im rho_ab and sqrt2 Re rho_ab for a < b, then the
+populations rho_aa, an orthonormal basis of the Hermitian matrices. A
+real tensor with R_abcd = R_badc (and omega_ab = -omega_ba) maps
+Hermitian rho to Hermitian rho, so the generator is a real m^2 x m^2
+matrix there, built once per tensor and shared by integrate_master and
+steady_state; a tensor that breaks this is refused with
+ContractViolationError. RedfieldTensor.generator() keeps the complex
+row-major form.
+
 All rates carry the 2*pi prefactor on top of the bare rate_S; the
 combination is pinned by the thermal fixed point and the closed-form
 cross-checks.
@@ -14,6 +24,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -34,8 +45,76 @@ from .spectral import CouplingCoefficients, Spectrum, TwoLevelSystem
 FULL_DIM_LIMIT = 128
 
 _EIG_COND_LIMIT = 1e10
+# bound on |R_abcd - R_badc| relative to max |R|: rounding only
+_HERMITIAN_TOL = 1e-12
+_SQRT2 = math.sqrt(2.0)
+# eigenvalues below this, relative to the largest one, count as stationary modes
+_ZERO_MODE_TOL = 1e-12
+# a real generator up to this size (m <= 8) stays on its tensor between calls;
+# a larger one is rebuilt, an O(m^4) cost beside the O(m^6) eigensolve, rather
+# than held for as long as the caller keeps the tensor
+_KEEP_GENERATOR_BYTES = 1 << 15
 _RK45_RTOL = 1e-8
 _RK45_ATOL = 1e-10
+
+
+class _Coordinates:
+    """Index maps between row-major rho (m*m complex) and real x (m*m).
+
+    x holds sqrt2 Im rho_ab over a < b in np.triu_indices order, then
+    sqrt2 Re rho_ab in the same order, then the m populations. With the
+    populations last, LAPACK's real eigensolver resolves the slow
+    population modes about as well as the complex solver on the complex
+    generator, several times better than with them first (m = 2..16,
+    against scipy.linalg.expm).
+    """
+
+    def __init__(self, m: int) -> None:
+        ia, ib = np.triu_indices(m, 1)
+        p = ia.size
+        diag = np.arange(m) * (m + 1)
+        upper = ia * m + ib
+        lower = ib * m + ia
+        sym = np.concatenate((upper, diag))
+        self.m = m
+        self.pairs = p
+        self.upper = upper
+        # the rows ab (a <= b) of R against the columns ab, ba and aa, in one gather
+        self.rows_of_r = np.ix_(sym, np.concatenate((upper, lower, diag)))
+        # flat positions of G[p + k, k] (Re from Im) and G[k, p + k] (Im from Re)
+        n2 = m * m
+        self.re_from_im = slice(p * n2, p * n2 + p * (n2 + 1), n2 + 1)
+        self.im_from_re = slice(p, p + p * (n2 + 1), n2 + 1)
+        re, im = p + np.arange(p), np.arange(p)
+        # x from the float view of rho: slot 2i is Re rho_i, slot 2i+1 is Im rho_i
+        self.gather = np.concatenate((2 * upper + 1, 2 * upper, 2 * diag))
+        self.gather_scale = np.concatenate((np.full(2 * p, _SQRT2), np.ones(m)))
+        src = np.zeros(2 * m * m, dtype=np.intp)
+        scale = np.zeros(2 * m * m)
+        src[2 * diag] = 2 * p + np.arange(m)
+        scale[2 * diag] = 1.0
+        for flat, sign in ((upper, 1.0), (lower, -1.0)):
+            src[2 * flat], src[2 * flat + 1] = re, im
+            scale[2 * flat], scale[2 * flat + 1] = 1.0 / _SQRT2, sign / _SQRT2
+        self.scatter, self.scatter_scale = src, scale
+        # fixed unit probe of the eigenbasis condition estimate; varied entries
+        # so that no structured direction of the basis is orthogonal to it
+        probe = np.sin(1.0 + np.arange(m * m))
+        self.probe = probe / np.linalg.norm(probe)
+
+    def to_real(self, rho: np.ndarray) -> np.ndarray:
+        """x of one density matrix."""
+        return np.ascontiguousarray(rho).view(float).reshape(-1)[self.gather] * self.gather_scale
+
+    def to_rho(self, x: np.ndarray) -> np.ndarray:
+        """rho(t) for each row of x, Hermitian to the last bit."""
+        parts = np.multiply(x[:, self.scatter], self.scatter_scale, order="C")
+        return parts.view(complex).reshape(x.shape[0], self.m, self.m)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_coordinates(m: int) -> _Coordinates:
+    return _Coordinates(m)
 
 
 @dataclass(frozen=True)
@@ -51,6 +130,56 @@ class RedfieldTensor:
         """Flattened generator L of d(rho)/dt = L rho, rho in row-major order."""
         m2 = self.m * self.m
         return self.r.reshape(m2, m2) - 1j * np.diag(self.omegas.reshape(m2))
+
+    def _real_generator(self) -> np.ndarray:
+        """The generator as a real matrix acting on x (see _Coordinates).
+
+        Its dissipator is block-diagonal: the symmetric (Re) block takes
+        R_ab,cd + R_ab,dc and the antisymmetric (Im) block R_ab,cd - R_ab,dc;
+        the Hamiltonian part couples each (Re, Im) pair by +-omega_ab.
+        Refuses a tensor that does not map Hermitian rho to Hermitian rho.
+        A small generator is kept on the tensor for the next call.
+        """
+        g = self.__dict__.get("_kept_generator")
+        if g is None:
+            g = self._build_real_generator()
+            if g.nbytes <= _KEEP_GENERATOR_BYTES:
+                # written past the frozen __setattr__, as functools.cached_property does
+                self.__dict__["_kept_generator"] = g
+        return g
+
+    def _build_real_generator(self) -> np.ndarray:
+        m = self.m
+        n2 = m * m
+        r, omegas = self.r, self.omegas
+        if np.iscomplexobj(r) or np.iscomplexobj(omegas):
+            raise ContractViolationError("the relaxation tensor and Bohr frequencies must be real")
+        defect = r - r.transpose(1, 0, 3, 2)
+        np.abs(defect, out=defect)
+        # omega_ab = lambda_a - lambda_b is antisymmetric to the last bit
+        if defect.max() > _HERMITIAN_TOL * np.abs(r).max() or (omegas + omegas.T).any():
+            raise ContractViolationError(
+                "tensor does not preserve Hermiticity: need R_abcd = R_badc and omega_ab = -omega_ba"
+            )
+        del defect
+        c = _hermitian_coordinates(m)
+        p = c.pairs
+        rf = r.reshape(n2, n2)
+        g = np.zeros((n2, n2))
+        rows = rf[c.rows_of_r]
+        np.subtract(rows[:p, :p], rows[:p, p:2 * p], out=g[:p, :p])
+        sym = g[p:, p:]
+        np.add(rows[:, :p], rows[:, p:2 * p], out=sym[:, :p])
+        sym[:, p:] = rows[:, 2 * p:]
+        del rows
+        sym[:p, p:] *= _SQRT2
+        sym[p:, :p] *= 1.0 / _SQRT2
+        w = omegas.reshape(n2)[c.upper]
+        flat = g.reshape(n2 * n2)
+        flat[c.re_from_im] = w
+        flat[c.im_from_re] = -w
+        g.setflags(write=False)
+        return g
 
 
 @dataclass(frozen=True)
@@ -126,12 +255,15 @@ def assemble_redfield(
         rows.shape[0], m * m
     )
     q = (b2.T @ b2).reshape(m, m, m, m)
-    eye = np.eye(m)
-    term1 = u[:, None, :, None] * eye[None, :, None, :]
-    term3 = eye[:, None, :, None] * u[None, :, None, :]
+    # R_abcd = (Q_acdb (S_ca + S_db) - U_ac delta_bd - delta_ac U_bd) / 2, built
+    # in place: the two delta terms touch only m^3 entries, through views
     st = smat.T
-    term2 = q.transpose(0, 3, 1, 2) * (st[:, None, :, None] + st[None, :, None, :])
-    r = -0.5 * (term1 - term2 + term3)
+    r = np.add(st[:, None, :, None], st[None, :, None, :], out=np.empty((m, m, m, m)))
+    r *= q.transpose(0, 3, 1, 2)
+    del q
+    np.einsum("abcb->abc", r)[...] -= u[:, None, :]
+    np.einsum("abad->abd", r)[...] -= u[None, :, :]
+    r *= 0.5
     omegas = levels[:, None] - levels[None, :]
     r.setflags(write=False)
     omegas.setflags(write=False)
@@ -143,11 +275,13 @@ def _validate_rho0(rho0: np.ndarray, m: int) -> np.ndarray:
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (m, m):
         raise ContractViolationError(f"rho0 must be {m}x{m}, got shape {rho.shape}")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-10:
+    adjoint = rho.conj().T
+    if np.linalg.norm(rho - adjoint) > 1e-10:
         raise ContractViolationError("rho0 is not Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-10:
-        raise ContractViolationError(f"rho0 trace is {np.trace(rho)}, expected 1")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-10:
+    trace = rho.trace()
+    if abs(trace.real - 1.0) > 1e-8 or abs(trace.imag) > 1e-10:
+        raise ContractViolationError(f"rho0 trace is {trace}, expected 1")
+    if np.linalg.eigvalsh(0.5 * (rho + adjoint)).min() < -1e-10:
         raise ContractViolationError("rho0 has a negative eigenvalue beyond tolerance")
     return rho
 
@@ -160,35 +294,70 @@ def integrate_master(
 ) -> Trajectory:
     """Propagate rho0 (the state at t=0) to every requested time.
 
-    The generator is constant, so "eig" diagonalizes it once and evaluates
-    all times directly. "rk45" steps adaptively with embedded Runge-Kutta
-    instead. "auto" takes "eig" unless the eigenvector basis is
-    ill-conditioned (condition number above 1e10, e.g. a defective
-    generator), and "rk45" then.
+    The generator is constant and real in the Hermitian coordinates x (see
+    the module docstring), so "eig" diagonalizes it once with a real
+    eigensolve and evaluates all times directly; each complex-conjugate
+    pair of eigenvectors is held as its real and imaginary parts. "rk45"
+    steps x adaptively with embedded Runge-Kutta instead. "auto" takes
+    "eig" unless the eigenvector basis is ill-conditioned, and "rk45" then.
+    The condition number is estimated from the LU that also gives the
+    expansion coefficients: sqrt(m^2) * ||P^-1 z|| for a fixed unit probe
+    z, against the limit 1e10 (a defective generator exceeds it).
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise InvalidParameterError("time grid must be a nonempty 1-d array")
-    if np.any(t < 0) or not np.all(np.isfinite(t)):
+    if (t < 0).any() or not np.isfinite(t).all():
         raise InvalidParameterError("time grid must be finite and nonnegative")
-    if np.any(np.diff(t) < 0):
+    if (t[1:] < t[:-1]).any():
         raise InvalidParameterError("time grid must be nondecreasing")
     if method not in ("auto", "eig", "rk45"):
         raise InvalidParameterError(f"unknown method {method!r}")
     m = tensor.m
+    n2 = m * m
     rho = _validate_rho0(rho0, m)
-    gen = tensor.generator()
-    v0 = rho.reshape(m * m)
+    gen = tensor._real_generator()
+    coords = _hermitian_coordinates(m)
+    x0 = coords.to_real(rho)
 
     if method in ("auto", "eig"):
         w, p = np.linalg.eig(gen)
-        cond = np.linalg.cond(p)
-        if cond < _EIG_COND_LIMIT or method == "eig":
-            coefs = np.linalg.solve(p, v0)
-            phases = np.exp(np.outer(t, w))
-            vecs = phases * coefs[None, :] @ p.T
-            rhos = vecs.reshape(len(t), m, m)
-            return Trajectory(times=t, rhos=rhos)
+        pairs = None
+        if np.iscomplexobj(p):
+            # LAPACK lists each pair as (v, conj v), positive imaginary part
+            # first; keep the real basis (Re v, -Im v) in their columns
+            pairs = np.flatnonzero(w.imag > 0)
+            p = np.where(w.imag < 0, p.imag, p.real)
+        # trace preservation makes the trace row a left eigenvector of the
+        # eigenvalue 0, so every mode of a nonzero eigenvalue is traceless;
+        # restoring that removes the rounding that would drift tr rho(t)
+        rates = np.abs(w)
+        moving = rates > _ZERO_MODE_TOL * rates.max()
+        populations = p[n2 - m:]
+        populations -= populations.sum(axis=0) * (moving / m)
+        rhs = np.empty((n2, 2))
+        rhs[:, 0] = x0
+        rhs[:, 1] = coords.probe
+        try:
+            sol = np.linalg.solve(p, rhs)
+        except np.linalg.LinAlgError:  # an exactly singular basis
+            if method == "eig":
+                raise
+            sol = None
+        if sol is not None and (
+            method == "eig" or m * math.sqrt(sol[:, 1] @ sol[:, 1]) < _EIG_COND_LIMIT
+        ):
+            c = sol[:, 0]
+            amps = np.exp(t[:, None] * w.real) * c
+            if pairs is not None:
+                # c_j Re v - c_k Im v = Re((c_j + i c_k) v) evolves into
+                # Re(z v) = Re z Re v - Im z Im v, z = (c_j + i c_k) e^(w_j t)
+                j, k = pairs, pairs + 1
+                z = np.exp(t[:, None] * w[j])
+                z *= c[j] + 1j * c[k]
+                amps[:, j] = z.real
+                amps[:, k] = z.imag
+            return Trajectory(times=t, rhos=coords.to_rho(amps @ p.T))
 
     # imported on use: scipy.integrate costs more than the rest of `import qsearch`
     from scipy.integrate import solve_ivp
@@ -196,7 +365,7 @@ def integrate_master(
     sol = solve_ivp(
         lambda _ti, y: gen @ y,
         t_span=(0.0, float(t[-1])) if t[-1] > 0 else (0.0, 1.0),
-        y0=v0,
+        y0=x0,
         t_eval=t if t[-1] > 0 else None,
         method="RK45",
         rtol=_RK45_RTOL,
@@ -204,25 +373,36 @@ def integrate_master(
     )
     if sol.status < 0 or not sol.success:
         raise StiffnessError(f"adaptive integration failed: {sol.message}")
-    if t[-1] > 0:
-        rhos = sol.y.T.reshape(len(t), m, m)
-    else:
-        rhos = np.broadcast_to(rho, (len(t), m, m)).copy()
-    return Trajectory(times=t, rhos=rhos)
+    x = sol.y.T if t[-1] > 0 else np.broadcast_to(x0, (len(t), x0.size))
+    return Trajectory(times=t, rhos=coords.to_rho(x))
 
 
 def steady_state(tensor: RedfieldTensor) -> np.ndarray:
-    """Trace-one kernel element of the generator (least-squares solve)."""
+    """Trace-one kernel element of the generator.
+
+    Trace preservation gives t^T G = 0 for the trace row t of the real
+    generator G, so the state solves the square system
+    (G + e_00 t^T) x = e_00. That system is singular exactly when the
+    kernel is not one-dimensional (e.g. g = 0, where every population
+    vector is stationary); the steady state is then not unique and
+    InvalidParameterError is raised.
+    """
     m = tensor.m
-    gen = tensor.generator()
-    trace_row = np.zeros(m * m, dtype=complex)
-    trace_row[:: m + 1] = 1.0
-    a = np.vstack([gen, trace_row[None, :]])
-    b = np.zeros(m * m + 1, dtype=complex)
-    b[-1] = 1.0
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    rho = x.reshape(m, m)
-    return 0.5 * (rho + rho.conj().T)
+    n2 = m * m
+    # the populations are the last m coordinates; rho_00 is the first of them
+    a = tensor._real_generator().copy()
+    a[n2 - m, n2 - m:] += 1.0
+    e00 = np.zeros(n2)
+    e00[n2 - m] = 1.0
+    try:
+        x = np.linalg.solve(a, e00)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidParameterError(
+            "steady state is not unique: the generator's kernel is not one-dimensional"
+        ) from exc
+    if not np.isfinite(x).all():
+        raise InvalidParameterError("steady state is not unique: the trace-pinned system is singular")
+    return _hermitian_coordinates(m).to_rho(x[None, :])[0]
 
 
 def damping_rate(coeffs: CouplingCoefficients, bath: BathSpec, delta: float) -> float:

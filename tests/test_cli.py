@@ -123,3 +123,19 @@ def test_import_loads_no_scipy() -> None:
     code = "import qsearch, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_two_level_redfield_path_loads_no_scipy() -> None:
+    # every disorder-free sweep point assembles, propagates and solves an m = 2 tensor
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsearch.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, numpy as np, qsearch as q\n"
+        "tl = q.reduce_two_level(10**4, 0.0)\n"
+        "te = q.assemble_redfield(q.coupling_coefficients(tl, 2), tl, q.BathSpec(g=0.02, beta=15.0))\n"
+        "q.integrate_master(te, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 1e5, 400))\n"
+        "q.steady_state(te)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -427,6 +427,47 @@ def test_sweep_fit_over_nonpositive_values_is_refused_at_parse(tmp_path, monkeyp
     assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_zero_coupling_is_refused_where_it_would_relax(tmp_path, capsys) -> None:
+    redfield = _secular_doc()
+    redfield["mode"] = "redfield"
+    secular = _secular_doc()
+    sweep_doc = _small_sweep_doc([10.0, 20.0, 30.0])
+    g_sweep = _small_sweep_doc([0.0, 0.01, 0.02])
+    g_sweep["sweep"].update(parameter="g", fit=False)
+    for doc in (redfield, secular, sweep_doc):
+        doc["bath"]["g"] = 0
+    for doc in (redfield, secular, sweep_doc, g_sweep):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main([doc["mode"], "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "g > 0" in capsys.readouterr().err
+    # a coupling whose square underflows relaxes no more than g = 0 does
+    redfield["bath"]["g"] = 1e-200
+    path.write_text(json.dumps(redfield))
+    assert cli_main(["redfield", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "nothing relaxes" in capsys.readouterr().err
+    # a g sweep replaces bath.g, and the validity and correlation modes take g = 0
+    g_sweep["sweep"]["values"] = [0.01, 0.02, 0.03]
+    g_sweep["bath"]["g"] = 0
+    assert parse_config(g_sweep).bath.g == 0
+    for mode in ("validate", "correlation"):
+        doc = _secular_doc()
+        doc.update(mode=mode)
+        doc["bath"]["g"] = 0
+        assert parse_config(doc).bath.g == 0
+
+
+def test_sweep_fit_must_be_a_bool() -> None:
+    for value in ("no", 0, 1, None, "false"):
+        doc = _small_sweep_doc([10.0, 20.0, 30.0])
+        doc["sweep"]["fit"] = value
+        with pytest.raises(ConfigError, match="sweep.fit"):
+            parse_config(doc)
+    doc = _small_sweep_doc([10.0, 20.0, 30.0])
+    doc["sweep"]["fit"] = False
+    assert parse_config(doc).sweep.fit is False
+
+
 def test_run_sweep_writes_rows_and_summary(tmp_path, read_csv) -> None:
     cfg = parse_config(_small_sweep_doc([10.0, 20.0, 30.0]))
     files, summary = run(cfg, out_dir=str(tmp_path), force=True)

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsearch import (
     BathSpec,
     ContractViolationError,
     InvalidParameterError,
     NoEstimateError,
+    QSearchError,
     RedfieldTensor,
     ValidityError,
     analytic_population,
@@ -406,3 +410,89 @@ def test_assemble_rejects_oversized_systems() -> None:
     co = coupling_coefficients(spec, 129)
     with pytest.raises(InvalidParameterError):
         assemble_redfield(co, spec, ZERO_T)
+
+
+def _random_levels(m: int, seed: int):
+    """Spectrum, coefficients and a mixed state of a random m-level system.
+
+    Levels are at least 0.05 apart so the generator stays diagonalizable.
+    """
+    rng = np.random.default_rng(seed)
+    levels = -1.0 + np.cumsum(rng.uniform(0.05, 0.6, size=m))
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    spec = eigendecompose(q @ np.diag(levels) @ q.T)
+    a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    rho0 = a @ a.conj().T
+    return spec, coupling_coefficients(spec, m), rho0 / np.trace(rho0).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    g=st.floats(0.005, 0.2),
+    beta=st.one_of(st.just(math.inf), st.floats(0.5, 50.0)),
+    omega_c=st.floats(0.5, 5.0),
+    t_max=st.floats(1.0, 300.0),
+)
+def test_real_coordinate_path_matches_the_complex_generator(m, seed, g, beta, omega_c, t_max) -> None:
+    from scipy.linalg import expm
+
+    spec, co, rho0 = _random_levels(m, seed)
+    tensor = assemble_redfield(co, spec, BathSpec(g=g, beta=beta, omega_c=omega_c), force=True)
+    gen = tensor.generator()
+    times = np.linspace(0.0, t_max, 9)
+    traj = integrate_master(tensor, rho0, times)
+    oracle = np.array([expm(gen * t) @ rho0.reshape(m * m) for t in times])
+    assert np.max(np.abs(traj.rhos.reshape(len(times), m * m) - oracle)) <= 1e-10
+    assert np.max(np.abs(traj.rhos - np.conj(np.transpose(traj.rhos, (0, 2, 1))))) == 0.0
+    assert np.max(np.abs(traj.traces - 1.0)) <= 1e-12
+    rho_star = steady_state(tensor)
+    assert np.linalg.norm(gen @ rho_star.reshape(m * m)) / np.linalg.norm(gen) <= 1e-10
+    assert np.trace(rho_star).real == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(rho_star - rho_star.conj().T)) == 0.0
+
+
+def test_tensor_that_breaks_hermiticity_is_refused() -> None:
+    spec, co, rho0 = _random_levels(3, 5)
+    tensor = assemble_redfield(co, spec, BathSpec(g=0.05, beta=15.0, omega_c=2.0))
+    r = np.array(tensor.r)
+    r[0, 1, 2, 0] += 0.1 * np.max(np.abs(r))  # R_0120 != R_1002
+    omegas = np.array(tensor.omegas)
+    omegas[0, 2] += 1e-3  # omega_02 != -omega_20
+    broken = (
+        RedfieldTensor(m=3, r=r, omegas=tensor.omegas, eigenvalues=tensor.eigenvalues),
+        RedfieldTensor(m=3, r=tensor.r, omegas=omegas, eigenvalues=tensor.eigenvalues),
+        RedfieldTensor(m=3, r=tensor.r.astype(complex), omegas=tensor.omegas, eigenvalues=tensor.eigenvalues),
+    )
+    for bad in broken:
+        with pytest.raises(ContractViolationError):
+            integrate_master(bad, rho0, np.array([0.0, 1.0]))
+        with pytest.raises(ContractViolationError):
+            steady_state(bad)
+
+
+def test_steady_state_without_coupling_is_not_unique() -> None:
+    # at g = 0 every population vector is stationary: no single answer exists
+    tl, co = _clean_system(256)
+    tensor = assemble_redfield(co, tl, BathSpec(g=0.0, beta=math.inf, omega_c=2.0))
+    with pytest.raises(QSearchError, match="not unique"):
+        steady_state(tensor)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_and_steady_state_peak_below_three_tensors() -> None:
+    m = 24
+    spec, co, _ = _random_levels(m, 9)
+    bath = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
+    tensor, assemble_peak = _traced_peak(lambda: assemble_redfield(co, spec, bath))
+    _, steady_peak = _traced_peak(lambda: steady_state(tensor))
+    assert assemble_peak <= 3 * m**4 * 8
+    assert steady_peak <= 3 * m**4 * 8
