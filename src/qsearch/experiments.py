@@ -165,6 +165,8 @@ def _parse_system(doc: dict) -> SystemConfig:
     if sys_cfg.kind not in ("complete", "custom"):
         raise ConfigError(f"unknown graph kind {sys_cfg.kind!r}")
     if sys_cfg.kind == "custom":
+        if n > DENSE_LIMIT:
+            raise ConfigError(f"custom graphs are limited to n <= {DENSE_LIMIT}, got {n}")
         rows = sys_cfg.adjacency
         if not (isinstance(rows, list) and len(rows) == n
                 and all(isinstance(row, list) and len(row) == n for row in rows)):
@@ -264,14 +266,27 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"mode {mode!r} requires a bath section")
     if mode == "sweep" and sweep_cfg is None:
         raise ConfigError("mode 'sweep' requires a sweep section")
+    if mode == "spectrum" and system.n > DENSE_LIMIT:
+        raise ConfigError(f"spectrum mode needs n <= {DENSE_LIMIT}, got {system.n}")
+    points = [(system, bath)]
+    if mode == "sweep":
+        # every swept point is built and checked here, before any of them runs
+        try:
+            points = [_apply_sweep_value(system, bath, sweep_cfg.parameter, v)
+                      for v in sweep_cfg.values]
+        except InvalidParameterError as exc:  # a swept bath value that BathSpec refuses
+            raise ConfigError(f"sweep.values: {exc}") from exc
+        for point, _ in points:
+            if point.n < 2 or point.n <= point.w:
+                raise ConfigError(f"swept n must be >= 2 and exceed system.w = {point.w}, got {point.n}")
+            if point.sigma < 0:
+                raise ConfigError(f"swept sigma must be nonnegative, got {point.sigma}")
     if mode in ("redfield", "secular", "sweep"):
-        g_values = sweep_cfg.values if mode == "sweep" and sweep_cfg.parameter == "g" else (bath.g,)
-        if min(g_values) <= 0:
+        g_min = min(point_bath.g for _, point_bath in points)
+        if g_min <= 0:
             # nothing relaxes at g = 0: the rates vanish and the default window is 6/gamma
-            raise ConfigError(f"mode {mode!r} needs g > 0, got {min(g_values)}")
-    if mode in ("correlation",) and grid.t_max is None:
-        raise ConfigError("mode 'correlation' requires grid.t_max")
-    if mode in ("redfield", "secular") and grid.t_max is None:
+            raise ConfigError(f"mode {mode!r} needs g > 0, got {g_min}")
+    if mode in ("correlation", "redfield", "secular") and grid.t_max is None:
         raise ConfigError(f"mode {mode!r} requires grid.t_max")
     return ExperimentConfig(
         mode=mode, system=system, bath=bath, grid=grid,
@@ -288,24 +303,15 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.12g}"
-    return str(x)
-
-
-def _write_csv(path: str, cfg_hash: str, header: Sequence[str], rows) -> None:
+def _write_csv(path: str, cfg_hash: str, header: Sequence[str], rows, formats=None) -> None:
+    """Comment block, header, then each row tuple in one printf format per column ("%.12g")."""
+    line = ",".join(formats or ["%.12g"] * len(header)) + "\n"
     with open(path, "w") as f:
         f.write(f"# config {cfg_hash}\n")
         f.write(f"# version {__version__}\n")
         f.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+        f.writelines(line % row for row in rows)
 
 
 def _write_json(path: str, cfg_hash: str, payload: dict) -> None:
@@ -326,16 +332,14 @@ def _graph(sys_cfg: SystemConfig) -> GraphSpec:
     return build_complete_graph(sys_cfg.n)
 
 
-def _reduced_system(
-    sys_cfg: SystemConfig, disorder: Optional[DisorderField] = None
-) -> Tuple[TwoLevelSystem, float]:
+def _reduced_system(sys_cfg: SystemConfig) -> Tuple[TwoLevelSystem, float]:
     """Two-level reduction of the configured system; returns (tl, eps_w).
 
-    disorder is the field drawn from sys_cfg, sampled here when not given.
+    eps_w is the last site of a (w+1)-site draw, which sample_disorder
+    guarantees is site w of the n-site field.
     """
-    if disorder is None:
-        disorder = _disorder(sys_cfg)
-    eps_w = float(disorder.epsilons[sys_cfg.w])
+    prefix = sample_disorder(sys_cfg.w + 1, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
+    eps_w = float(prefix.epsilons[-1])
     sigma_arg = sys_cfg.sigma if (sys_cfg.sigma > 0 or sys_cfg.gamma_policy == "shifted") else None
     tl = reduce_two_level(sys_cfg.n, eps_w, sigma=sigma_arg, policy=sys_cfg.gamma_policy)
     return tl, eps_w
@@ -362,20 +366,16 @@ def _gibbs_p_suc(beta: float, delta: float) -> float:
 
 def _run_unitary(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
     sys_cfg = cfg.system
-    graph = _graph(sys_cfg)
-    disorder = _disorder(sys_cfg)
-    tl, eps_w = _reduced_system(sys_cfg, disorder)
+    tl, eps_w = _reduced_system(sys_cfg)
     times = _times(cfg.grid, 3.0 * math.pi / tl.delta)
     if sys_cfg.n <= DENSE_LIMIT:
         gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
-        h = build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
+        h = build_search_hamiltonian(_graph(sys_cfg), sys_cfg.w, gamma, _disorder(sys_cfg))
         result = evolve_closed(h, times)
         p_w = result.p_w
         summary = result.summary()
         summary["method"] = "exact"
     else:
-        if sys_cfg.kind == "custom":
-            raise ConfigError(f"custom graphs are limited to n <= {DENSE_LIMIT}")
         p_w = success_probability_reduced(tl, times)
         t_peak, p_peak = reduced_peak(tl)
         summary = {
@@ -506,19 +506,16 @@ def _run_validate(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]
 
 def _run_spectrum(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
     sys_cfg = cfg.system
-    if sys_cfg.n > DENSE_LIMIT:
-        raise ConfigError(f"spectrum mode needs n <= {DENSE_LIMIT}, got {sys_cfg.n}")
     graph = _graph(sys_cfg)
-    disorder = _disorder(sys_cfg)
     gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
-    h = build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
+    h = build_search_hamiltonian(graph, sys_cfg.w, gamma, _disorder(sys_cfg))
     if graph.kind == "complete":
         spectrum = secular_spectrum(h)
         ground_w = spectrum.w_overlaps[0]
     else:
         spectrum = eigendecompose(h)
         ground_w = spectrum.eigenvectors[sys_cfg.w, 0]
-    tl, eps_w = _reduced_system(sys_cfg, disorder)
+    tl, eps_w = _reduced_system(sys_cfg)
     summary = {
         "gap": spectrum.gap,
         "gap2": spectrum.gap2,
@@ -559,21 +556,14 @@ def fit_power_law(xs, ys) -> Dict[str, float]:
 
 
 def _apply_sweep_value(
-    system: SystemConfig, bath: BathSpec, parameter: str, value: float, seed: int
+    system: SystemConfig, bath: BathSpec, parameter: str, value: float
 ) -> Tuple[SystemConfig, BathSpec]:
-    system = replace(system, seed=seed)
+    """The (system, bath) at one swept value; replace reruns BathSpec's checks."""
     if parameter == "n":
-        n = int(round(value))
-        if n < 2:
-            raise ConfigError(f"swept n must be >= 2, got {value}")
-        return replace(system, n=n), bath
+        return replace(system, n=int(round(value))), bath
     if parameter == "sigma":
         return replace(system, sigma=float(value)), bath
-    if parameter == "beta":
-        return system, BathSpec(g=bath.g, beta=float(value), omega_c=bath.omega_c, eta=bath.eta, d=bath.d)
-    if parameter == "g":
-        return system, BathSpec(g=float(value), beta=bath.beta, omega_c=bath.omega_c, eta=bath.eta, d=bath.d)
-    return system, BathSpec(g=bath.g, beta=bath.beta, omega_c=float(value), eta=bath.eta, d=bath.d)
+    return system, replace(bath, **{parameter: float(value)})
 
 
 def _sweep_point(
@@ -607,9 +597,9 @@ def sweep(cfg: ExperimentConfig, force: bool = False, workers: int = 1) -> Sweep
     sw = cfg.sweep
     tasks = []
     for vi, value in enumerate(sw.values):
+        system, bath = _apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value)
         for seed in range(sw.seeds):
-            system, bath = _apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value, seed)
-            tasks.append((vi, value, seed, system, bath))
+            tasks.append((vi, value, seed, replace(system, seed=seed), bath))
 
     def run_task(task):
         vi, value, seed, system, bath = task
@@ -664,14 +654,17 @@ _SWEEP_COLUMNS = (
     "value", "seed", "eps_w", "delta", "t_rel_fit", "t_rel_formula",
     "p_suc", "p_peak", "markov_status", "secular_status", "two_level_ok", "note",
 )
+# printf format of each column above; the bool two_level_ok is written as true/false
+_SWEEP_FORMATS = ("%.12g", "%d") + ("%.12g",) * 6 + ("%s",) * 4
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: str, force: bool, workers: int) -> Tuple[List[str], dict]:
     result = sweep(cfg, force=force, workers=workers)
     csv_path = os.path.join(out_dir, f"{cfg.stem}.csv")
     json_path = os.path.join(out_dir, f"{cfg.stem}_summary.json")
-    rows = ([row[c] for c in _SWEEP_COLUMNS] for row in result.rows)
-    _write_csv(csv_path, cfg.config_hash, _SWEEP_COLUMNS, rows)
+    rows = (tuple(str(r[c]).lower() if c == "two_level_ok" else r[c] for c in _SWEEP_COLUMNS)
+            for r in result.rows)
+    _write_csv(csv_path, cfg.config_hash, _SWEEP_COLUMNS, rows, _SWEEP_FORMATS)
     summary = {"parameter": result.parameter, "per_value": result.per_value, "fit": result.fit}
     _write_json(json_path, cfg.config_hash, summary)
     return [csv_path, json_path], summary

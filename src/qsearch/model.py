@@ -131,6 +131,10 @@ def sample_disorder(
     distribution "uniform" is flat on [-sigma, sigma]; "gaussian-truncated"
     is N(0, sigma^2) with draws beyond 3 sigma redrawn. The stream is
     PCG64(seed), which is part of the reproducibility contract.
+
+    A "uniform" field is drawn site by site, so its first k sites are bitwise
+    the k-site field of the same sigma and seed. "gaussian-truncated" has no
+    such prefix rule: its redraws come after the whole field is filled.
     """
     if sigma < 0:
         raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")

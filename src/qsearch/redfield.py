@@ -194,10 +194,6 @@ class Trajectory:
         return self.rhos.shape[1]
 
     @property
-    def populations(self) -> np.ndarray:
-        return np.real(np.diagonal(self.rhos, axis1=1, axis2=2))
-
-    @property
     def traces(self) -> np.ndarray:
         return np.real(np.trace(self.rhos, axis1=1, axis2=2))
 

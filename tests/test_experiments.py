@@ -16,6 +16,7 @@ from qsearch.experiments import (
     fit_power_law,
     load_config,
     parse_config,
+    SweepResult,
     run,
     sweep,
 )
@@ -455,6 +456,121 @@ def test_zero_coupling_is_refused_where_it_would_relax(tmp_path, capsys) -> None
         doc.update(mode=mode)
         doc["bath"]["g"] = 0
         assert parse_config(doc).bath.g == 0
+
+
+def test_swept_points_are_checked_before_any_runs(tmp_path, capsys, monkeypatch) -> None:
+    def no_points(*_args, **_kwargs):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr("qsearch.experiments._sweep_point", no_points)
+    n_below_w = {
+        "mode": "sweep",
+        "system": {"n": 100, "sigma": 0.01, "seed": 1, "w": 50},
+        "bath": {"g": 0.005, "beta": 15.0},
+        "grid": {"points": 200},
+        "sweep": {"parameter": "n", "values": [20, 100, 1000], "seeds": 2, "fit": False},
+    }
+    n_at_w = json.loads(json.dumps(n_below_w))
+    n_at_w["sweep"]["values"] = [1000, 50]
+    n_one = json.loads(json.dumps(n_below_w))
+    n_one["system"]["w"] = 0
+    n_one["sweep"]["values"] = [1.4, 100]
+    negative_sigma = _small_sweep_doc([0.01, -0.01], fit=False)
+    negative_sigma["sweep"]["parameter"] = "sigma"
+    zero_beta = _small_sweep_doc([10.0, 0.0], fit=False)
+    zero_omega_c = _small_sweep_doc([2.0, -1.0], fit=False)
+    zero_omega_c["sweep"]["parameter"] = "omega_c"
+    cases = [
+        (n_below_w, "exceed system.w = 50, got 20"),
+        (n_at_w, "exceed system.w = 50, got 50"),
+        (n_one, "got 1"),
+        (negative_sigma, "nonnegative"),
+        (zero_beta, "beta must be positive"),
+        (zero_omega_c, "omega_c must be positive"),
+    ]
+    for doc, message in cases:
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
+def test_dense_only_inputs_are_refused_at_parse(monkeypatch) -> None:
+    monkeypatch.setattr("qsearch.experiments.DENSE_LIMIT", 4)
+    with pytest.raises(ConfigError, match="spectrum mode needs n <= 4"):
+        parse_config({"mode": "spectrum", "system": {"n": 5}})
+    ring = [[1 if abs(i - j) in (1, 4) else 0 for j in range(5)] for i in range(5)]
+    for mode in ("unitary", "spectrum"):
+        doc = _unitary_doc(n=5, kind="custom", adjacency=ring)
+        doc["mode"] = mode
+        with pytest.raises(ConfigError, match="custom graphs are limited to n <= 4"):
+            parse_config(doc)
+    assert parse_config(_unitary_doc(n=5)).system.n == 5
+
+
+def test_reduced_modes_draw_only_the_sites_up_to_w(tmp_path, monkeypatch) -> None:
+    import qsearch.experiments as experiments
+    from qsearch.model import DENSE_LIMIT, sample_disorder
+
+    requested = []
+
+    def recording(n, sigma, distribution="uniform", seed=0):
+        requested.append(n)
+        return sample_disorder(n, sigma, distribution, seed)
+
+    monkeypatch.setattr(experiments, "sample_disorder", recording)
+    docs = []
+    for mode in ("secular", "redfield", "validate", "correlation"):
+        doc = _secular_doc()
+        doc["mode"] = mode
+        doc["system"]["w"] = 7
+        docs.append(doc)
+    n_sweep = _small_sweep_doc([10**3, 10**4], fit=False)
+    n_sweep["sweep"]["parameter"] = "n"
+    n_sweep["system"]["w"] = 7
+    docs.append(n_sweep)
+    big = {"n": 10**5, "sigma": 0.01, "seed": 4, "w": 12345}
+    docs.append({"mode": "unitary", "system": big, "grid": {"points": 20}})
+    for doc in docs:
+        requested.clear()
+        _, summary = run(parse_config(doc), out_dir=str(tmp_path), force=True)
+        assert requested and max(requested) <= doc["system"]["w"] + 1, doc["mode"]
+    # the reduced unitary run reads site w of the n-site field it no longer draws
+    assert big["n"] > DENSE_LIMIT and summary["method"] == "reduced"
+    assert summary["eps_w"] == sample_disorder(big["n"], 0.01, "uniform", 4).epsilons[12345]
+
+
+def test_csv_cells_keep_their_text_form(tmp_path, monkeypatch, csv_body) -> None:
+    import qsearch.experiments as experiments
+
+    def row(value, seed, t_rel_fit, two_level_ok, note):
+        return {
+            "value": value, "seed": seed, "eps_w": -0.00123456789012345, "delta": 0.1,
+            "t_rel_fit": t_rel_fit, "t_rel_formula": 12345.678901234567, "p_suc": 0.5,
+            "p_peak": 1.0 / 3.0, "markov_status": "ok", "secular_status": "marginal",
+            "two_level_ok": two_level_ok, "note": note,
+        }
+
+    rows = [row(1000.0, 3, math.nan, False, "fit failed: flat"), row(2.5e-7, 0, 42.0, True, "")]
+    monkeypatch.setattr(
+        experiments, "sweep", lambda cfg, force=False, workers=1: SweepResult("n", rows, [], None)
+    )
+    files, _ = run(parse_config(_small_sweep_doc([10.0, 20.0], fit=False)), out_dir=str(tmp_path))
+    assert csv_body(files[0]) == (
+        b"value,seed,eps_w,delta,t_rel_fit,t_rel_formula,p_suc,p_peak,"
+        b"markov_status,secular_status,two_level_ok,note\n"
+        b"1000,3,-0.00123456789012,0.1,nan,12345.6789012,0.5,0.333333333333,ok,marginal,false,fit failed: flat\n"
+        b"2.5e-07,0,-0.00123456789012,0.1,42,12345.6789012,0.5,0.333333333333,ok,marginal,true,\n"
+    )
+    values = np.array([complex(-0.0, 1e-320), complex(math.inf, -2.5)])
+    monkeypatch.setattr(experiments, "correlation_finite_T", lambda times, bath: values)
+    doc = {"mode": "correlation", "bath": {"g": 0.02, "beta": 15.0}, "grid": {"t_max": 10.0, "points": 2}}
+    files, _ = run(parse_config(doc), out_dir=str(tmp_path))
+    assert csv_body(files[0]) == (
+        b"t,re_f,im_f,abs_f\n"
+        b"0,-0,9.99988867183e-321,9.99988867183e-321\n"
+        b"10,inf,-2.5,inf\n"
+    )
 
 
 def test_sweep_fit_must_be_a_bool() -> None:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsearch import (
     ContractViolationError,
@@ -62,6 +64,21 @@ def test_disorder_is_deterministic_per_seed() -> None:
     other = sample_disorder(8, 0.1, "uniform", seed=8)
     assert np.array_equal(first.epsilons, second.epsilons)
     assert not np.array_equal(first.epsilons, other.epsilons)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 5000),
+    sigma=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**63),
+)
+def test_uniform_disorder_prefix_is_the_shorter_draw(data, n, sigma, seed) -> None:
+    # the rule the runner relies on to read eps_w from a (w+1)-site draw
+    k = data.draw(st.integers(1, n))
+    full = sample_disorder(n, sigma, "uniform", seed).epsilons
+    prefix = sample_disorder(k, sigma, "uniform", seed).epsilons
+    assert prefix.tobytes() == full[:k].tobytes()
 
 
 def test_disorder_uniform_is_bounded_by_sigma() -> None:
