@@ -3,165 +3,10 @@
 Closed-system evolution, a two-level reduction for the complete graph,
 Bloch-Redfield and secular master equations, bath correlation functions,
 and a config-driven experiment runner.  Units: hbar = k_B = 1.
+
+Each name is imported from the submodule that defines it, for example
+``from qsearch.spectral import reduce_two_level``.
 """
 
-from .bath import (
-    CHI_MARKOV,
-    CHI_SECULAR,
-    BathSpec,
-    ValidityReport,
-    correlation_finite_T,
-    correlation_quadrature,
-    correlation_time,
-    correlation_zero_T,
-    rate_S,
-    spectral_density,
-    validate_approximations,
-)
-from .errors import (
-    ConfigError,
-    ContractViolationError,
-    DenseLimitError,
-    InvalidParameterError,
-    NoEstimateError,
-    OutOfRegimeError,
-    QSearchError,
-    StiffnessError,
-    ValidityError,
-)
-from .experiments import (
-    ExperimentConfig,
-    SweepResult,
-    fit_power_law,
-    load_config,
-    parse_config,
-    run,
-    sweep,
-)
-from .model import (
-    DENSE_LIMIT,
-    DisorderField,
-    GraphSpec,
-    SearchHamiltonian,
-    build_complete_graph,
-    build_custom_graph,
-    build_search_hamiltonian,
-    gamma_policy,
-    sample_disorder,
-)
-from .redfield import (
-    FULL_DIM_LIMIT,
-    PopulationSeries,
-    RedfieldTensor,
-    SecularRates,
-    Trajectory,
-    analytic_population,
-    analytic_rho_x,
-    assemble_redfield,
-    damping_rate,
-    extract_relaxation_time,
-    integrate_master,
-    pauli_two_level_matrix,
-    secular_populations,
-    secular_rates,
-    solution_population,
-    steady_state,
-)
-from .special import trigamma
-from .spectral import (
-    CouplingCoefficients,
-    Spectrum,
-    TwoLevelSystem,
-    coupling_coefficients,
-    eigendecompose,
-    reduce_two_level,
-)
-from .unitary import (
-    ClosedRunResult,
-    RuntimeEstimate,
-    default_time_grid,
-    evolve_closed,
-    expected_runtime,
-    reduced_peak,
-    regime_classify,
-    success_probability_reduced,
-)
+from . import bath, errors, experiments, model, redfield, spectral, unitary
 from .version import __version__
-
-__all__ = [
-    "__version__",
-    # errors
-    "QSearchError",
-    "InvalidParameterError",
-    "OutOfRegimeError",
-    "DenseLimitError",
-    "ContractViolationError",
-    "ValidityError",
-    "StiffnessError",
-    "NoEstimateError",
-    "ConfigError",
-    # model
-    "DENSE_LIMIT",
-    "GraphSpec",
-    "DisorderField",
-    "SearchHamiltonian",
-    "build_complete_graph",
-    "build_custom_graph",
-    "sample_disorder",
-    "gamma_policy",
-    "build_search_hamiltonian",
-    # spectral
-    "Spectrum",
-    "TwoLevelSystem",
-    "CouplingCoefficients",
-    "eigendecompose",
-    "reduce_two_level",
-    "coupling_coefficients",
-    # unitary
-    "ClosedRunResult",
-    "RuntimeEstimate",
-    "default_time_grid",
-    "evolve_closed",
-    "success_probability_reduced",
-    "reduced_peak",
-    "regime_classify",
-    "expected_runtime",
-    # bath
-    "CHI_MARKOV",
-    "CHI_SECULAR",
-    "BathSpec",
-    "ValidityReport",
-    "spectral_density",
-    "rate_S",
-    "correlation_zero_T",
-    "correlation_finite_T",
-    "correlation_quadrature",
-    "correlation_time",
-    "validate_approximations",
-    "trigamma",
-    # redfield / secular
-    "FULL_DIM_LIMIT",
-    "RedfieldTensor",
-    "Trajectory",
-    "SecularRates",
-    "PopulationSeries",
-    "assemble_redfield",
-    "integrate_master",
-    "steady_state",
-    "damping_rate",
-    "pauli_two_level_matrix",
-    "analytic_rho_x",
-    "analytic_population",
-    "secular_rates",
-    "secular_populations",
-    "solution_population",
-    "extract_relaxation_time",
-    # experiments
-    "ExperimentConfig",
-    "SweepResult",
-    "parse_config",
-    "load_config",
-    "run",
-    "sweep",
-    "fit_power_law",
-]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -229,18 +229,7 @@ class ValidityReport:
     notes: str = field(default="")
 
     def to_dict(self) -> dict:
-        return {
-            "delta_t": self.delta_t,
-            "markov_margin": self.markov_margin,
-            "markov_ok": self.markov_ok,
-            "markov_status": self.markov_status,
-            "secular_margin": self.secular_margin,
-            "secular_ok": self.secular_ok,
-            "secular_status": self.secular_status,
-            "two_level_ok": self.two_level_ok,
-            "beta_star": self.beta_star,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def validate_approximations(bath: BathSpec, delta: float, n: int) -> ValidityReport:

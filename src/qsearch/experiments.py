@@ -145,8 +145,8 @@ def _parse_system(doc: dict) -> SystemConfig:
         kind=str(doc.get("kind", "complete")),
         adjacency=doc.get("adjacency"),
     )
-    if sys_cfg.sigma < 0:
-        raise ConfigError(f"system.sigma must be nonnegative, got {sys_cfg.sigma}")
+    if not 0 <= sys_cfg.sigma < 1:
+        raise ConfigError(f"system.sigma must be nonnegative and below 1, got {sys_cfg.sigma}")
     if sys_cfg.seed < 0:
         raise ConfigError(f"system.seed must be nonnegative, got {sys_cfg.seed}")
     if not (0 <= sys_cfg.w < sys_cfg.n):
@@ -271,6 +271,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     points = [(system, bath)]
     if mode == "sweep":
         # every swept point is built and checked here, before any of them runs
+        if sweep_cfg.parameter == "n":
+            for value in sweep_cfg.values:
+                if not value.is_integer():
+                    raise ConfigError(f"swept n must be an integer, got {value}")
         try:
             points = [_apply_sweep_value(system, bath, sweep_cfg.parameter, v)
                       for v in sweep_cfg.values]
@@ -279,8 +283,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         for point, _ in points:
             if point.n < 2 or point.n <= point.w:
                 raise ConfigError(f"swept n must be >= 2 and exceed system.w = {point.w}, got {point.n}")
-            if point.sigma < 0:
-                raise ConfigError(f"swept sigma must be nonnegative, got {point.sigma}")
+            if not 0 <= point.sigma < 1:
+                raise ConfigError(f"swept sigma must be nonnegative and below 1, got {point.sigma}")
     if mode in ("redfield", "secular", "sweep"):
         g_min = min(point_bath.g for _, point_bath in points)
         if g_min <= 0:
@@ -560,7 +564,7 @@ def _apply_sweep_value(
 ) -> Tuple[SystemConfig, BathSpec]:
     """The (system, bath) at one swept value; replace reruns BathSpec's checks."""
     if parameter == "n":
-        return replace(system, n=int(round(value))), bath
+        return replace(system, n=int(value)), bath
     if parameter == "sigma":
         return replace(system, sigma=float(value)), bath
     return system, replace(bath, **{parameter: float(value)})

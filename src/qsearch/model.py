@@ -51,12 +51,6 @@ class DisorderField:
     def eps_at(self, w: int) -> float:
         return float(self.epsilons[w])
 
-    def mean_off_marked(self, w: int) -> float:
-        """Mean of the disorder over all sites except the marked one."""
-        if self.n == 1:
-            return 0.0
-        return float((self.epsilons.sum() - self.epsilons[w]) / (self.n - 1))
-
 
 @dataclass(frozen=True)
 class SearchHamiltonian:

@@ -3,7 +3,6 @@
 Assembles the full relaxation tensor from coupling coefficients and bath
 rates, integrates the master equation (spectral propagation of the
 constant generator, with an adaptive RK45 fallback), and provides the
-two-level Pauli-basis matrix, the closed-form coherence solution, the
 secular population rates with their closed-form solution, steady states,
 and a relaxation-time estimator.
 
@@ -26,8 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Tuple, Union
+from dataclasses import asdict, dataclass
+from typing import Union
 
 import numpy as np
 
@@ -192,10 +191,6 @@ class Trajectory:
     @property
     def m(self) -> int:
         return self.rhos.shape[1]
-
-    @property
-    def traces(self) -> np.ndarray:
-        return np.real(np.trace(self.rhos, axis1=1, axis2=2))
 
 
 def _eigenvalues_of(source: Union[Spectrum, TwoLevelSystem, np.ndarray], m: int) -> np.ndarray:
@@ -412,82 +407,6 @@ def damping_rate(coeffs: CouplingCoefficients, bath: BathSpec, delta: float) -> 
     return math.pi * coeffs.o1 * (rate_S(delta, bath) + rate_S(-delta, bath))
 
 
-def pauli_two_level_matrix(
-    coeffs: CouplingCoefficients, bath: BathSpec, delta: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch dynamics d(n)/dt = M n + b of the reduced open system.
-
-    Basis order (rho_x, rho_y, rho_z). With vanishing o2 and o3 the z
-    component decouples and the x-y block closes on itself.
-    """
-    if coeffs.m != 2:
-        raise InvalidParameterError(f"Bloch form needs 2 retained levels, got m={coeffs.m}")
-    if delta <= 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    two_pi = 2.0 * math.pi
-    s_plus = two_pi * rate_S(delta, bath)
-    s_minus = two_pi * rate_S(-delta, bath)
-    s_zero = two_pi * rate_S(0.0, bath)
-    gamma = 0.5 * coeffs.o1 * (s_plus + s_minus)
-    m = np.array([
-        [-0.5 * s_zero * coeffs.o3, delta, s_minus * coeffs.o2],
-        [-delta, -0.5 * s_zero * coeffs.o3 - 2.0 * gamma, 0.0],
-        [s_zero * coeffs.o2, 0.0, -2.0 * gamma],
-    ])
-    b = np.array([0.0, 0.0, coeffs.o1 * (s_plus - s_minus)])
-    return m, b
-
-
-def analytic_rho_x(t, gamma_rate: float, delta: float):
-    """Closed-form coherence of the disorder-free reduced open system.
-
-    Solves d2(rho_x)/dt2 = -delta^2 rho_x - 2 gamma_rate d(rho_x)/dt with
-    rho_x(0) = -1 and d(rho_x)/dt(0) = 0, covering the oscillatory
-    (gamma < delta) and monotone (gamma > delta) regimes with a series
-    bridge at the crossover. Accepts scalar or array t.
-    """
-    if gamma_rate < 0 or delta <= 0:
-        raise InvalidParameterError("need gamma_rate >= 0 and delta > 0")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise InvalidParameterError("time must be nonnegative")
-    mu2 = gamma_rate**2 - delta**2
-    x = mu2 * t_arr**2
-    out = np.empty_like(t_arr)
-
-    small = np.abs(x) < 1e-6
-    if np.any(small):
-        xs = x[small]
-        ts = t_arr[small]
-        c = 1.0 + xs / 2.0 + xs**2 / 24.0 + xs**3 / 720.0
-        s = 1.0 + xs / 6.0 + xs**2 / 120.0 + xs**3 / 5040.0
-        out[small] = -np.exp(-gamma_rate * ts) * (c + gamma_rate * ts * s)
-
-    osc = (~small) & (x < 0)
-    if np.any(osc):
-        to = t_arr[osc]
-        nu = math.sqrt(-mu2)
-        out[osc] = -np.exp(-gamma_rate * to) * (
-            np.cos(nu * to) + gamma_rate * np.sin(nu * to) / nu
-        )
-
-    damp = (~small) & (x > 0)
-    if np.any(damp):
-        td = t_arr[damp]
-        mu = math.sqrt(mu2)
-        # exponents combined before exponentiation to avoid overflow
-        slow = np.exp((mu - gamma_rate) * td)
-        fast = np.exp(-(mu + gamma_rate) * td)
-        out[damp] = -(0.5 * (1.0 + gamma_rate / mu) * slow + 0.5 * (1.0 - gamma_rate / mu) * fast)
-
-    return float(out[0]) if np.isscalar(t) else out
-
-
-def analytic_population(t, gamma_rate: float, delta: float):
-    """Solution population (1 + rho_x)/2 of the disorder-free reduced system."""
-    return 0.5 * (1.0 + analytic_rho_x(t, gamma_rate, delta))
-
-
 @dataclass(frozen=True)
 class SecularRates:
     """Population-transfer rates between the retained pair of levels."""
@@ -498,7 +417,7 @@ class SecularRates:
     p_suc: float
 
     def to_dict(self) -> dict:
-        return {"w12": self.w12, "w21": self.w21, "t_rel": self.t_rel, "p_suc": self.p_suc}
+        return asdict(self)
 
 
 def secular_rates(

@@ -47,15 +47,11 @@ class Spectrum:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    Ties break toward the lowest index (np.argmax).
+    Ties break toward the lowest index (np.argmax); a zero column is kept.
     """
-    v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if pivot != 0:
-            v[:, k] = col * (abs(pivot) / pivot)
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    factor = np.divide(np.abs(pivots), pivots, out=np.ones_like(pivots), where=pivots != 0)
+    v = vectors * factor
     if np.isrealobj(vectors):
         return v
     return v.real if np.allclose(v.imag, 0.0, atol=1e-14) else v
@@ -387,8 +383,9 @@ class CouplingCoefficients:
     rows holds the distinct coefficient rows, counts their site
     multiplicities; every site-summed product needed downstream is an
     exact weighted sum over the distinct rows, so reduced systems with
-    n ~ 1e6 never allocate per-site storage. lambda_kl, o1, o2, o3 follow
-    the quartic definitions used by the rate and tensor builders.
+    n ~ 1e6 never allocate per-site storage. lambda_kl = sum_j c_jk^2 c_jl^2
+    feeds the secular rates and o1 = sum_j c_j1^2 c_j2^2 the coherence
+    damping rate.
     """
 
     n: int
@@ -397,13 +394,6 @@ class CouplingCoefficients:
     counts: np.ndarray
     lambda_kl: np.ndarray
     o1: float
-    o2: float
-    o3: float
-
-    @property
-    def c(self) -> np.ndarray:
-        """Materialized n x m coefficient matrix (marked-node row first)."""
-        return np.repeat(self.rows, self.counts.astype(int), axis=0)
 
 
 def coupling_coefficients(
@@ -446,15 +436,11 @@ def coupling_coefficients(
     sq = rows**2
     weighted_sq = counts[:, None] * sq
     lambda_kl = weighted_sq.T @ sq
-    prod = rows[:, 0] * rows[:, 1]
-    diff = sq[:, 0] - sq[:, 1]
-    o1 = float(np.dot(counts, prod**2))
-    o2 = float(np.dot(counts, prod * diff))
-    o3 = float(np.dot(counts, diff**2))
+    o1 = float(np.dot(counts, (rows[:, 0] * rows[:, 1]) ** 2))
     lambda_kl.setflags(write=False)
     rows.setflags(write=False)
     counts.setflags(write=False)
     return CouplingCoefficients(
         n=int(n), m=int(rows.shape[1]), rows=rows, counts=counts,
-        lambda_kl=lambda_kl, o1=o1, o2=o2, o3=o3,
+        lambda_kl=lambda_kl, o1=o1,
     )

@@ -1,0 +1,133 @@
+"""Reference forms that the tests compare the package against.
+
+The disorder-free two-level Pauli-basis Bloch matrix and closed-form
+damped coherence, the coefficient sums and materialized forms that only
+these checks read, and the column loop that the vectorised eigenvector
+phase convention replaced. No mode of the package calls them.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Tuple
+
+import numpy as np
+
+from qsearch.bath import BathSpec, rate_S
+from qsearch.errors import InvalidParameterError
+from qsearch.redfield import Trajectory
+from qsearch.spectral import CouplingCoefficients
+
+
+def materialized(coeffs: CouplingCoefficients) -> np.ndarray:
+    """Materialized n x m coefficient matrix (marked-node row first)."""
+    return np.repeat(coeffs.rows, coeffs.counts.astype(int), axis=0)
+
+
+def quartic_o2_o3(coeffs: CouplingCoefficients) -> Tuple[float, float]:
+    """Site sums o2 = sum c1 c2 (c1^2 - c2^2) and o3 = sum (c1^2 - c2^2)^2."""
+    rows, counts = coeffs.rows, coeffs.counts
+    sq = rows**2
+    prod = rows[:, 0] * rows[:, 1]
+    diff = sq[:, 0] - sq[:, 1]
+    return float(np.dot(counts, prod * diff)), float(np.dot(counts, diff**2))
+
+
+def traces(traj: Trajectory) -> np.ndarray:
+    """tr rho(t) at every time of the trajectory."""
+    return np.real(np.trace(traj.rhos, axis1=1, axis2=2))
+
+
+def fix_phases_by_column(vectors: np.ndarray) -> np.ndarray:
+    """Column-by-column form of the eigenvector phase convention.
+
+    Rotates each column so its largest-magnitude entry is real positive;
+    ties break toward the lowest index (np.argmax).
+    """
+    v = vectors.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        i = int(np.argmax(np.abs(col)))
+        pivot = col[i]
+        if pivot != 0:
+            v[:, k] = col * (abs(pivot) / pivot)
+    if np.isrealobj(vectors):
+        return v
+    return v.real if np.allclose(v.imag, 0.0, atol=1e-14) else v
+
+
+def pauli_two_level_matrix(
+    coeffs: CouplingCoefficients, bath: BathSpec, delta: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Affine Bloch dynamics d(n)/dt = M n + b of the reduced open system.
+
+    Basis order (rho_x, rho_y, rho_z). With vanishing o2 and o3 the z
+    component decouples and the x-y block closes on itself.
+    """
+    if coeffs.m != 2:
+        raise InvalidParameterError(f"Bloch form needs 2 retained levels, got m={coeffs.m}")
+    if delta <= 0:
+        raise InvalidParameterError(f"delta must be positive, got {delta}")
+    o2, o3 = quartic_o2_o3(coeffs)
+    two_pi = 2.0 * math.pi
+    s_plus = two_pi * rate_S(delta, bath)
+    s_minus = two_pi * rate_S(-delta, bath)
+    s_zero = two_pi * rate_S(0.0, bath)
+    gamma = 0.5 * coeffs.o1 * (s_plus + s_minus)
+    m = np.array([
+        [-0.5 * s_zero * o3, delta, s_minus * o2],
+        [-delta, -0.5 * s_zero * o3 - 2.0 * gamma, 0.0],
+        [s_zero * o2, 0.0, -2.0 * gamma],
+    ])
+    b = np.array([0.0, 0.0, coeffs.o1 * (s_plus - s_minus)])
+    return m, b
+
+
+def analytic_rho_x(t, gamma_rate: float, delta: float):
+    """Closed-form coherence of the disorder-free reduced open system.
+
+    Solves d2(rho_x)/dt2 = -delta^2 rho_x - 2 gamma_rate d(rho_x)/dt with
+    rho_x(0) = -1 and d(rho_x)/dt(0) = 0, covering the oscillatory
+    (gamma < delta) and monotone (gamma > delta) regimes with a series
+    bridge at the crossover. Accepts scalar or array t.
+    """
+    if gamma_rate < 0 or delta <= 0:
+        raise InvalidParameterError("need gamma_rate >= 0 and delta > 0")
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t_arr < 0):
+        raise InvalidParameterError("time must be nonnegative")
+    mu2 = gamma_rate**2 - delta**2
+    x = mu2 * t_arr**2
+    out = np.empty_like(t_arr)
+
+    small = np.abs(x) < 1e-6
+    if np.any(small):
+        xs = x[small]
+        ts = t_arr[small]
+        c = 1.0 + xs / 2.0 + xs**2 / 24.0 + xs**3 / 720.0
+        s = 1.0 + xs / 6.0 + xs**2 / 120.0 + xs**3 / 5040.0
+        out[small] = -np.exp(-gamma_rate * ts) * (c + gamma_rate * ts * s)
+
+    osc = (~small) & (x < 0)
+    if np.any(osc):
+        to = t_arr[osc]
+        nu = math.sqrt(-mu2)
+        out[osc] = -np.exp(-gamma_rate * to) * (
+            np.cos(nu * to) + gamma_rate * np.sin(nu * to) / nu
+        )
+
+    damp = (~small) & (x > 0)
+    if np.any(damp):
+        td = t_arr[damp]
+        mu = math.sqrt(mu2)
+        # exponents combined before exponentiation to avoid overflow
+        slow = np.exp((mu - gamma_rate) * td)
+        fast = np.exp(-(mu + gamma_rate) * td)
+        out[damp] = -(0.5 * (1.0 + gamma_rate / mu) * slow + 0.5 * (1.0 - gamma_rate / mu) * fast)
+
+    return float(out[0]) if np.isscalar(t) else out
+
+
+def analytic_population(t, gamma_rate: float, delta: float):
+    """Solution population (1 + rho_x)/2 of the disorder-free reduced system."""
+    return 0.5 * (1.0 + analytic_rho_x(t, gamma_rate, delta))

@@ -12,29 +12,27 @@ import time
 import numpy as np
 import pytest
 
-from qsearch import (
+from qsearch.bath import (
     BathSpec,
-    DisorderField,
-    analytic_rho_x,
-    assemble_redfield,
-    build_complete_graph,
-    build_search_hamiltonian,
     correlation_finite_T,
     correlation_quadrature,
     correlation_zero_T,
-    coupling_coefficients,
+    validate_approximations,
+)
+from qsearch.experiments import parse_config, run, sweep
+from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian
+from qsearch.redfield import (
+    assemble_redfield,
     damping_rate,
-    eigendecompose,
-    evolve_closed,
     integrate_master,
-    reduce_two_level,
     secular_populations,
     secular_rates,
     solution_population,
     steady_state,
-    validate_approximations,
 )
-from qsearch.experiments import parse_config, run, sweep
+from qsearch.spectral import coupling_coefficients, eigendecompose, reduce_two_level
+from qsearch.unitary import evolve_closed
+from reference import analytic_rho_x
 
 RECIPES = __file__.rsplit("/", 2)[0] + "/recipes"
 

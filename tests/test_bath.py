@@ -6,10 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qsearch import (
+from qsearch.bath import (
     BathSpec,
-    InvalidParameterError,
-    OutOfRegimeError,
     correlation_finite_T,
     correlation_quadrature,
     correlation_time,
@@ -18,6 +16,7 @@ from qsearch import (
     spectral_density,
     validate_approximations,
 )
+from qsearch.errors import InvalidParameterError, OutOfRegimeError
 
 FINITE = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
 ZERO = BathSpec(g=0.02, beta=math.inf, omega_c=2.0)

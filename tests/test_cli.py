@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import qsearch
-from qsearch import StiffnessError
 from qsearch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VALIDITY, main
+from qsearch.errors import StiffnessError
 
 
 def _write(tmp_path, doc: dict) -> str:
@@ -125,16 +126,26 @@ def test_import_loads_no_scipy() -> None:
     assert out.stdout.strip() == "[]"
 
 
+def test_package_namespace_holds_only_submodules() -> None:
+    # every public name has one import path: the submodule that defines it
+    for name, value in vars(qsearch).items():
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        assert isinstance(value, types.ModuleType), name
+    assert isinstance(qsearch.__version__, str)
+
+
 def test_two_level_redfield_path_loads_no_scipy() -> None:
     # every disorder-free sweep point assembles, propagates and solves an m = 2 tensor
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsearch.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, numpy as np, qsearch as q\n"
-        "tl = q.reduce_two_level(10**4, 0.0)\n"
-        "te = q.assemble_redfield(q.coupling_coefficients(tl, 2), tl, q.BathSpec(g=0.02, beta=15.0))\n"
-        "q.integrate_master(te, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 1e5, 400))\n"
-        "q.steady_state(te)\n"
+        "tl = q.spectral.reduce_two_level(10**4, 0.0)\n"
+        "co = q.spectral.coupling_coefficients(tl, 2)\n"
+        "te = q.redfield.assemble_redfield(co, tl, q.bath.BathSpec(g=0.02, beta=15.0))\n"
+        "q.redfield.integrate_master(te, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 1e5, 400))\n"
+        "q.redfield.steady_state(te)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from qsearch import ConfigError, InvalidParameterError
 from qsearch.cli import EXIT_CONFIG
 from qsearch.cli import main as cli_main
+from qsearch.errors import ConfigError, InvalidParameterError
 from qsearch.experiments import (
     MODES,
     SWEEP_PARAMETERS,
@@ -356,6 +357,32 @@ def test_output_stem_is_honored(tmp_path) -> None:
     assert files[1].endswith("probe_summary.json")
 
 
+@pytest.mark.parametrize(
+    "mode, with_system, suffixes",
+    [
+        ("unitary", True, (".csv", "_summary.json")),
+        ("redfield", True, (".csv", "_summary.json")),
+        ("secular", True, (".csv", "_summary.json")),
+        ("sweep", True, (".csv", "_summary.json")),
+        ("validate", True, ("_validity.json",)),
+        ("spectrum", True, ("_spectrum.json",)),
+        ("correlation", False, (".csv",)),
+        ("correlation", True, (".csv", "_validity.json")),
+    ],
+)
+def test_run_returns_exactly_the_files_it_writes(tmp_path, mode, with_system, suffixes) -> None:
+    doc = _small_sweep_doc([10.0, 20.0], fit=False) if mode == "sweep" else _secular_doc()
+    doc.update(mode=mode, output={"stem": "probe"})
+    if mode == "spectrum":
+        doc["system"]["n"] = 16
+    if not with_system:
+        del doc["system"]
+    files, _ = run(parse_config(doc), out_dir=str(tmp_path), force=True)
+    names = [f"probe{suffix}" for suffix in suffixes]
+    assert files == [os.path.join(str(tmp_path), name) for name in names]
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+
+
 def test_load_config_round_trip(tmp_path) -> None:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_unitary_doc()))
@@ -474,17 +501,27 @@ def test_swept_points_are_checked_before_any_runs(tmp_path, capsys, monkeypatch)
     n_at_w["sweep"]["values"] = [1000, 50]
     n_one = json.loads(json.dumps(n_below_w))
     n_one["system"]["w"] = 0
-    n_one["sweep"]["values"] = [1.4, 100]
+    n_one["sweep"]["values"] = [1, 100]
+    n_fraction = json.loads(json.dumps(n_below_w))
+    n_fraction["system"].update(n=64, w=0)
+    n_fraction["sweep"]["values"] = [64.5, 128]
     negative_sigma = _small_sweep_doc([0.01, -0.01], fit=False)
     negative_sigma["sweep"]["parameter"] = "sigma"
+    wide_sigma = _small_sweep_doc([0.01, 0.02, 1.5], fit=False)
+    wide_sigma["sweep"]["parameter"] = "sigma"
+    wide_system = _small_sweep_doc([10.0, 20.0], fit=False)
+    wide_system["system"]["sigma"] = 1.5
     zero_beta = _small_sweep_doc([10.0, 0.0], fit=False)
     zero_omega_c = _small_sweep_doc([2.0, -1.0], fit=False)
     zero_omega_c["sweep"]["parameter"] = "omega_c"
     cases = [
         (n_below_w, "exceed system.w = 50, got 20"),
         (n_at_w, "exceed system.w = 50, got 50"),
-        (n_one, "got 1"),
+        (n_one, "exceed system.w = 0, got 1"),
+        (n_fraction, "swept n must be an integer, got 64.5"),
         (negative_sigma, "nonnegative"),
+        (wide_sigma, "swept sigma must be nonnegative and below 1, got 1.5"),
+        (wide_system, "system.sigma must be nonnegative and below 1, got 1.5"),
         (zero_beta, "beta must be positive"),
         (zero_omega_c, "omega_c must be positive"),
     ]

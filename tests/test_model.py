@@ -8,19 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsearch import (
+from qsearch.errors import (
     ContractViolationError,
     DenseLimitError,
-    DisorderField,
     InvalidParameterError,
     OutOfRegimeError,
+)
+from qsearch.model import (
+    DisorderField,
     build_complete_graph,
     build_custom_graph,
     build_search_hamiltonian,
-    eigendecompose,
     gamma_policy,
     sample_disorder,
 )
+from qsearch.spectral import eigendecompose
 
 
 def test_complete_graph_large_is_not_materialized() -> None:
@@ -104,14 +106,6 @@ def test_disorder_rejects_negative_sigma_and_unknown_distribution() -> None:
         sample_disorder(8, -0.1, "uniform", seed=0)
     with pytest.raises(InvalidParameterError):
         sample_disorder(8, 0.1, "lognormal", seed=0)
-
-
-def test_disorder_mean_off_marked() -> None:
-    field = DisorderField(
-        epsilons=np.array([0.5, 0.1, -0.3]), sigma=0.5, seed=0, distribution="uniform"
-    )
-    assert field.eps_at(0) == 0.5
-    assert field.mean_off_marked(0) == pytest.approx((0.1 - 0.3) / 2.0)
 
 
 @pytest.mark.parametrize(
@@ -222,5 +216,5 @@ def test_hamiltonian_eps_w_accessor() -> None:
     graph = build_complete_graph(8)
     field = sample_disorder(8, 0.2, "uniform", seed=11)
     h = build_search_hamiltonian(graph, w=5, gamma=1.0 / 8, disorder=field)
-    assert h.eps_w() == field.eps_at(5)
+    assert h.eps_w() == field.eps_at(5) == field.epsilons[5]
     assert build_search_hamiltonian(graph, w=5, gamma=1.0 / 8).eps_w() == 0.0

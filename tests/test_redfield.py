@@ -8,29 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsearch import (
-    BathSpec,
+from qsearch.bath import BathSpec
+from qsearch.errors import (
     ContractViolationError,
     InvalidParameterError,
     NoEstimateError,
     QSearchError,
-    RedfieldTensor,
     ValidityError,
-    analytic_population,
-    analytic_rho_x,
+)
+from qsearch.redfield import (
+    RedfieldTensor,
     assemble_redfield,
-    coupling_coefficients,
     damping_rate,
-    eigendecompose,
     extract_relaxation_time,
     integrate_master,
-    pauli_two_level_matrix,
-    reduce_two_level,
     secular_populations,
     secular_rates,
     solution_population,
     steady_state,
 )
+from qsearch.spectral import coupling_coefficients, eigendecompose, reduce_two_level
+from reference import analytic_population, analytic_rho_x, pauli_two_level_matrix, traces
 
 ZERO_T = BathSpec(g=0.02, beta=math.inf, omega_c=2.0)
 
@@ -59,7 +57,7 @@ def test_evolution_preserves_hermiticity_and_trace() -> None:
     rho0 = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]], dtype=complex)
     times = np.linspace(0.0, 2000.0, 60)
     traj = integrate_master(tensor, rho0, times)
-    assert np.max(np.abs(traj.traces - 1.0)) < 1e-9
+    assert np.max(np.abs(traces(traj) - 1.0)) < 1e-9
     herm = np.max(np.abs(traj.rhos - np.conj(np.transpose(traj.rhos, (0, 2, 1)))))
     assert herm < 1e-9
 
@@ -156,7 +154,7 @@ def test_three_level_system_thermalizes_to_gibbs() -> None:
     traj = integrate_master(tensor, np.eye(3, dtype=complex) / 3.0, times)
     pops = np.real(np.diagonal(traj.rhos, axis1=1, axis2=2))
     assert np.max(np.abs(pops[-1] - gibbs)) < 1e-4
-    assert np.max(np.abs(traj.traces - 1.0)) < 1e-9
+    assert np.max(np.abs(traces(traj) - 1.0)) < 1e-9
     ss = steady_state(tensor)
     assert np.max(np.abs(np.real(np.diag(ss)) - gibbs)) < 1e-8
 
@@ -446,7 +444,7 @@ def test_real_coordinate_path_matches_the_complex_generator(m, seed, g, beta, om
     oracle = np.array([expm(gen * t) @ rho0.reshape(m * m) for t in times])
     assert np.max(np.abs(traj.rhos.reshape(len(times), m * m) - oracle)) <= 1e-10
     assert np.max(np.abs(traj.rhos - np.conj(np.transpose(traj.rhos, (0, 2, 1))))) == 0.0
-    assert np.max(np.abs(traj.traces - 1.0)) <= 1e-12
+    assert np.max(np.abs(traces(traj) - 1.0)) <= 1e-12
     rho_star = steady_state(tensor)
     assert np.linalg.norm(gen @ rho_star.reshape(m * m)) / np.linalg.norm(gen) <= 1e-10
     assert np.trace(rho_star).real == pytest.approx(1.0, abs=1e-12)

@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 
 import qsearch.spectral as spectral
 import qsearch.unitary as unitary
-from qsearch import (
+from qsearch.errors import DenseLimitError
+from qsearch.experiments import parse_config, run
+from qsearch.model import (
     DENSE_LIMIT,
-    DenseLimitError,
     DisorderField,
+    SearchHamiltonian,
     build_complete_graph,
     build_search_hamiltonian,
-    evolve_closed,
     gamma_policy,
     sample_disorder,
 )
-from qsearch.experiments import parse_config, run
-from qsearch.model import SearchHamiltonian
 from qsearch.spectral import secular_spectrum
+from qsearch.unitary import evolve_closed
 
 TIES = ("none", "exact", "marked", "near")
 

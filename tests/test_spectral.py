@@ -5,17 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qsearch import (
-    ContractViolationError,
-    InvalidParameterError,
-    OutOfRegimeError,
-    build_complete_graph,
-    build_search_hamiltonian,
-    coupling_coefficients,
-    eigendecompose,
-    reduce_two_level,
-    sample_disorder,
-)
+from qsearch.errors import ContractViolationError, InvalidParameterError, OutOfRegimeError
+from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian, sample_disorder
+from qsearch.spectral import _fix_phases, coupling_coefficients, eigendecompose, reduce_two_level
+from reference import fix_phases_by_column, materialized, quartic_o2_o3
 
 
 def test_eigendecompose_reduced_pair_analytic() -> None:
@@ -42,6 +35,26 @@ def test_eigendecompose_residual_and_orthonormality() -> None:
         assert np.linalg.norm(residual) < 1e-10 * scale
     assert np.allclose(spectrum.eigenvectors.T @ spectrum.eigenvectors, np.eye(12), atol=1e-10)
     assert np.all(np.diff(spectrum.eigenvalues) >= 0)
+
+
+def test_fix_phases_matches_the_column_loop() -> None:
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(40, 40))
+    _, vectors = np.linalg.eigh(a + a.T)
+    vectors[:, 5] = 0.0  # a zero column is left as it is
+    vectors[:, 7] = 0.0
+    vectors[:2, 7] = [-0.5, 0.5]  # a tie breaks toward the lower index
+    vectors[:, 9] *= -1.0
+    fixed = _fix_phases(vectors)
+    reference = fix_phases_by_column(vectors)
+    # real input: the same multiplications, so the same bits, signed zeros included
+    assert np.array_equal(fixed, reference)
+    assert np.array_equal(np.signbit(fixed), np.signbit(reference))
+    assert fixed[0, 7] == 0.5 and fixed[1, 7] == -0.5
+    c = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    _, complex_vectors = np.linalg.eigh(c + c.conj().T)
+    # complex input: array and scalar division may round differently in the last bit
+    assert np.allclose(_fix_phases(complex_vectors), fix_phases_by_column(complex_vectors), rtol=0, atol=4e-16)
 
 
 def test_eigendecompose_shift_invariance() -> None:
@@ -99,8 +112,6 @@ def test_reduced_gap_cross_check_n64_strong_defect_within_5pct() -> None:
     tl = reduce_two_level(64, 0.5, policy="plain")
     eps = np.zeros(64)
     eps[0] = 0.5
-    from qsearch import DisorderField
-
     field = DisorderField(epsilons=eps, sigma=0.5, seed=0, distribution="uniform")
     h = build_search_hamiltonian(build_complete_graph(64), w=0, gamma=1.0 / 64, disorder=field)
     exact_gap = eigendecompose(h).gap
@@ -113,8 +124,6 @@ def test_reduced_gap_cross_check_n64_strong_defect_measured() -> None:
     assert tl.delta == pytest.approx(math.sqrt(0.25 + 0.0625), rel=1e-14)
     eps = np.zeros(64)
     eps[0] = 0.5
-    from qsearch import DisorderField
-
     field = DisorderField(epsilons=eps, sigma=0.5, seed=0, distribution="uniform")
     h = build_search_hamiltonian(build_complete_graph(64), w=0, gamma=1.0 / 64, disorder=field)
     exact_gap = eigendecompose(h).gap
@@ -144,10 +153,11 @@ def test_coupling_disorder_free_quartics() -> None:
     n = 10**4
     tl = reduce_two_level(n, 0.0, policy="plain")
     coeffs = coupling_coefficients(tl, retained=2)
-    assert abs(coeffs.o2) < 1e-12
-    assert abs(coeffs.o3) < 1e-12
+    o2, o3 = quartic_o2_o3(coeffs)
+    assert abs(o2) < 1e-12
+    assert abs(o3) < 1e-12
     assert abs(coeffs.o1 - 0.25) < 1.0 / n
-    c = coeffs.c
+    c = materialized(coeffs)
     assert coeffs.o1 == pytest.approx(float(np.sum((c[:, 0] * c[:, 1]) ** 2)), rel=1e-12)
 
 
@@ -157,7 +167,7 @@ def test_coupling_lambda_symmetric_nonnegative() -> None:
     assert np.allclose(coeffs.lambda_kl, coeffs.lambda_kl.T, atol=1e-15)
     assert np.all(coeffs.lambda_kl >= 0.0)
     assert coeffs.o1 >= 0.0
-    assert coeffs.o3 >= 0.0
+    assert quartic_o2_o3(coeffs)[1] >= 0.0
 
 
 def test_coupling_strong_disorder_lambda12_window() -> None:
@@ -178,7 +188,7 @@ def test_coupling_retained_all_levels_row_sums() -> None:
 def test_coupling_compact_rows_match_materialized_matrix() -> None:
     tl = reduce_two_level(1000, 0.01, sigma=0.02, policy="shifted")
     coeffs = coupling_coefficients(tl, retained=2)
-    c = coeffs.c
+    c = materialized(coeffs)
     assert c.shape == (1000, 2)
     assert np.allclose(np.sum(c**2, axis=0), np.ones(2), atol=1e-12)
     assert coeffs.o1 == pytest.approx(float(np.sum((c[:, 0] * c[:, 1]) ** 2)), rel=1e-12)

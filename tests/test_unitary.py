@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qsearch import (
-    DisorderField,
-    InvalidParameterError,
-    build_complete_graph,
-    build_search_hamiltonian,
+from qsearch.errors import InvalidParameterError
+from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian
+from qsearch.spectral import reduce_two_level
+from qsearch.unitary import (
     default_time_grid,
     evolve_closed,
     expected_runtime,
-    reduce_two_level,
     reduced_peak,
     regime_classify,
     success_probability_reduced,
