@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -229,7 +229,8 @@ class ValidityReport:
     notes: str = field(default="")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar or a string, so a shallow copy is the whole record
+        return dict(vars(self))
 
 
 def validate_approximations(bath: BathSpec, delta: float, n: int) -> ValidityReport:

@@ -24,8 +24,7 @@ from .bath import BathSpec, correlation_finite_T, correlation_zero_T, validate_a
 from .errors import ConfigError, InvalidParameterError, NoEstimateError
 from .model import (
     DENSE_LIMIT,
-    DisorderField,
-    GraphSpec,
+    SearchHamiltonian,
     build_complete_graph,
     build_custom_graph,
     build_search_hamiltonian,
@@ -326,27 +325,36 @@ def _write_json(path: str, cfg_hash: str, payload: dict) -> None:
         f.write("\n")
 
 
-def _disorder(sys_cfg: SystemConfig) -> DisorderField:
-    return sample_disorder(sys_cfg.n, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
-
-
-def _graph(sys_cfg: SystemConfig) -> GraphSpec:
+def _hamiltonian(sys_cfg: SystemConfig) -> SearchHamiltonian:
+    """The configured Hamiltonian, with the full n-site disorder field."""
     if sys_cfg.kind == "custom":
-        return build_custom_graph(np.asarray(sys_cfg.adjacency, dtype=float))
-    return build_complete_graph(sys_cfg.n)
+        graph = build_custom_graph(np.asarray(sys_cfg.adjacency, dtype=float))
+    else:
+        graph = build_complete_graph(sys_cfg.n)
+    gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
+    disorder = sample_disorder(sys_cfg.n, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
+    return build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
+
+
+def _marked_energy(sys_cfg: SystemConfig) -> float:
+    """eps_w, the last site of a (w+1)-site draw.
+
+    sample_disorder guarantees it is site w of the n-site field.
+    """
+    prefix = sample_disorder(sys_cfg.w + 1, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
+    return float(prefix.epsilons[-1])
+
+
+def _two_level(sys_cfg: SystemConfig, eps_w: float) -> TwoLevelSystem:
+    """Complete-graph two-level reduction at the marked-site energy eps_w."""
+    sigma_arg = sys_cfg.sigma if (sys_cfg.sigma > 0 or sys_cfg.gamma_policy == "shifted") else None
+    return reduce_two_level(sys_cfg.n, eps_w, sigma=sigma_arg, policy=sys_cfg.gamma_policy)
 
 
 def _reduced_system(sys_cfg: SystemConfig) -> Tuple[TwoLevelSystem, float]:
-    """Two-level reduction of the configured system; returns (tl, eps_w).
-
-    eps_w is the last site of a (w+1)-site draw, which sample_disorder
-    guarantees is site w of the n-site field.
-    """
-    prefix = sample_disorder(sys_cfg.w + 1, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
-    eps_w = float(prefix.epsilons[-1])
-    sigma_arg = sys_cfg.sigma if (sys_cfg.sigma > 0 or sys_cfg.gamma_policy == "shifted") else None
-    tl = reduce_two_level(sys_cfg.n, eps_w, sigma=sigma_arg, policy=sys_cfg.gamma_policy)
-    return tl, eps_w
+    """Two-level reduction of the configured system; returns (tl, eps_w)."""
+    eps_w = _marked_energy(sys_cfg)
+    return _two_level(sys_cfg, eps_w), eps_w
 
 
 def _projected_initial_state(tl: TwoLevelSystem) -> Tuple[np.ndarray, float]:
@@ -370,28 +378,34 @@ def _gibbs_p_suc(beta: float, delta: float) -> float:
 
 def _run_unitary(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
     sys_cfg = cfg.system
-    tl, eps_w = _reduced_system(sys_cfg)
-    times = _times(cfg.grid, 3.0 * math.pi / tl.delta)
-    if sys_cfg.n <= DENSE_LIMIT:
-        gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
-        h = build_search_hamiltonian(_graph(sys_cfg), sys_cfg.w, gamma, _disorder(sys_cfg))
-        result = evolve_closed(h, times)
+    h = _hamiltonian(sys_cfg) if sys_cfg.n <= DENSE_LIMIT else None
+    if sys_cfg.kind == "custom":
+        # delta and the default window come from the graph's own spectrum, which
+        # the propagation reuses; the sigma vs 1/sqrt(n) regime belongs to the
+        # complete graph and is left out
+        spectrum = eigendecompose(h)
+        delta, eps_w = spectrum.gap, h.disorder.eps_at(sys_cfg.w)
+        if delta <= 0 and cfg.grid.t_max is None:
+            raise InvalidParameterError("the ground state is degenerate (gap 0); set grid.t_max")
+        summary = {}
+    else:
+        spectrum = None
+        tl, eps_w = _reduced_system(sys_cfg)
+        delta = tl.delta
+        summary = {"regime": regime_classify(sys_cfg.n, sys_cfg.sigma)}
+    times = _times(cfg.grid, 3.0 * math.pi / delta)
+    if h is not None:
+        result = evolve_closed(h, times, spectrum)
         p_w = result.p_w
-        summary = result.summary()
-        summary["method"] = "exact"
+        summary.update(result.summary(), method="exact")
     else:
         p_w = success_probability_reduced(tl, times)
         t_peak, p_peak = reduced_peak(tl)
-        summary = {
-            "t_peak": t_peak,
-            "p_peak": p_peak,
-            "repetitions": 1.0 / p_peak,
-            "t_expected": t_peak / p_peak,
-            "method": "reduced",
-        }
-    summary["regime"] = regime_classify(sys_cfg.n, sys_cfg.sigma)
-    summary["eps_w"] = eps_w
-    summary["delta"] = tl.delta
+        summary.update(
+            t_peak=t_peak, p_peak=p_peak, repetitions=1.0 / p_peak,
+            t_expected=t_peak / p_peak, method="reduced",
+        )
+    summary.update(eps_w=eps_w, delta=delta)
     csv_path = os.path.join(out_dir, f"{cfg.stem}.csv")
     json_path = os.path.join(out_dir, f"{cfg.stem}_summary.json")
     _write_csv(csv_path, cfg.config_hash, ["t", "p_w"], zip(times, p_w))
@@ -400,18 +414,18 @@ def _run_unitary(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
 
 
 def _relax(
-    system: SystemConfig, bath: BathSpec, grid: GridConfig, force: bool, secular: bool
-) -> Tuple[TwoLevelSystem, np.ndarray, Tuple[np.ndarray, ...], dict]:
-    """Relax the projected uniform state of the reduced pair and fit t_rel.
+    tl: TwoLevelSystem, eps_w: float, bath: BathSpec, grid: GridConfig, force: bool, secular: bool
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], dict]:
+    """Relax the projected uniform state of the reduced pair tl and fit t_rel.
 
     The secular path propagates the populations on transfer rates (default
     window 6 t_rel, zero coherence); the tensor path integrates the full
-    two-level Redfield tensor (default window 6/gamma). Returns (tl, times,
-    columns, summary): the columns are p_w, rho11, rho22, re_rho12 and
-    im_rho12; the summary carries the scalar results, with t_rel_fit None
-    and the reason in fit_note when no decay time can be fitted.
+    two-level Redfield tensor (default window 6/gamma). eps_w is reported
+    in the summary only. Returns (times, columns, summary): the columns are
+    p_w, rho11, rho22, re_rho12 and im_rho12; the summary carries the
+    scalar results, with t_rel_fit None and the reason in fit_note when no
+    decay time can be fitted.
     """
-    tl, eps_w = _reduced_system(system)
     coeffs = coupling_coefficients(tl, retained=2)
     rho0, defect = _projected_initial_state(tl)
     if secular:
@@ -463,13 +477,12 @@ def _relax(
         "projection_defect": defect,
         "validity": report.to_dict(),
     })
-    return tl, times, columns, summary
+    return times, columns, summary
 
 
 def _run_relaxation(cfg: ExperimentConfig, out_dir: str, force: bool) -> Tuple[List[str], dict]:
-    _, times, columns, summary = _relax(
-        cfg.system, cfg.bath, cfg.grid, force, secular=cfg.mode == "secular"
-    )
+    tl, eps_w = _reduced_system(cfg.system)
+    times, columns, summary = _relax(tl, eps_w, cfg.bath, cfg.grid, force, secular=cfg.mode == "secular")
     csv_path = os.path.join(out_dir, f"{cfg.stem}.csv")
     json_path = os.path.join(out_dir, f"{cfg.stem}_summary.json")
     header = ["t", "p_w", "rho11", "rho22", "re_rho12", "im_rho12"]
@@ -510,10 +523,8 @@ def _run_validate(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]
 
 def _run_spectrum(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
     sys_cfg = cfg.system
-    graph = _graph(sys_cfg)
-    gamma = gamma_policy(sys_cfg.n, sys_cfg.sigma, sys_cfg.gamma_policy)
-    h = build_search_hamiltonian(graph, sys_cfg.w, gamma, _disorder(sys_cfg))
-    if graph.kind == "complete":
+    h = _hamiltonian(sys_cfg)
+    if sys_cfg.kind == "complete":
         spectrum = secular_spectrum(h)
         ground_w = spectrum.w_overlaps[0]
     else:
@@ -571,15 +582,16 @@ def _apply_sweep_value(
 
 
 def _sweep_point(
-    system: SystemConfig, bath: BathSpec, grid: GridConfig, force: bool
+    system: SystemConfig, eps_w: float, bath: BathSpec, grid: GridConfig, force: bool
 ) -> dict:
+    """The row of one point, less its value and seed, at the marked-site energy eps_w."""
+    tl = _two_level(system, eps_w)
     # disordered points relax on secular population rates, disorder-free
     # points on the full two-level tensor
-    tl, _, _, summary = _relax(system, bath, grid, force, secular=system.sigma > 0)
+    _, _, summary = _relax(tl, eps_w, bath, grid, force, secular=system.sigma > 0)
     validity = summary["validity"]
     return {
-        "seed": system.seed,
-        "eps_w": summary["eps_w"],
+        "eps_w": eps_w,
         "delta": tl.delta,
         "t_rel_fit": math.nan if summary["t_rel_fit"] is None else summary["t_rel_fit"],
         "t_rel_formula": summary["t_rel_formula"],
@@ -595,28 +607,36 @@ def _sweep_point(
 def sweep(cfg: ExperimentConfig, force: bool = False, workers: int = 1) -> SweepResult:
     """Run all (value, seed) points, concurrently up to the worker count.
 
-    Rows are keyed and sorted by (value index, seed), so results are
-    independent of scheduling order and worker count.
+    Within one value a point depends on its seed only through eps_w, so the
+    seeds that draw the same eps_w (every seed of a sigma = 0 value) share
+    one run, and each gets its own copy of the row. Rows are keyed and
+    sorted by (value index, seed), so results are independent of scheduling
+    order and worker count.
     """
     sw = cfg.sweep
-    tasks = []
+    points: Dict[Tuple[int, str], tuple] = {}
+    seeds: Dict[Tuple[int, str], List[int]] = {}
     for vi, value in enumerate(sw.values):
         system, bath = _apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value)
         for seed in range(sw.seeds):
-            tasks.append((vi, value, seed, replace(system, seed=seed), bath))
+            point = replace(system, seed=seed)
+            eps_w = _marked_energy(point)
+            # keyed on the exact bits, so that -0.0 and 0.0 stay apart
+            key = (vi, eps_w.hex())
+            points.setdefault(key, (vi, value, point, eps_w, bath))
+            seeds.setdefault(key, []).append(seed)
 
-    def run_task(task):
-        vi, value, seed, system, bath = task
-        row = _sweep_point(system, bath, cfg.grid, force)
-        row["value"] = value
-        row["value_index"] = vi
-        return row
+    def run_group(key):
+        vi, value, system, eps_w, bath = points[key]
+        row = _sweep_point(system, eps_w, bath, cfg.grid, force)
+        return [dict(row, value=value, value_index=vi, seed=seed) for seed in seeds[key]]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_task, tasks))
+            groups = list(pool.map(run_group, points))
     else:
-        rows = [run_task(t) for t in tasks]
+        groups = [run_group(key) for key in points]
+    rows = [row for group in groups for row in group]
     rows.sort(key=lambda r: (r["value_index"], r["seed"]))
 
     per_value = []

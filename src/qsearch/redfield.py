@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from .bath import BathSpec, correlation_time, rate_S
 from .errors import (
     ContractViolationError,
+    DenseLimitError,
     InvalidParameterError,
     NoEstimateError,
     StiffnessError,
@@ -40,8 +42,11 @@ from .errors import (
 )
 from .spectral import CouplingCoefficients, Spectrum, TwoLevelSystem
 
-# full-dimension tensors are O(m^4) memory; refuse beyond this
-FULL_DIM_LIMIT = 128
+# peak memory of assemble_redfield + integrate_master in m^4 doubles: R and
+# the real generator G, then numpy's eig of G holds a copy of G, its real
+# eigenvectors and two complex m^4 buffers; the LU and the trajectory come
+# after those are freed. ru_maxrss at m = 30..50 rose by 8.2-8.7 such units.
+_PEAK_M4_DOUBLES = 9
 
 _EIG_COND_LIMIT = 1e10
 # bound on |R_abcd - R_badc| relative to max |R|: rounding only
@@ -207,6 +212,48 @@ def _eigenvalues_of(source: Union[Spectrum, TwoLevelSystem, np.ndarray], m: int)
     return levels
 
 
+def _read(path: str) -> bytes:
+    """The start of a small kernel file; os.read costs half of open().read()."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, 1 << 14)
+    finally:
+        os.close(fd)
+
+
+def _memory_budget() -> float:
+    """Bytes this process can still allocate, from its own view of memory.
+
+    The least of MemAvailable and, for each memory cgroup the process is
+    in, its limit less its usage (v2 memory.max - memory.current, v1
+    memory.limit_in_bytes - memory.usage_in_bytes). A source that is
+    absent or unlimited is skipped, so with none the budget is infinite.
+    """
+    budget = math.inf
+    try:
+        meminfo = _read("/proc/meminfo")
+        entries = _read("/proc/self/cgroup").decode().splitlines()
+    except OSError:  # not Linux
+        return budget
+    at = meminfo.find(b"MemAvailable:")
+    if at >= 0:
+        budget = int(meminfo[at + 13:meminfo.index(b"kB", at)]) * 1024
+    for entry in entries:
+        _, controllers, path = entry.split(":", 2)
+        if not controllers:
+            files = (f"/sys/fs/cgroup{path}/memory.max", f"/sys/fs/cgroup{path}/memory.current")
+        elif "memory" in controllers.split(","):
+            root = f"/sys/fs/cgroup/memory{path}"
+            files = (f"{root}/memory.limit_in_bytes", f"{root}/memory.usage_in_bytes")
+        else:
+            continue
+        try:
+            budget = min(budget, int(_read(files[0])) - int(_read(files[1])))
+        except (OSError, ValueError):  # no memory controller there, or a "max" limit
+            continue
+    return budget
+
+
 def assemble_redfield(
     coeffs: CouplingCoefficients,
     source: Union[Spectrum, TwoLevelSystem, np.ndarray],
@@ -216,14 +263,19 @@ def assemble_redfield(
     """Assemble the relaxation tensor for the retained levels.
 
     Site couplings are identical across nodes, so every element is a
-    weighted quartic sum over the distinct coefficient rows. Refuses when
-    the bath memory bound is violated hard (g * delta_t > 1) unless
-    forced.
+    weighted quartic sum over the distinct coefficient rows. Raises
+    DenseLimitError, before allocating, when the O(m^4) arrays of assembly
+    and propagation would not fit in the memory the process can still
+    allocate, and ValidityError when the bath memory bound is violated
+    hard (g * delta_t > 1) unless forced.
     """
     m = coeffs.m
-    if m > FULL_DIM_LIMIT:
-        raise InvalidParameterError(
-            f"tensor is O(m^4) memory; m={m} exceeds the limit {FULL_DIM_LIMIT}"
+    need = _PEAK_M4_DOUBLES * 8.0 * m**4
+    budget = _memory_budget()
+    if need > budget:
+        raise DenseLimitError(
+            f"full Redfield dynamics at m={m} need about {need / 2**30:.3g} GiB, "
+            f"more than the {budget / 2**30:.3g} GiB this process can still allocate"
         )
     margin = bath.g * correlation_time(bath)
     if margin > 1.0 and not force:
@@ -417,7 +469,8 @@ class SecularRates:
     p_suc: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar or a string, so a shallow copy is the whole record
+        return dict(vars(self))
 
 
 def secular_rates(

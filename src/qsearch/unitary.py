@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .model import SearchHamiltonian
-from .spectral import TwoLevelSystem, eigendecompose, secular_spectrum
+from .spectral import Spectrum, TwoLevelSystem, eigendecompose, secular_spectrum
 
 # elements per (times x levels) phase array in evolve_closed
 _PHASE_BLOCK = 1 << 18
@@ -86,12 +86,13 @@ def _first_peak(times: np.ndarray, values: np.ndarray) -> Tuple[float, float, in
     return float(times[idx]), float(values[idx]), idx
 
 
-def _closed_modes(h: SearchHamiltonian) -> Tuple[np.ndarray, np.ndarray]:
+def _closed_modes(h: SearchHamiltonian, spectrum: Optional[Spectrum]) -> Tuple[np.ndarray, np.ndarray]:
     """Levels lam and weights <w|lam><lam|s> of the amplitude <w|e^{-iHt}|s>."""
     if h.graph.kind == "complete":
         spectrum = secular_spectrum(h)
         return spectrum.roots, spectrum.w_overlaps * spectrum.s_overlaps
-    spectrum = eigendecompose(h)
+    if spectrum is None:
+        spectrum = eigendecompose(h)
     n = spectrum.n
     proj = spectrum.eigenvectors.conj().T @ np.full(n, 1.0 / math.sqrt(n))
     return spectrum.eigenvalues, spectrum.eigenvectors[h.w, :] * proj
@@ -127,15 +128,16 @@ def _amplitudes(levels: np.ndarray, weights: np.ndarray, ts: np.ndarray) -> np.n
     return out[:m]
 
 
-def evolve_closed(h: SearchHamiltonian, times) -> ClosedRunResult:
+def evolve_closed(h: SearchHamiltonian, times, spectrum: Optional[Spectrum] = None) -> ClosedRunResult:
     """Exact unitary evolution of the uniform state |s>, reporting p_w(t).
 
     Propagates through the eigenbasis, so accuracy is set by the
     eigensolver, not by step size. Complete graphs go through the secular
-    solver, which needs no n x n matrix; other graphs use dense eigh.
+    solver, which needs no n x n matrix; other graphs use dense eigh, or
+    spectrum when the caller already holds eigendecompose(h).
     """
     t = _validate_times(times)
-    levels, weights = _closed_modes(h)
+    levels, weights = _closed_modes(h, spectrum)
     # clip the roundoff overshoot above 1 so 0 <= p_w <= 1 holds exactly
     p_w = np.clip(np.abs(_amplitudes(levels, weights, t)) ** 2, 0.0, 1.0)
     t_peak, p_peak, _ = _first_peak(t, p_w)

@@ -247,6 +247,41 @@ def test_run_unitary_reduced_large_system(tmp_path) -> None:
     assert summary["p_peak"] <= 0.12
 
 
+def test_run_unitary_on_a_custom_graph_reads_its_own_gap(tmp_path, monkeypatch) -> None:
+    import qsearch.experiments as experiments
+    import qsearch.unitary as unitary
+    from qsearch.model import sample_disorder
+    from qsearch.spectral import eigendecompose
+
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return eigendecompose(h)
+
+    def no_reduction(*_args, **_kwargs):
+        raise AssertionError("a custom graph ran the complete-graph reduction")
+
+    monkeypatch.setattr(experiments, "eigendecompose", counting)
+    monkeypatch.setattr(unitary, "eigendecompose", counting)
+    monkeypatch.setattr(experiments, "reduce_two_level", no_reduction)
+    ring = [[1 if abs(i - j) in (1, 4) else 0 for j in range(5)] for i in range(5)]
+    doc = _unitary_doc(n=5, sigma=0.05, seed=2, w=1, kind="custom", adjacency=ring)
+    files, summary = run(parse_config(doc), out_dir=str(tmp_path))
+    assert len(calls) == 1
+    eps = sample_disorder(5, 0.05, "uniform", 2).epsilons
+    h = -np.asarray(ring, dtype=float) / 5 + np.diag(eps)
+    h[1, 1] -= 1.0
+    levels = np.linalg.eigvalsh(h)
+    assert summary["delta"] == pytest.approx(levels[1] - levels[0], rel=1e-12)
+    assert summary["delta"] != pytest.approx(0.894, abs=1e-3)  # the K5 reduction's
+    assert summary["eps_w"] == eps[1]
+    assert "regime" not in summary and summary["method"] == "exact"
+    with open(files[0]) as f:
+        t_last = float(f.read().splitlines()[-1].split(",")[0])
+    assert t_last == pytest.approx(3.0 * math.pi / summary["delta"], rel=1e-11)
+
+
 def test_run_redfield_trajectory_columns(tmp_path, read_csv) -> None:
     doc = {
         "mode": "redfield",
@@ -420,6 +455,70 @@ def test_sweep_rows_and_per_value_structure() -> None:
     assert result.fit is not None
     # relaxation slows roughly linearly as the bath gets colder
     assert 0.5 < result.fit["exponent"] < 1.5
+
+
+def _reference_sweep_rows(cfg, force: bool) -> list:
+    """One _sweep_point per (value, seed), eps_w read from the full n-site field."""
+    import dataclasses
+
+    import qsearch.experiments as experiments
+    from qsearch.model import sample_disorder
+
+    sw = cfg.sweep
+    rows = []
+    for vi, value in enumerate(sw.values):
+        system, bath = experiments._apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value)
+        for seed in range(sw.seeds):
+            point = dataclasses.replace(system, seed=seed)
+            eps_w = float(sample_disorder(point.n, point.sigma, "uniform", seed).epsilons[point.w])
+            row = experiments._sweep_point(point, eps_w, bath, cfg.grid, force)
+            rows.append(dict(row, value=value, value_index=vi, seed=seed))
+    return rows
+
+
+@pytest.mark.parametrize("sigma, runs", [(0.0, 3), (0.05, 12)])
+def test_sweep_runs_each_distinct_point_once(monkeypatch, sigma, runs) -> None:
+    import qsearch.experiments as experiments
+
+    doc = _small_sweep_doc([10.0, 20.0, 30.0])
+    doc["system"]["sigma"] = sigma
+    doc["sweep"]["seeds"] = 4
+    cfg = parse_config(doc)
+    expected = [json.dumps(r, sort_keys=True) for r in _reference_sweep_rows(cfg, force=True)]
+    relaxed = []
+    relax = experiments._relax
+
+    def counting(*args, **kwargs):
+        relaxed.append(args)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_relax", counting)
+    rows = sweep(cfg, force=True).rows
+    # at sigma = 0 every seed of a value is the same point; each value runs once
+    assert len(relaxed) == runs
+    assert [json.dumps(r, sort_keys=True) for r in rows] == expected
+    assert len({id(r) for r in rows}) == 12
+    assert [r["seed"] for r in rows] == [0, 1, 2, 3] * 3
+
+
+def test_sigma_sweep_collapses_only_the_disorder_free_value(monkeypatch) -> None:
+    import qsearch.experiments as experiments
+
+    doc = _small_sweep_doc([0.0, 0.01], fit=False)
+    doc["sweep"].update(parameter="sigma", seeds=3)
+    cfg = parse_config(doc)
+    relaxed = []
+    relax = experiments._relax
+
+    def counting(tl, eps_w, *args, **kwargs):
+        relaxed.append(eps_w)
+        return relax(tl, eps_w, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_relax", counting)
+    rows = sweep(cfg, force=True, workers=2).rows
+    assert len(relaxed) == 1 + 3 and relaxed.count(0.0) == 1
+    assert [(r["value"], r["seed"]) for r in rows] == [(0.0, 0), (0.0, 1), (0.0, 2), (0.01, 0), (0.01, 1), (0.01, 2)]
+    assert len({r["eps_w"] for r in rows[3:]}) == 3
 
 
 def test_sweep_warns_when_fit_needs_more_values() -> None:

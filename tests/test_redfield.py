@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsearch.bath import BathSpec
+from qsearch import redfield
 from qsearch.errors import (
     ContractViolationError,
+    DenseLimitError,
     InvalidParameterError,
     NoEstimateError,
     QSearchError,
@@ -401,13 +403,33 @@ def test_auto_falls_back_to_rk45_on_a_defective_generator(monkeypatch) -> None:
     assert np.max(np.abs(traj.rhos.reshape(len(times), 4) - oracle)) < 1e-7
 
 
-def test_assemble_rejects_oversized_systems() -> None:
+def test_assemble_rejects_oversized_systems(monkeypatch) -> None:
+    # the refusal depends on the memory left, so pin it to a 7.7 GB machine's
+    monkeypatch.setattr(redfield, "_memory_budget", lambda: 7.7e9)
     rng = np.random.default_rng(3)
     a = rng.normal(size=(129, 129))
     spec = eigendecompose(0.5 * (a + a.T))
     co = coupling_coefficients(spec, 129)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(DenseLimitError, match="m=129"):
         assemble_redfield(co, spec, ZERO_T)
+
+
+def test_assemble_refuses_what_the_memory_budget_cannot_hold(monkeypatch) -> None:
+    spec, co, _ = _random_levels(4, seed=2)
+    need = 9 * 8 * 4**4  # the pipeline's peak, nine m^4 arrays of doubles
+    monkeypatch.setattr(redfield, "_memory_budget", lambda: need)
+    assert assemble_redfield(co, spec, ZERO_T).m == 4
+
+    def no_rates(*_args):
+        raise AssertionError("a rate was computed before the refusal")
+
+    monkeypatch.setattr(redfield, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(redfield, "rate_S", no_rates)
+    with pytest.raises(DenseLimitError, match="m=4"):
+        assemble_redfield(co, spec, ZERO_T)
+    # the real budget is read from this process's view of memory
+    monkeypatch.undo()
+    assert redfield._memory_budget() > need
 
 
 def _random_levels(m: int, seed: int):
