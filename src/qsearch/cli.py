@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-qsearch <mode> --config <file.json> [--out DIR] [--workers K] [--force]
+qsearch <mode> --config <file.json> [--out DIR] [--force]
 
 Exit codes: 0 success, 2 configuration error, 3 validity refusal
 (bypass with --force), 4 numerical failure.
@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 configuration error, 3 validity refusal
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -40,10 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="concurrent sweep workers (default: QSEARCH_WORKERS or 1)",
-    )
-    parser.add_argument(
         "--force", action="store_true",
         help="run even when a validity bound fails hard",
     )
@@ -52,20 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        workers = int(os.environ.get("QSEARCH_WORKERS", "1"))
-    if workers < 1:
-        print(f"error: workers must be >= 1, got {workers}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
         if cfg.mode != args.mode:
             raise ConfigError(
                 f"config declares mode {cfg.mode!r} but the command line says {args.mode!r}"
             )
-        files, _ = run(cfg, out_dir=args.out, force=args.force, workers=workers)
+        files, _ = run(cfg, out_dir=args.out, force=args.force)
     except (ConfigError, InvalidParameterError, DenseLimitError, ContractViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -325,6 +324,11 @@ def _write_json(path: str, cfg_hash: str, payload: dict) -> None:
         f.write("\n")
 
 
+# what a mode returns: its CSV table (header, rows[, formats]) or None, the
+# suffix of its JSON file or None, and its summary, which that file holds
+_Output = Tuple[Optional[tuple], Optional[str], dict]
+
+
 def _hamiltonian(sys_cfg: SystemConfig) -> SearchHamiltonian:
     """The configured Hamiltonian, with the full n-site disorder field."""
     if sys_cfg.kind == "custom":
@@ -376,7 +380,7 @@ def _gibbs_p_suc(beta: float, delta: float) -> float:
     return 1.0 / (1.0 + math.exp(-beta * delta))
 
 
-def _run_unitary(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
+def _run_unitary(cfg: ExperimentConfig, force: bool) -> _Output:
     sys_cfg = cfg.system
     h = _hamiltonian(sys_cfg) if sys_cfg.n <= DENSE_LIMIT else None
     if sys_cfg.kind == "custom":
@@ -406,11 +410,7 @@ def _run_unitary(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
             t_expected=t_peak / p_peak, method="reduced",
         )
     summary.update(eps_w=eps_w, delta=delta)
-    csv_path = os.path.join(out_dir, f"{cfg.stem}.csv")
-    json_path = os.path.join(out_dir, f"{cfg.stem}_summary.json")
-    _write_csv(csv_path, cfg.config_hash, ["t", "p_w"], zip(times, p_w))
-    _write_json(json_path, cfg.config_hash, summary)
-    return [csv_path, json_path], summary
+    return (["t", "p_w"], zip(times, p_w)), "summary", summary
 
 
 def _relax(
@@ -480,68 +480,55 @@ def _relax(
     return times, columns, summary
 
 
-def _run_relaxation(cfg: ExperimentConfig, out_dir: str, force: bool) -> Tuple[List[str], dict]:
+def _run_relaxation(cfg: ExperimentConfig, force: bool) -> _Output:
     tl, eps_w = _reduced_system(cfg.system)
     times, columns, summary = _relax(tl, eps_w, cfg.bath, cfg.grid, force, secular=cfg.mode == "secular")
-    csv_path = os.path.join(out_dir, f"{cfg.stem}.csv")
-    json_path = os.path.join(out_dir, f"{cfg.stem}_summary.json")
     header = ["t", "p_w", "rho11", "rho22", "re_rho12", "im_rho12"]
-    _write_csv(csv_path, cfg.config_hash, header, zip(times, *columns))
-    _write_json(json_path, cfg.config_hash, summary)
-    return [csv_path, json_path], summary
+    return (header, zip(times, *columns)), "summary", summary
 
 
-def _run_correlation(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
+def _run_correlation(cfg: ExperimentConfig, force: bool) -> _Output:
     times = np.linspace(0.0, cfg.grid.t_max, cfg.grid.points)
     if cfg.bath.is_zero_temperature:
         f_vals = correlation_zero_T(times, cfg.bath)
     else:
         f_vals = correlation_finite_T(times, cfg.bath)
-    rows = zip(times, np.real(f_vals), np.imag(f_vals), np.abs(f_vals))
-    csv_path = os.path.join(out_dir, f"{cfg.stem}.csv")
-    _write_csv(csv_path, cfg.config_hash, ["t", "re_f", "im_f", "abs_f"], rows)
-    files = [csv_path]
+    table = (["t", "re_f", "im_f", "abs_f"], zip(times, np.real(f_vals), np.imag(f_vals), np.abs(f_vals)))
     summary: dict = {"temperature_mode": cfg.bath.temperature_mode}
-    if cfg.system is not None:
-        tl, _ = _reduced_system(cfg.system)
-        report = validate_approximations(cfg.bath, tl.delta, cfg.system.n)
-        summary["validity"] = report.to_dict()
-        json_path = os.path.join(out_dir, f"{cfg.stem}_validity.json")
-        _write_json(json_path, cfg.config_hash, summary)
-        files.append(json_path)
-    return files, summary
+    if cfg.system is None:
+        return table, None, summary
+    tl, _ = _reduced_system(cfg.system)
+    summary["validity"] = validate_approximations(cfg.bath, tl.delta, cfg.system.n).to_dict()
+    return table, "validity", summary
 
 
-def _run_validate(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
+def _run_validate(cfg: ExperimentConfig, force: bool) -> _Output:
     tl, eps_w = _reduced_system(cfg.system)
     report = validate_approximations(cfg.bath, tl.delta, cfg.system.n)
-    summary = {"delta": tl.delta, "eps_w": eps_w, "validity": report.to_dict()}
-    json_path = os.path.join(out_dir, f"{cfg.stem}_validity.json")
-    _write_json(json_path, cfg.config_hash, summary)
-    return [json_path], summary
+    return None, "validity", {"delta": tl.delta, "eps_w": eps_w, "validity": report.to_dict()}
 
 
-def _run_spectrum(cfg: ExperimentConfig, out_dir: str) -> Tuple[List[str], dict]:
+def _run_spectrum(cfg: ExperimentConfig, force: bool) -> _Output:
     sys_cfg = cfg.system
     h = _hamiltonian(sys_cfg)
+    eps_w = h.disorder.eps_at(sys_cfg.w)
     if sys_cfg.kind == "complete":
         spectrum = secular_spectrum(h)
         ground_w = spectrum.w_overlaps[0]
+        summary = {"reduced": _two_level(sys_cfg, eps_w).to_dict()}
     else:
+        # the two-level reduction belongs to the complete graph and is left out
         spectrum = eigendecompose(h)
         ground_w = spectrum.eigenvectors[sys_cfg.w, 0]
-    tl, eps_w = _reduced_system(sys_cfg)
-    summary = {
-        "gap": spectrum.gap,
-        "gap2": spectrum.gap2,
-        "eigenvalues": [float(x) for x in spectrum.eigenvalues],
-        "ground_w_overlap_sq": float(ground_w**2),
-        "reduced": tl.to_dict(),
-        "eps_w": eps_w,
-    }
-    json_path = os.path.join(out_dir, f"{cfg.stem}_spectrum.json")
-    _write_json(json_path, cfg.config_hash, summary)
-    return [json_path], summary
+        summary = {}
+    summary.update(
+        gap=spectrum.gap,
+        gap2=spectrum.gap2,
+        eigenvalues=[float(x) for x in spectrum.eigenvalues],
+        ground_w_overlap_sq=float(ground_w**2),
+        eps_w=eps_w,
+    )
+    return None, "spectrum", summary
 
 
 @dataclass(frozen=True)
@@ -604,44 +591,29 @@ def _sweep_point(
     }
 
 
-def sweep(cfg: ExperimentConfig, force: bool = False, workers: int = 1) -> SweepResult:
-    """Run all (value, seed) points, concurrently up to the worker count.
+def sweep(cfg: ExperimentConfig, force: bool = False) -> SweepResult:
+    """Run all (value, seed) points in order, in the calling thread.
 
     Within one value a point depends on its seed only through eps_w, so the
     seeds that draw the same eps_w (every seed of a sigma = 0 value) share
-    one run, and each gets its own copy of the row. Rows are keyed and
-    sorted by (value index, seed), so results are independent of scheduling
-    order and worker count.
+    one run, and each gets its own copy of the row. Rows come out in
+    (value, seed) order.
     """
     sw = cfg.sweep
-    points: Dict[Tuple[int, str], tuple] = {}
-    seeds: Dict[Tuple[int, str], List[int]] = {}
-    for vi, value in enumerate(sw.values):
+    rows: List[dict] = []
+    per_value = []
+    for value in sw.values:
         system, bath = _apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value)
+        solved: Dict[str, dict] = {}
         for seed in range(sw.seeds):
             point = replace(system, seed=seed)
             eps_w = _marked_energy(point)
             # keyed on the exact bits, so that -0.0 and 0.0 stay apart
-            key = (vi, eps_w.hex())
-            points.setdefault(key, (vi, value, point, eps_w, bath))
-            seeds.setdefault(key, []).append(seed)
-
-    def run_group(key):
-        vi, value, system, eps_w, bath = points[key]
-        row = _sweep_point(system, eps_w, bath, cfg.grid, force)
-        return [dict(row, value=value, value_index=vi, seed=seed) for seed in seeds[key]]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(run_group, points))
-    else:
-        groups = [run_group(key) for key in points]
-    rows = [row for group in groups for row in group]
-    rows.sort(key=lambda r: (r["value_index"], r["seed"]))
-
-    per_value = []
-    for vi, value in enumerate(sw.values):
-        fits = np.array([r["t_rel_fit"] for r in rows if r["value_index"] == vi])
+            key = eps_w.hex()
+            if key not in solved:
+                solved[key] = _sweep_point(point, eps_w, bath, cfg.grid, force)
+            rows.append(dict(solved[key], value=value, seed=seed))
+        fits = np.array([r["t_rel_fit"] for r in rows[-sw.seeds:]])
         finite = fits[np.isfinite(fits)]
         if finite.size:
             q25, q50, q75 = np.percentile(finite, [25, 50, 75])
@@ -682,16 +654,23 @@ _SWEEP_COLUMNS = (
 _SWEEP_FORMATS = ("%.12g", "%d") + ("%.12g",) * 6 + ("%s",) * 4
 
 
-def _run_sweep(cfg: ExperimentConfig, out_dir: str, force: bool, workers: int) -> Tuple[List[str], dict]:
-    result = sweep(cfg, force=force, workers=workers)
-    csv_path = os.path.join(out_dir, f"{cfg.stem}.csv")
-    json_path = os.path.join(out_dir, f"{cfg.stem}_summary.json")
+def _run_sweep(cfg: ExperimentConfig, force: bool) -> _Output:
+    result = sweep(cfg, force=force)
     rows = (tuple(str(r[c]).lower() if c == "two_level_ok" else r[c] for c in _SWEEP_COLUMNS)
             for r in result.rows)
-    _write_csv(csv_path, cfg.config_hash, _SWEEP_COLUMNS, rows, _SWEEP_FORMATS)
     summary = {"parameter": result.parameter, "per_value": result.per_value, "fit": result.fit}
-    _write_json(json_path, cfg.config_hash, summary)
-    return [csv_path, json_path], summary
+    return (_SWEEP_COLUMNS, rows, _SWEEP_FORMATS), "summary", summary
+
+
+_RUNNERS = {
+    "unitary": _run_unitary,
+    "redfield": _run_relaxation,
+    "secular": _run_relaxation,
+    "correlation": _run_correlation,
+    "validate": _run_validate,
+    "spectrum": _run_spectrum,
+    "sweep": _run_sweep,
+}
 
 
 def run(
@@ -700,16 +679,19 @@ def run(
     force: bool = False,
     workers: int = 1,
 ) -> Tuple[List[str], dict]:
-    """Run one configured experiment; returns (written files, summary)."""
+    """Run one configured experiment; returns (written files, summary).
+
+    Every mode runs in the calling thread; workers is accepted and ignored.
+    Writes <stem>.csv when the mode has a table, then <stem>_<suffix>.json
+    holding the summary when it has a JSON suffix.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.mode == "unitary":
-        return _run_unitary(cfg, out_dir)
-    if cfg.mode in ("redfield", "secular"):
-        return _run_relaxation(cfg, out_dir, force)
-    if cfg.mode == "correlation":
-        return _run_correlation(cfg, out_dir)
-    if cfg.mode == "validate":
-        return _run_validate(cfg, out_dir)
-    if cfg.mode == "spectrum":
-        return _run_spectrum(cfg, out_dir)
-    return _run_sweep(cfg, out_dir, force, workers)
+    table, suffix, summary = _RUNNERS[cfg.mode](cfg, force)
+    files = []
+    if table is not None:
+        files.append(os.path.join(out_dir, f"{cfg.stem}.csv"))
+        _write_csv(files[-1], cfg.config_hash, *table)
+    if suffix is not None:
+        files.append(os.path.join(out_dir, f"{cfg.stem}_{suffix}.json"))
+        _write_json(files[-1], cfg.config_hash, summary)
+    return files, summary

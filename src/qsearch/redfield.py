@@ -54,10 +54,6 @@ _HERMITIAN_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 # eigenvalues below this, relative to the largest one, count as stationary modes
 _ZERO_MODE_TOL = 1e-12
-# a real generator up to this size (m <= 8) stays on its tensor between calls;
-# a larger one is rebuilt, an O(m^4) cost beside the O(m^6) eigensolve, rather
-# than held for as long as the caller keeps the tensor
-_KEEP_GENERATOR_BYTES = 1 << 15
 _RK45_RTOL = 1e-8
 _RK45_ATOL = 1e-10
 
@@ -142,17 +138,7 @@ class RedfieldTensor:
         R_ab,cd + R_ab,dc and the antisymmetric (Im) block R_ab,cd - R_ab,dc;
         the Hamiltonian part couples each (Re, Im) pair by +-omega_ab.
         Refuses a tensor that does not map Hermitian rho to Hermitian rho.
-        A small generator is kept on the tensor for the next call.
         """
-        g = self.__dict__.get("_kept_generator")
-        if g is None:
-            g = self._build_real_generator()
-            if g.nbytes <= _KEEP_GENERATOR_BYTES:
-                # written past the frozen __setattr__, as functools.cached_property does
-                self.__dict__["_kept_generator"] = g
-        return g
-
-    def _build_real_generator(self) -> np.ndarray:
         m = self.m
         n2 = m * m
         r, omegas = self.r, self.omegas
@@ -182,7 +168,6 @@ class RedfieldTensor:
         flat = g.reshape(n2 * n2)
         flat[c.re_from_im] = w
         flat[c.im_from_re] = -w
-        g.setflags(write=False)
         return g
 
 
@@ -433,7 +418,7 @@ def steady_state(tensor: RedfieldTensor) -> np.ndarray:
     m = tensor.m
     n2 = m * m
     # the populations are the last m coordinates; rho_00 is the first of them
-    a = tensor._real_generator().copy()
+    a = tensor._real_generator()
     a[n2 - m, n2 - m:] += 1.0
     e00 = np.zeros(n2)
     e00[n2 - m] = 1.0

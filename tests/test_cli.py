@@ -9,7 +9,7 @@ import types
 import pytest
 
 import qsearch
-from qsearch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VALIDITY, main
+from qsearch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VALIDITY, build_parser, main
 from qsearch.errors import StiffnessError
 
 
@@ -87,28 +87,10 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch) -> None:
     assert "numerical" in capsys.readouterr().err
 
 
-def test_worker_count_must_be_positive(tmp_path, capsys) -> None:
-    cfg = _write(tmp_path, _unitary_doc())
-    assert main(["unitary", "--config", cfg, "--workers", "0"]) == EXIT_CONFIG
-    assert "workers" in capsys.readouterr().err
-
-
-def test_worker_count_env_fallback(tmp_path, capsys, monkeypatch) -> None:
-    captured = {}
-
-    def spy(cfg, out_dir=".", force=False, workers=1):
-        captured["workers"] = workers
-        return [], {}
-
-    monkeypatch.setattr("qsearch.cli.run", spy)
-    monkeypatch.setenv("QSEARCH_WORKERS", "3")
-    cfg = _write(tmp_path, _unitary_doc())
-    assert main(["unitary", "--config", cfg]) == 0
-    assert captured["workers"] == 3
-    # explicit flag wins over the environment
-    assert main(["unitary", "--config", cfg, "--workers", "2"]) == 0
-    assert captured["workers"] == 2
-    capsys.readouterr()
+def test_parser_takes_only_mode_config_out_and_force() -> None:
+    # every option is a knob each caller must reason about; a new one needs a reason
+    names = {name for action in build_parser()._actions for name in action.option_strings or [action.dest]}
+    assert names == {"-h", "--help", "mode", "--config", "--out", "--force"}
 
 
 def test_unknown_mode_rejected_by_argparse(tmp_path) -> None:

@@ -282,6 +282,30 @@ def test_run_unitary_on_a_custom_graph_reads_its_own_gap(tmp_path, monkeypatch) 
     assert t_last == pytest.approx(3.0 * math.pi / summary["delta"], rel=1e-11)
 
 
+def test_run_spectrum_on_a_custom_graph_leaves_out_the_reduction(tmp_path, monkeypatch) -> None:
+    import qsearch.experiments as experiments
+    from qsearch.model import sample_disorder
+
+    def no_reduction(*_args, **_kwargs):
+        raise AssertionError("a custom graph ran the complete-graph reduction")
+
+    monkeypatch.setattr(experiments, "reduce_two_level", no_reduction)
+    ring = [[1 if abs(i - j) in (1, 4) else 0 for j in range(5)] for i in range(5)]
+    doc = _unitary_doc(n=5, sigma=0.05, seed=2, w=1, kind="custom", adjacency=ring)
+    doc["mode"] = "spectrum"
+    files, summary = run(parse_config(doc), out_dir=str(tmp_path))
+    eps = sample_disorder(5, 0.05, "uniform", 2).epsilons
+    h = -np.asarray(ring, dtype=float) / 5 + np.diag(eps)
+    h[1, 1] -= 1.0
+    levels = np.linalg.eigvalsh(h)
+    assert summary["gap"] == pytest.approx(levels[1] - levels[0], rel=1e-12)
+    assert summary["eps_w"] == eps[1]
+    # the K5 reduction's delta, 0.895, does not belong to the 5-cycle
+    assert "reduced" not in summary
+    with open(files[0]) as f:
+        assert "reduced" not in json.load(f)
+
+
 def test_run_redfield_trajectory_columns(tmp_path, read_csv) -> None:
     doc = {
         "mode": "redfield",
@@ -466,13 +490,13 @@ def _reference_sweep_rows(cfg, force: bool) -> list:
 
     sw = cfg.sweep
     rows = []
-    for vi, value in enumerate(sw.values):
+    for value in sw.values:
         system, bath = experiments._apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value)
         for seed in range(sw.seeds):
             point = dataclasses.replace(system, seed=seed)
             eps_w = float(sample_disorder(point.n, point.sigma, "uniform", seed).epsilons[point.w])
             row = experiments._sweep_point(point, eps_w, bath, cfg.grid, force)
-            rows.append(dict(row, value=value, value_index=vi, seed=seed))
+            rows.append(dict(row, value=value, seed=seed))
     return rows
 
 
@@ -515,10 +539,29 @@ def test_sigma_sweep_collapses_only_the_disorder_free_value(monkeypatch) -> None
         return relax(tl, eps_w, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_relax", counting)
-    rows = sweep(cfg, force=True, workers=2).rows
+    rows = sweep(cfg, force=True).rows
     assert len(relaxed) == 1 + 3 and relaxed.count(0.0) == 1
     assert [(r["value"], r["seed"]) for r in rows] == [(0.0, 0), (0.0, 1), (0.0, 2), (0.01, 0), (0.01, 1), (0.01, 2)]
     assert len({r["eps_w"] for r in rows[3:]}) == 3
+
+
+def test_sweep_points_run_on_the_calling_thread(tmp_path, monkeypatch) -> None:
+    import threading
+
+    import qsearch.experiments as experiments
+
+    threads = []
+    point = experiments._sweep_point
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return point(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_sweep_point", spy)
+    # the workers keyword is accepted and ignored
+    cfg = parse_config(_small_sweep_doc([10.0, 20.0, 30.0]))
+    run(cfg, out_dir=str(tmp_path), force=True, workers=4)
+    assert threads == [threading.get_ident()] * 6
 
 
 def test_sweep_warns_when_fit_needs_more_values() -> None:
