@@ -1,20 +1,30 @@
 """Weak-coupling open dynamics in the system eigenbasis.
 
 Assembles the full relaxation tensor from coupling coefficients and bath
-rates, integrates the master equation (spectral propagation of the
-constant generator, with an adaptive RK45 fallback), and provides the
-secular population rates with their closed-form solution, steady states,
-and a relaxation-time estimator.
+rates, integrates the master equation with the constant generator, and
+provides the secular population rates with their closed-form solution,
+steady states, and a relaxation-time estimator.
 
 Propagation and the steady state work in real Hermitian coordinates:
 x holds sqrt2 Im rho_ab and sqrt2 Re rho_ab for a < b, then the
 populations rho_aa, an orthonormal basis of the Hermitian matrices. A
 real tensor with R_abcd = R_badc (and omega_ab = -omega_ba) maps
-Hermitian rho to Hermitian rho, so the generator is a real m^2 x m^2
-matrix there, built once per tensor and shared by integrate_master and
-steady_state; a tensor that breaks this is refused with
+Hermitian rho to Hermitian rho, so the generator G is a real m^2 x m^2
+matrix there, which integrate_master and steady_state each build afresh
+from the tensor; a tensor that breaks this is refused with
 ContractViolationError. RedfieldTensor.generator() keeps the complex
 row-major form.
+
+integrate_master has three routes. The step route, on a uniform grid
+t_k = k h from 0 with N <= m^2 points (and G h within 20 squarings),
+forms E = exp(G h) once by [13/13] Pade with scaling and squaring and
+steps x_k = E x_(k-1). The
+eig route diagonalizes G with one real eigensolve (deflating the
+stationary mode when LAPACK's balancing spoils the eigenvectors) and
+evaluates every time from the modes; it takes every other grid, so the
+m = 2 runs of every mode and sweep (N >= 20 > m^2), and method="eig".
+The adaptive RK45 route is the fallback when G's eigenbasis is
+ill-conditioned.
 
 All rates carry the 2*pi prefactor on top of the bare rate_S; the
 combination is pinned by the thermal fixed point and the closed-form
@@ -27,7 +37,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -42,20 +52,42 @@ from .errors import (
 )
 from .spectral import CouplingCoefficients, Spectrum, TwoLevelSystem
 
-# peak memory of assemble_redfield + integrate_master in m^4 doubles: R and
-# the real generator G, then numpy's eig of G holds a copy of G, its real
-# eigenvectors and two complex m^4 buffers; the LU and the trajectory come
-# after those are freed. ru_maxrss at m = 30..50 rose by 8.2-8.7 such units.
+# peak memory of assemble_redfield + integrate_master in m^4 doubles, set by
+# the eig route, which method="eig" reaches at any m: R and the real generator
+# G, then numpy's eig of G holds a copy of G, its real eigenvectors and two
+# complex m^4 buffers; ru_maxrss at m = 30..50 rose by 8.2-9.0 such units.
+# The step route holds R and at most five m^4 buffers plus a quarter block
+# (the Pade polynomial), then R, V +- U, the solve's two copies and E; its
+# ru_maxrss rose by 6.4-6.9 units at m = 30..60.
 _PEAK_M4_DOUBLES = 9
 
 _EIG_COND_LIMIT = 1e10
+# bound on the probed eigen-residual ||G P z - P W z|| relative to max|G| ||P z||;
+# LAPACK's residual is ~1e-15 unless its balancing went wrong (see _modes)
+_EIG_RESIDUAL_TOL = 1e-13
 # bound on |R_abcd - R_badc| relative to max |R|: rounding only
 _HERMITIAN_TOL = 1e-12
+# bound on the column sums of G's population rows relative to their largest
+# entry, below which G counts as trace-preserving: rounding only
+_TRACE_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 # eigenvalues below this, relative to the largest one, count as stationary modes
 _ZERO_MODE_TOL = 1e-12
 _RK45_RTOL = 1e-8
 _RK45_ATOL = 1e-10
+# [13/13] Pade coefficients of exp and the 1-norm up to which they give it to
+# double precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+# grid points off k*h by at most this many ulps of t_max still count as uniform
+_UNIFORM_ULPS = 4
+# beyond this many squarings the step route costs more than the eigensolve
+# (about 30 GEMM-equivalents at m = 40, more at smaller m)
+_MAX_SQUARINGS = 20
 
 
 class _Coordinates:
@@ -314,6 +346,136 @@ def _validate_rho0(rho0: np.ndarray, m: int) -> np.ndarray:
     return rho
 
 
+def _grid_step(t: np.ndarray) -> Optional[float]:
+    """h when t_k = k h for k = 0..N-1 to a few ulps of t_max, else None."""
+    if t.size < 2:
+        return None
+    h = t[-1] / (t.size - 1)
+    if np.abs(t - h * np.arange(t.size)).max() > _UNIFORM_ULPS * np.spacing(t[-1]):
+        return None
+    return h
+
+
+def _quarters(n: int) -> list:
+    """Four slices that cover range(n), the unit of the in-place updates below."""
+    size = -(-n // 4)
+    return [slice(i, i + size) for i in range(0, n, size)]
+
+
+def _add_terms(out: np.ndarray, terms, diagonal: float = 0.0) -> None:
+    """out += sum of c * a over (c, a) in terms, plus diagonal * I, by row quarters."""
+    for rows in _quarters(out.shape[0]):
+        for c, a in terms:
+            out[rows] += c * a[rows]
+    out.reshape(-1)[:: out.shape[0] + 1] += diagonal
+
+
+def _left_multiply(a: np.ndarray, b: np.ndarray) -> None:
+    """b <- a @ b by column quarters, so no second full product is held."""
+    for cols in _quarters(b.shape[1]):
+        b[:, cols] = a @ b[:, cols]
+
+
+def _squarings(g: np.ndarray, h: float) -> int:
+    """The fewest halvings s that bring ||g h / 2^s||_1 within theta_13."""
+    norm = float(np.abs(g).sum(axis=0).max())
+    if norm == 0.0 or h == 0.0:
+        return 0
+    # summed in logarithms, so that no product overflows
+    return max(0, math.ceil(math.log2(norm) + math.log2(h / _THETA13)))
+
+
+def _pin_trace_row(e: np.ndarray, m: int) -> None:
+    """Make the last m rows of e (the populations) sum to the trace row t^T."""
+    populations = e[-m:]
+    defect = populations.sum(axis=0)
+    defect[-m:] -= 1.0
+    populations -= defect / m
+
+
+def _expm(g: np.ndarray, h: float, s: int, pinned: int) -> np.ndarray:
+    """exp(g h) by [13/13] Pade with s squarings; g is overwritten.
+
+    With A = g h / 2^s: U = A [A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6
+    + b5 A4 + b3 A2 + b1 I], V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6
+    + b4 A4 + b2 A2 + b0 I, and exp(g h) = ((V - U)^-1 (V + U))^(2^s).
+    Five m^4 buffers at most are live: A, A2, A4, A6 and U's; V takes A's
+    once U is done. When pinned > 0, the trace row over the last pinned
+    coordinates is restored after the solve and after every squaring; a
+    trace-preserving g keeps it exactly, and rounding there would
+    otherwise grow by 2^s (m = 2, beta = 5: 1.7e-10 at s = 23, 5e-15 pinned).
+    """
+    b = _PADE13
+    a = g
+    a *= math.ldexp(h, -s)
+    # U's buffer comes before the powers, so that once they are freed they
+    # lie at the top of the heap and go back to the system before the solve
+    u = np.empty_like(a)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    np.multiply(a6, b[13], out=u)
+    _add_terms(u, ((b[11], a4), (b[9], a2)))
+    _left_multiply(a6, u)
+    _add_terms(u, ((b[7], a6), (b[5], a4), (b[3], a2)), b[1])
+    _left_multiply(a, u)
+    v = a
+    np.multiply(a6, b[12], out=v)
+    _add_terms(v, ((b[10], a4), (b[8], a2)))
+    _left_multiply(a6, v)
+    _add_terms(v, ((b[6], a6), (b[4], a4), (b[2], a2)), b[0])
+    del a, a2, a4, a6
+    v += u
+    u *= -2.0
+    u += v
+    e = np.linalg.solve(u, v)  # (V - U)^-1 (V + U)
+    del u, v
+    for _ in range(s):
+        if pinned:
+            _pin_trace_row(e, pinned)
+        e = e @ e
+    if pinned:
+        _pin_trace_row(e, pinned)
+    return e
+
+
+def _modes(gen: np.ndarray, m: int, probe: np.ndarray):
+    """Eigenvalues and right eigenvectors of the real generator G; G may be overwritten.
+
+    LAPACK balances G before it diagonalizes. When a population is nearly
+    absorbing (its outflow, ~e^(-beta gap), far below the rest of G), the
+    balancing scales it by up to ~1e7 and the eigenvectors come back with
+    residuals near 1e-10 ||G|| where ~1e-15 is usual. The residual is
+    probed along p z for the unit probe z; above _EIG_RESIDUAL_TOL the
+    stationary mode is deflated instead. G' = G - (kappa/m) t t^T, with t
+    the trace row and kappa = 2 ||G||_1, keeps every other mode of G (each
+    is traceless, t^T v = 0) and moves the eigenvalue 0 to -kappa, outside
+    G's spectrum; its filled population block keeps the balancing mild.
+    The stationary mode then solves G' v0 = -(kappa/m) t.
+    """
+    w, p = np.linalg.eig(gen)
+    pz = p @ probe
+    wpz = p @ (w * probe)
+    residual = math.hypot(
+        np.linalg.norm(gen @ pz.real - wpz.real), np.linalg.norm(gen @ pz.imag - wpz.imag)
+    )
+    scale = max(gen.max(), -gen.min()) * np.linalg.norm(pz)
+    if residual <= _EIG_RESIDUAL_TOL * scale:
+        return w, p
+    del p, pz, wpz
+    n2 = m * m
+    kappa = 2.0 * float(np.abs(gen).sum(axis=0).max())
+    gen[n2 - m:, n2 - m:] -= kappa / m
+    rhs = np.zeros(n2)
+    rhs[n2 - m:] = -kappa / m
+    v0 = np.linalg.solve(gen, rhs)
+    w, p = np.linalg.eig(gen)
+    k = np.argmin(np.abs(w + kappa))
+    w[k] = 0.0
+    p[:, k] = v0
+    return w, p
+
+
 def integrate_master(
     tensor: RedfieldTensor,
     rho0: np.ndarray,
@@ -322,15 +484,28 @@ def integrate_master(
 ) -> Trajectory:
     """Propagate rho0 (the state at t=0) to every requested time.
 
-    The generator is constant and real in the Hermitian coordinates x (see
-    the module docstring), so "eig" diagonalizes it once with a real
-    eigensolve and evaluates all times directly; each complex-conjugate
-    pair of eigenvectors is held as its real and imaginary parts. "rk45"
-    steps x adaptively with embedded Runge-Kutta instead. "auto" takes
-    "eig" unless the eigenvector basis is ill-conditioned, and "rk45" then.
-    The condition number is estimated from the LU that also gives the
-    expansion coefficients: sqrt(m^2) * ||P^-1 z|| for a fixed unit probe
-    z, against the limit 1e10 (a defective generator exceeds it).
+    The generator G is constant and real in the Hermitian coordinates x
+    (see the module docstring). "auto" takes one of three routes:
+    - step, when the grid is uniform from 0 (t_k = k h to a few ulps of
+      t_max, as np.linspace(0, T, N) gives), N <= m^2, and G h needs at
+      most 20 squarings: E = exp(G h) is formed once ([13/13] Pade with
+      scaling and squaring, the trace row t^T E = t^T pinned at every
+      squaring), and x_k = E x_(k-1) filled by N - 1 matrix-vector
+      products. It needs no eigenbasis, so a defective G is no obstacle.
+    - eig, otherwise: one real eigensolve of G (see _modes), and every
+      time evaluated directly from the modes; each complex-conjugate pair
+      of eigenvectors is held as its real and imaginary parts. N <= m^2
+      is a conservative cut between the two: the eigensolve is faster at
+      m <= 4 and N >= 200 (m = 2: 0.15 vs 0.36 ms), the step route at
+      m = 16, N = 200 (17 vs 52 ms) and at m = 40 up to N = 1600 and
+      beyond (1.6 vs 3.7 s at N = 200, 3.0 vs 4.1 s at N = 1600). The
+      m = 2 runs of every mode and sweep (N >= 20) stay here.
+    - rk45, when the eig route's eigenvector basis is ill-conditioned:
+      adaptive embedded Runge-Kutta on x. The condition number is
+      estimated from the LU that also gives the expansion coefficients:
+      sqrt(m^2) * ||P^-1 z|| for a fixed unit probe z, against the limit
+      1e10 (a defective generator exceeds it).
+    "eig" and "rk45" force their route on any grid.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -348,8 +523,25 @@ def integrate_master(
     coords = _hermitian_coordinates(m)
     x0 = coords.to_real(rho)
 
+    h = _grid_step(t) if method == "auto" and t.size <= n2 else None
+    squarings = _squarings(gen, h) if h is not None else _MAX_SQUARINGS + 1
+    if squarings <= _MAX_SQUARINGS:
+        # a trace-preserving G (t^T G = 0: its population rows sum to zero in
+        # every column) gives E the trace row t^T; pinning that removes the
+        # rounding that would drift tr rho(t) and the stationary mode
+        populations = gen[n2 - m:]
+        preserving = np.abs(populations.sum(axis=0)).max() <= _TRACE_TOL * np.abs(populations).max()
+        del populations
+        step = _expm(gen, h, squarings, m if preserving else 0)
+        del gen
+        x = np.empty((t.size, n2))
+        x[0] = x0
+        for k in range(1, t.size):
+            np.dot(step, x[k - 1], out=x[k])
+        return Trajectory(times=t, rhos=coords.to_rho(x))
+
     if method in ("auto", "eig"):
-        w, p = np.linalg.eig(gen)
+        w, p = _modes(gen, m, coords.probe)
         pairs = None
         if np.iscomplexobj(p):
             # LAPACK lists each pair as (v, conj v), positive imaginary part
@@ -389,6 +581,9 @@ def integrate_master(
 
     # imported on use: scipy.integrate costs more than the rest of `import qsearch`
     from scipy.integrate import solve_ivp
+
+    if method != "rk45":
+        gen = tensor._real_generator()  # _modes may have shifted it
 
     sol = solve_ivp(
         lambda _ti, y: gen @ y,
