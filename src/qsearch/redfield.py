@@ -439,7 +439,7 @@ def _expm(g: np.ndarray, h: float, s: int, pinned: int) -> np.ndarray:
     return e
 
 
-def _modes(gen: np.ndarray, m: int, probe: np.ndarray):
+def _modes(gen: np.ndarray, m: int, probe: np.ndarray, preserving: bool):
     """Eigenvalues and right eigenvectors of the real generator G; G may be overwritten.
 
     LAPACK balances G before it diagonalizes. When a population is nearly
@@ -451,7 +451,8 @@ def _modes(gen: np.ndarray, m: int, probe: np.ndarray):
     the trace row and kappa = 2 ||G||_1, keeps every other mode of G (each
     is traceless, t^T v = 0) and moves the eigenvalue 0 to -kappa, outside
     G's spectrum; its filled population block keeps the balancing mild.
-    The stationary mode then solves G' v0 = -(kappa/m) t.
+    The stationary mode then solves G' v0 = -(kappa/m) t. That needs a
+    trace-preserving G; any other keeps LAPACK's eigenvectors.
     """
     w, p = np.linalg.eig(gen)
     pz = p @ probe
@@ -460,7 +461,7 @@ def _modes(gen: np.ndarray, m: int, probe: np.ndarray):
         np.linalg.norm(gen @ pz.real - wpz.real), np.linalg.norm(gen @ pz.imag - wpz.imag)
     )
     scale = max(gen.max(), -gen.min()) * np.linalg.norm(pz)
-    if residual <= _EIG_RESIDUAL_TOL * scale:
+    if residual <= _EIG_RESIDUAL_TOL * scale or not preserving:
         return w, p
     del p, pz, wpz
     n2 = m * m
@@ -523,15 +524,17 @@ def integrate_master(
     coords = _hermitian_coordinates(m)
     x0 = coords.to_real(rho)
 
+    # a trace-preserving G has t^T G = 0: its population rows sum to zero in
+    # every column. Both routes restore what that implies, and only then
+    populations = gen[n2 - m:]
+    preserving = bool(np.abs(populations.sum(axis=0)).max() <= _TRACE_TOL * np.abs(populations).max())
+    del populations
+
     h = _grid_step(t) if method == "auto" and t.size <= n2 else None
     squarings = _squarings(gen, h) if h is not None else _MAX_SQUARINGS + 1
     if squarings <= _MAX_SQUARINGS:
-        # a trace-preserving G (t^T G = 0: its population rows sum to zero in
-        # every column) gives E the trace row t^T; pinning that removes the
-        # rounding that would drift tr rho(t) and the stationary mode
-        populations = gen[n2 - m:]
-        preserving = np.abs(populations.sum(axis=0)).max() <= _TRACE_TOL * np.abs(populations).max()
-        del populations
+        # E then has the trace row t^T; pinning that removes the rounding
+        # that would drift tr rho(t) and the stationary mode
         step = _expm(gen, h, squarings, m if preserving else 0)
         del gen
         x = np.empty((t.size, n2))
@@ -541,20 +544,21 @@ def integrate_master(
         return Trajectory(times=t, rhos=coords.to_rho(x))
 
     if method in ("auto", "eig"):
-        w, p = _modes(gen, m, coords.probe)
+        w, p = _modes(gen, m, coords.probe, preserving)
         pairs = None
         if np.iscomplexobj(p):
             # LAPACK lists each pair as (v, conj v), positive imaginary part
             # first; keep the real basis (Re v, -Im v) in their columns
             pairs = np.flatnonzero(w.imag > 0)
             p = np.where(w.imag < 0, p.imag, p.real)
-        # trace preservation makes the trace row a left eigenvector of the
-        # eigenvalue 0, so every mode of a nonzero eigenvalue is traceless;
-        # restoring that removes the rounding that would drift tr rho(t)
-        rates = np.abs(w)
-        moving = rates > _ZERO_MODE_TOL * rates.max()
-        populations = p[n2 - m:]
-        populations -= populations.sum(axis=0) * (moving / m)
+        if preserving:
+            # trace preservation makes the trace row a left eigenvector of the
+            # eigenvalue 0, so every mode of a nonzero eigenvalue is traceless;
+            # restoring that removes the rounding that would drift tr rho(t)
+            rates = np.abs(w)
+            moving = rates > _ZERO_MODE_TOL * rates.max()
+            populations = p[n2 - m:]
+            populations -= populations.sum(axis=0) * (moving / m)
         rhs = np.empty((n2, 2))
         rhs[:, 0] = x0
         rhs[:, 1] = coords.probe

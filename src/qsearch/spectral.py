@@ -2,7 +2,9 @@
 
 The complete-graph Hamiltonian is a diagonal matrix minus a rank-one term,
 so its spectrum and the overlaps closed dynamics need come from the
-secular equation without building the n x n matrix. The reduction
+secular equation without building the n x n matrix; each block of roots
+sums its nearby poles exactly and the far ones through a power series
+formed once per block. The reduction
 projects the problem onto the marked node |w> and the uniform
 superposition |s_wbar> over the remaining nodes. Coupling
 coefficients derived from either the exact spectrum or the reduced pair
@@ -25,8 +27,10 @@ from .model import DENSE_LIMIT, SearchHamiltonian
 _HERMITICITY_TOL = 1e-10
 
 _EPS = np.finfo(float).eps
-# elements per (roots x poles) work array of the secular solver
-_SECULAR_BLOCK = 1 << 18
+# roots per secular solver block, and poles on each side of the block's own
+# that it sums exactly (at least 1); the rest enter by a far-field series
+_SECULAR_ROWS = 128
+_SECULAR_NEAR = 128
 _SECULAR_MAX_ITER = 100
 
 
@@ -96,19 +100,73 @@ class SecularSpectrum:
     gap2: float
 
 
-def _secular_block(poles, weights, gamma: float, start: int, stop: int, work: np.ndarray):
+def _series_terms(q: float) -> int:
+    """Fewest terms that truncate both far-field series below eps/8 at ratio q < 1.
+
+    A far pole at distance d from c adds (1/d^2) sum_k (k+1) t^k to psi',
+    with t = (mu - c)/d and |t| <= q. Its tail from the P-th power is at
+    most q^P ((P+1)(1-q) + q)/(1-q)^2 against a value of at least
+    1/(1+q)^2; that bounds the relative tail of psi too.
+    """
+    terms = 1
+    while q**terms * ((terms + 1) * (1.0 - q) + q) * ((1.0 + q) / (1.0 - q)) ** 2 > _EPS / 8:
+        terms += 1
+    return terms
+
+
+def _far_field(poles, weights, start: int, stop: int):
+    """The poles summed exactly for roots start..stop-1, and a series for the rest.
+
+    Roots start..stop-1 lie in [poles[start-1], poles[stop-1]], of centre c
+    and half-width h. Poles nlo..nhi-1, the block's own and _SECULAR_NEAR
+    on each side, are summed exactly. Those below nlo and from nhi on are
+    at least rho from c; with y_j = rho/(poles_j - c), their moments
+    M_k = sum_j weights_j y_j^(k+1) give, at x = (mu - c)/rho,
+    psi = (1/rho) sum_k M_k x^k and psi' = (1/rho^2) sum_k (k+1) M_(k+1) x^k,
+    one pair per side (Greengard & Rokhlin 1987). The series converge as
+    (h/rho)^k; the ground root's block, and one with h/rho >= 1/2, keeps
+    every pole near. Returns (nlo, nhi, c, rho, coef): the columns of
+    (x^k) @ coef are the far parts of psi_lo, psi_hi, psi'_lo, psi'_hi.
+    """
+    k = poles.size
+    nlo, nhi = max(start - _SECULAR_NEAR, 0), min(stop + _SECULAR_NEAR, k)
+    if start == 0 or (nlo == 0 and nhi == k):
+        return 0, k, 0.0, 1.0, np.zeros((0, 4))
+    c = 0.5 * (poles[start - 1] + poles[stop - 1])
+    rho = min(c - poles[nlo - 1] if nlo else math.inf, poles[nhi] - c if nhi < k else math.inf)
+    q = 0.5 * (poles[stop - 1] - poles[start - 1]) / rho
+    if q >= 0.5:
+        return 0, k, 0.0, 1.0, np.zeros((0, 4))
+    terms = _series_terms(q)
+    y = rho / (np.concatenate([poles[:nlo], poles[nhi:]]) - c)
+    side = np.zeros((y.size, 2))
+    side[:nlo, 0] = weights[:nlo]
+    side[nlo:, 1] = weights[nhi:]
+    powers = np.empty((terms + 1, y.size))  # y^(k+1), a row at a time (np.vander's is slower)
+    powers[0] = y
+    for i in range(terms):
+        np.multiply(powers[i], y, out=powers[i + 1])
+    moments = powers @ side
+    coef = np.empty((terms, 4))
+    coef[:, :2] = moments[:-1] / rho
+    coef[:, 2:] = moments[1:] * (np.arange(1, terms + 1)[:, None] / (rho * rho))
+    return nlo, nhi, c, rho, coef
+
+
+def _secular_block(poles, weights, gamma: float, start: int, stop: int):
     """Roots start..stop-1 of 1 = gamma * sum_j weights_j / (poles_j - mu).
 
     Root r lies in (poles[r-1], poles[r]), root 0 below poles[0]. Each is
     returned as (origin, tau, norm2): the nearer pole's index, the offset
     mu - poles[origin] and sum_j weights_j / (poles_j - mu)^2. Every
-    difference poles_j - mu is formed as (poles_j - poles[origin]) - tau,
-    without cancellation (LAPACK dlaed4). The step solves a model that
-    keeps the two bracketing poles exact and fits the remaining terms on
-    each side by one pole with matching value and slope (Bunch, Nielsen &
-    Sorensen 1978); a step that leaves the bracket is replaced by bisection.
-    work is a (>= stop - start, poles.size) scratch array.
+    difference poles_j - mu of a near pole (see _far_field) is formed as
+    (poles_j - poles[origin]) - tau, without cancellation (LAPACK dlaed4);
+    the far poles add their series. The step solves a model that keeps the
+    two bracketing poles exact and fits the remaining terms on each side
+    by one pole with matching value and slope (Bunch, Nielsen & Sorensen
+    1978); a step that leaves the bracket is replaced by bisection.
     """
+    nlo, nhi, centre, rho, coef = _far_field(poles, weights, start, stop)
     lower = np.arange(start, stop) - 1  # pole below each root; -1 for the ground root
     ground = lower < 0
     lo_pole = np.maximum(lower, 0)
@@ -120,29 +178,36 @@ def _secular_block(poles, weights, gamma: float, start: int, stop: int, work: np
     lo = np.where(ground, -2.0 * half, 0.0)
     hi = np.where(ground, 0.0, 2.0 * half)
     norm2 = np.empty(stop - start)
-    # poles before start lie below every root of the block, poles from stop on above
+    # near poles before start lie below every root of the block, from stop on above
+    near = poles[nlo:nhi]
     strip = np.arange(start, stop)
     # terms are carried as r_j = sqrt(weights_j) / (poles_j - mu), so that
     # psi = sum_j weights_j / (poles_j - mu) = r . sqrt(weights) and psi' = r . r
-    sqrt_w = np.sqrt(weights)
-    w_lo, w_strip, w_hi = sqrt_w[:start], sqrt_w[start:stop], sqrt_w[stop:]
+    sqrt_w = np.sqrt(weights[nlo:nhi])
+    s0, s1 = start - nlo, stop - nlo
+    w_lo, w_strip, w_hi = sqrt_w[:s0], sqrt_w[s0:s1], sqrt_w[s1:]
+    work = np.empty((stop - start, nhi - nlo))
     active = np.arange(stop - start)
     for it in range(_SECULAR_MAX_ITER):
         a = active
         rows = np.arange(a.size)
-        delta = np.subtract(poles, poles[origin[a], None], out=work[: a.size])
+        delta = np.subtract(near, poles[origin[a], None], out=work[: a.size])
         delta -= tau[a, None]
-        d_lo = delta[rows, lo_pole[a]]
-        d_hi = delta[rows, hi_pole[a]]
+        d_lo = delta[rows, lo_pole[a] - nlo]
+        d_hi = delta[rows, hi_pole[a] - nlo]
         r = np.divide(sqrt_w, delta, out=delta)
-        r_lo, r_hi = r[:, :start], r[:, stop:]
+        r_lo, r_hi = r[:, :s0], r[:, s1:]
         below = strip < lower[a, None] + 1
-        strip_lo = np.where(below, r[:, start:stop], 0.0)
-        strip_hi = np.where(below, 0.0, r[:, start:stop])
-        psi_lo = r_lo @ w_lo + strip_lo @ w_strip
-        psi_hi = r_hi @ w_hi + strip_hi @ w_strip
+        strip_lo = np.where(below, r[:, s0:s1], 0.0)
+        strip_hi = np.where(below, 0.0, r[:, s0:s1])
+        x = ((poles[origin[a]] - centre) + tau[a]) / rho
+        far = np.vander(x, coef.shape[0], increasing=True) @ coef
+        psi_lo = r_lo @ w_lo + strip_lo @ w_strip + far[:, 0]
+        psi_hi = r_hi @ w_hi + strip_hi @ w_strip + far[:, 1]
         dpsi_lo = np.einsum("ij,ij->i", r_lo, r_lo) + np.einsum("ij,ij->i", strip_lo, strip_lo)
         dpsi_hi = np.einsum("ij,ij->i", r_hi, r_hi) + np.einsum("ij,ij->i", strip_hi, strip_hi)
+        dpsi_lo += far[:, 2]
+        dpsi_hi += far[:, 3]
         g = 1.0 - gamma * (psi_lo + psi_hi)
         tau_a = tau[a]
         lo_a = np.where(g > 0, tau_a, lo[a])
@@ -201,7 +266,10 @@ def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
     finite. The other levels are lam = mu + gamma over the roots mu of the
     secular equation; their eigenvectors are u_j = 1/(a_j - mu), which gives
     <w|lam> = 1/((a_w - mu)||u||) and <lam|s> = 1/(gamma sqrt(n) ||u||).
-    Work arrays hold a block of roots against all poles, never n x n.
+    Roots are solved _SECULAR_ROWS at a time. Each iteration sums the poles
+    near the block exactly and the rest by their far-field series
+    (_far_field), so the work arrays are a block of roots by its near
+    poles, never n x n.
     """
     if h.graph.kind != "complete":
         raise InvalidParameterError(f"secular spectrum needs a complete graph, got {h.graph.kind!r}")
@@ -222,14 +290,12 @@ def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
     k = poles.size
     group = np.cumsum(first) - 1  # pole of each ranked entry
     w_pole = poles[group[np.flatnonzero(order == h.w)[0]]]
-    block = max(1, _SECULAR_BLOCK // k)
-    work = np.empty((min(block, k), k))
     roots = np.empty(k)
     w_overlaps = np.empty(k)
     norms = np.empty(k)
-    for start in range(0, k, block):
-        stop = min(start + block, k)
-        origin, tau, norm2 = _secular_block(poles, weights, gamma, start, stop, work)
+    for start in range(0, k, _SECULAR_ROWS):
+        stop = min(start + _SECULAR_ROWS, k)
+        origin, tau, norm2 = _secular_block(poles, weights, gamma, start, stop)
         base = poles[origin]
         norms[start:stop] = np.sqrt(norm2)
         w_overlaps[start:stop] = 1.0 / (((w_pole - base) - tau) * norms[start:stop])

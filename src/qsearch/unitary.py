@@ -67,14 +67,11 @@ def _validate_times(times) -> np.ndarray:
 
 def _first_peak(times: np.ndarray, values: np.ndarray) -> Tuple[float, float, int]:
     """First local maximum at least half the global one, parabolically refined."""
-    best = float(values.max())
-    idx = None
-    for i in range(1, len(values) - 1):
-        if values[i] >= values[i - 1] and values[i] >= values[i + 1] and values[i] >= 0.5 * best:
-            idx = i
-            break
-    if idx is None:
-        idx = int(np.argmax(values))
+    inner = values[1:-1]
+    peaks = np.flatnonzero(
+        (inner >= values[:-2]) & (inner >= values[2:]) & (inner >= 0.5 * float(values.max()))
+    )
+    idx = int(peaks[0]) + 1 if peaks.size else int(np.argmax(values))
     if 0 < idx < len(values) - 1:
         y0, y1, y2 = values[idx - 1], values[idx], values[idx + 1]
         denom = y0 - 2.0 * y1 + y2

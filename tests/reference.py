@@ -3,7 +3,8 @@
 The disorder-free two-level Pauli-basis Bloch matrix and closed-form
 damped coherence, the coefficient sums and materialized forms that only
 these checks read, and the column loop that the vectorised eigenvector
-phase convention replaced. No mode of the package calls them.
+phase convention and the first-peak search replaced. No mode of the
+package calls them.
 """
 
 from __future__ import annotations
@@ -54,6 +55,18 @@ def fix_phases_by_column(vectors: np.ndarray) -> np.ndarray:
     if np.isrealobj(vectors):
         return v
     return v.real if np.allclose(v.imag, 0.0, atol=1e-14) else v
+
+
+def first_peak_index_by_loop(values: np.ndarray) -> int:
+    """Scan form of the first local maximum at least half the global one.
+
+    Ties count as maxima (>=); with no interior candidate, np.argmax.
+    """
+    best = float(values.max())
+    for i in range(1, len(values) - 1):
+        if values[i] >= values[i - 1] and values[i] >= values[i + 1] and values[i] >= 0.5 * best:
+            return i
+    return int(np.argmax(values))
 
 
 def pauli_two_level_matrix(

@@ -415,6 +415,26 @@ def test_auto_falls_back_to_rk45_on_a_defective_generator(monkeypatch) -> None:
     assert np.max(np.abs(traj.rhos.reshape(len(times), 4) - oracle)) <= 1e-12
 
 
+def test_every_route_follows_a_generator_that_does_not_preserve_trace() -> None:
+    from scipy.linalg import expm
+
+    # rho11 feeds rho00 at less than its own decay rate: trace leaks away,
+    # so no mode may be made traceless
+    gen = np.diag([-0.5, -0.2, -0.2, -0.3])
+    gen[0, 3] = 0.1
+    tensor = RedfieldTensor(
+        m=2, r=gen.reshape(2, 2, 2, 2), omegas=np.zeros((2, 2)), eigenvalues=np.zeros(2)
+    )
+    rho0 = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]], dtype=complex)
+    for points, methods in ((40, ("auto", "eig", "rk45")), (4, ("auto",))):
+        times = np.linspace(0.0, 12.0, points)
+        oracle = np.array([expm(gen * t) @ rho0.reshape(4) for t in times])
+        for method in methods:
+            traj = integrate_master(tensor, rho0, times, method=method)
+            tol = 1e-8 if method == "rk45" else 1e-12
+            assert np.max(np.abs(traj.rhos.reshape(points, 4) - oracle)) <= tol, method
+
+
 def test_auto_takes_the_step_route_only_on_uniform_grids_of_at_most_m_squared_points(monkeypatch) -> None:
     eig_calls = _counting(monkeypatch, np.linalg, "eig")
     tl, co = _clean_system(256)

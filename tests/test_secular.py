@@ -61,16 +61,22 @@ def _dense_population(h, times: np.ndarray) -> np.ndarray:
     return np.abs(np.exp(-1j * np.outer(times, values)) @ weights) ** 2
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(2, 256),
-    seed=st.integers(0, 2**32 - 1),
-    sigma=st.floats(0.0, 0.5, exclude_max=True),
-    policy=st.sampled_from(("plain", "shifted")),
-    ties=st.sampled_from(TIES),
-)
-def test_secular_solver_matches_dense_eigh(n, seed, sigma, policy, ties) -> None:
-    h = _hamiltonian(n, sigma, seed, policy, ties)
+def _far_blocks(monkeypatch) -> list:
+    """Records, per solver block, how many far-field series terms it used."""
+    terms = []
+    far_field = spectral._far_field
+
+    def recorded(*args):
+        out = far_field(*args)
+        terms.append(out[4].shape[0])
+        return out
+
+    monkeypatch.setattr(spectral, "_far_field", recorded)
+    return terms
+
+
+def _check_against_eigh(h) -> None:
+    n = h.n
     values, vectors = np.linalg.eigh(h.dense())
     spectrum = secular_spectrum(h)
     assert spectrum.eigenvalues.shape == (n,)
@@ -84,16 +90,54 @@ def test_secular_solver_matches_dense_eigh(n, seed, sigma, policy, ties) -> None
     assert result.p_w[0] == pytest.approx(1.0 / n, abs=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 256),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.floats(0.0, 0.5, exclude_max=True),
+    policy=st.sampled_from(("plain", "shifted")),
+    ties=st.sampled_from(TIES),
+)
+def test_secular_solver_matches_dense_eigh(n, seed, sigma, policy, ties) -> None:
+    _check_against_eigh(_hamiltonian(n, sigma, seed, policy, ties))
+
+
+@pytest.mark.parametrize("ties", TIES)
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 256),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.floats(0.0, 0.5, exclude_max=True),
+    policy=st.sampled_from(("plain", "shifted")),
+)
+def test_far_field_series_matches_dense_eigh(ties, n, seed, sigma, policy) -> None:
+    # blocks of 3 roots with 5 exact poles a side: the series runs at small n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SECULAR_ROWS", 3)
+        mp.setattr(spectral, "_SECULAR_NEAR", 5)
+        _check_against_eigh(_hamiltonian(n, sigma, seed, policy, ties))
+
+
+def test_far_field_series_matches_dense_eigh_at_default_blocks(monkeypatch) -> None:
+    terms = _far_blocks(monkeypatch)
+    _check_against_eigh(_hamiltonian(1024, 0.02, 5, "shifted", "none"))
+    assert terms[0] == 0 and sum(t > 0 for t in terms) >= 4
+
+
 def test_secular_blocks_do_not_change_results(monkeypatch) -> None:
     h = _hamiltonian(200, 0.05, 7, "shifted", "near")
     uniform = np.linspace(0.0, 60.0, 500)
     scattered = np.sort(np.random.default_rng(1).uniform(0.0, 60.0, 300))
     whole = secular_spectrum(h)
     p_whole = [evolve_closed(h, t).p_w for t in (uniform, scattered)]
-    # three roots per solver block and a few times or levels per phase block
-    monkeypatch.setattr(spectral, "_SECULAR_BLOCK", 3 * whole.roots.size)
+    # three roots per solver block, most poles in the far-field series,
+    # and a few times or levels per phase block
+    terms = _far_blocks(monkeypatch)
+    monkeypatch.setattr(spectral, "_SECULAR_ROWS", 3)
+    monkeypatch.setattr(spectral, "_SECULAR_NEAR", 5)
     monkeypatch.setattr(unitary, "_PHASE_BLOCK", 7 * whole.roots.size)
     blocked = secular_spectrum(h)
+    assert sum(t > 0 for t in terms) > len(terms) // 2
     assert np.max(np.abs(blocked.eigenvalues - whole.eigenvalues)) <= 1e-14
     assert np.max(np.abs(blocked.w_overlaps - whole.w_overlaps)) <= 1e-13
     for t, p in zip((uniform, scattered), p_whole):

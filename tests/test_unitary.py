@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsearch.errors import InvalidParameterError
 from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian
 from qsearch.spectral import reduce_two_level
 from qsearch.unitary import (
+    _first_peak,
     default_time_grid,
     evolve_closed,
     expected_runtime,
@@ -17,6 +20,7 @@ from qsearch.unitary import (
     regime_classify,
     success_probability_reduced,
 )
+from reference import first_peak_index_by_loop
 
 
 def _clean_hamiltonian(n: int, eps_w: float = 0.0):
@@ -70,6 +74,15 @@ def test_closed_evolution_first_peak_summary() -> None:
     assert result.t_peak == pytest.approx(4.0 * math.pi, rel=2e-3)
     assert result.p_peak == pytest.approx(1.0, abs=1e-6)
     assert result.summary()["repetitions"] == pytest.approx(1.0, rel=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=30))
+def test_first_peak_picks_the_index_of_the_scan(levels) -> None:
+    # few distinct values, so ties, plateaus and the half-maximum edge all occur
+    values = np.array(levels, dtype=float) / 6.0
+    times = np.linspace(0.0, 1.0, values.size)
+    assert _first_peak(times, values)[2] == first_peak_index_by_loop(values)
 
 
 def test_reduced_probability_starts_at_zero() -> None:
