@@ -20,7 +20,6 @@ from .errors import (
     DenseLimitError,
     InvalidParameterError,
     NoEstimateError,
-    StiffnessError,
     ValidityError,
 )
 from .experiments import MODES, load_config, run
@@ -60,7 +59,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidityError as exc:
         print(f"validity: {exc}", file=sys.stderr)
         return EXIT_VALIDITY
-    except (StiffnessError, NoEstimateError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (NoEstimateError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for path in files:

@@ -29,10 +29,6 @@ class ValidityError(QSearchError):
     """A weak-coupling approximation bound is violated hard (margin > 1)."""
 
 
-class StiffnessError(QSearchError):
-    """The adaptive integrator failed to make progress."""
-
-
 class NoEstimateError(QSearchError):
     """A fit could not produce a trustworthy estimate."""
 

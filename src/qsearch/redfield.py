@@ -15,16 +15,12 @@ from the tensor; a tensor that breaks this is refused with
 ContractViolationError. RedfieldTensor.generator() keeps the complex
 row-major form.
 
-integrate_master has three routes. The step route, on a uniform grid
-t_k = k h from 0 with N <= m^2 points (and G h within 20 squarings),
-forms E = exp(G h) once by [13/13] Pade with scaling and squaring and
-steps x_k = E x_(k-1). The
-eig route diagonalizes G with one real eigensolve (deflating the
-stationary mode when LAPACK's balancing spoils the eigenvectors) and
-evaluates every time from the modes; it takes every other grid, so the
-m = 2 runs of every mode and sweep (N >= 20 > m^2), and method="eig".
-The adaptive RK45 route is the fallback when G's eigenbasis is
-ill-conditioned.
+integrate_master propagates by exact steps: for each distinct gap h
+between consecutive times it forms E = exp(G h) once, by [13/13] Pade
+with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005),
+and steps x_k = E x_(k-1). No eigenbasis is involved, so a defective or
+nearly defective G (a nearly absorbing ground state at low temperature)
+is propagated as accurately as any other.
 
 All rates carry the 2*pi prefactor on top of the bare rate_S; the
 combination is pinned by the thermal fixed point and the closed-form
@@ -47,34 +43,23 @@ from .errors import (
     DenseLimitError,
     InvalidParameterError,
     NoEstimateError,
-    StiffnessError,
     ValidityError,
 )
 from .spectral import CouplingCoefficients, Spectrum, TwoLevelSystem
 
-# peak memory of assemble_redfield + integrate_master in m^4 doubles, set by
-# the eig route, which method="eig" reaches at any m: R and the real generator
-# G, then numpy's eig of G holds a copy of G, its real eigenvectors and two
-# complex m^4 buffers; ru_maxrss at m = 30..50 rose by 8.2-9.0 such units.
-# The step route holds R and at most five m^4 buffers plus a quarter block
-# (the Pade polynomial), then R, V +- U, the solve's two copies and E; its
-# ru_maxrss rose by 6.4-6.9 units at m = 30..60.
-_PEAK_M4_DOUBLES = 9
+# peak memory of assemble_redfield + integrate_master on a uniform grid, in m^4
+# doubles: R and at most five m^4 buffers plus a quarter block (the Pade
+# polynomial), then R, V +- U, the solve's two copies and E. With a 200-point
+# trajectory ru_maxrss rose by 7.08, 6.64, 6.48 and 6.40 such units at m = 30,
+# 40, 50 and 60; the trajectory is 0.67 of them at m = 30
+_PEAK_M4_DOUBLES = 7
 
-_EIG_COND_LIMIT = 1e10
-# bound on the probed eigen-residual ||G P z - P W z|| relative to max|G| ||P z||;
-# LAPACK's residual is ~1e-15 unless its balancing went wrong (see _modes)
-_EIG_RESIDUAL_TOL = 1e-13
 # bound on |R_abcd - R_badc| relative to max |R|: rounding only
 _HERMITIAN_TOL = 1e-12
 # bound on the column sums of G's population rows relative to their largest
 # entry, below which G counts as trace-preserving: rounding only
 _TRACE_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
-# eigenvalues below this, relative to the largest one, count as stationary modes
-_ZERO_MODE_TOL = 1e-12
-_RK45_RTOL = 1e-8
-_RK45_ATOL = 1e-10
 # [13/13] Pade coefficients of exp and the 1-norm up to which they give it to
 # double precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
 _PADE13 = (
@@ -85,9 +70,10 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 # grid points off k*h by at most this many ulps of t_max still count as uniform
 _UNIFORM_ULPS = 4
-# beyond this many squarings the step route costs more than the eigensolve
-# (about 30 GEMM-equivalents at m = 40, more at smaller m)
-_MAX_SQUARINGS = 20
+# n x n arrays below this many bytes are updated whole, not by quarters: their
+# temporaries are small, and at m = 2 the quarters' numpy calls made exp(G h)
+# take 150 us instead of 72
+_QUARTER_BYTES = 1 << 16
 
 
 class _Coordinates:
@@ -95,10 +81,9 @@ class _Coordinates:
 
     x holds sqrt2 Im rho_ab over a < b in np.triu_indices order, then
     sqrt2 Re rho_ab in the same order, then the m populations. With the
-    populations last, LAPACK's real eigensolver resolves the slow
-    population modes about as well as the complex solver on the complex
-    generator, several times better than with them first (m = 2..16,
-    against scipy.linalg.expm).
+    populations last, the trace row t^T is 1 on the last m coordinates and
+    0 elsewhere, so pinning it (_pin_trace_row) and the trace condition of
+    steady_state each touch one contiguous block.
     """
 
     def __init__(self, m: int) -> None:
@@ -129,10 +114,6 @@ class _Coordinates:
             src[2 * flat], src[2 * flat + 1] = re, im
             scale[2 * flat], scale[2 * flat + 1] = 1.0 / _SQRT2, sign / _SQRT2
         self.scatter, self.scatter_scale = src, scale
-        # fixed unit probe of the eigenbasis condition estimate; varied entries
-        # so that no structured direction of the basis is orthogonal to it
-        probe = np.sin(1.0 + np.arange(m * m))
-        self.probe = probe / np.linalg.norm(probe)
 
     def to_real(self, rho: np.ndarray) -> np.ndarray:
         """x of one density matrix."""
@@ -335,6 +316,9 @@ def _validate_rho0(rho0: np.ndarray, m: int) -> np.ndarray:
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (m, m):
         raise ContractViolationError(f"rho0 must be {m}x{m}, got shape {rho.shape}")
+    # every comparison below is False for NaN, so a non-finite rho0 would pass them
+    if not np.isfinite(rho).all():
+        raise ContractViolationError("rho0 must be finite")
     adjoint = rho.conj().T
     if np.linalg.norm(rho - adjoint) > 1e-10:
         raise ContractViolationError("rho0 is not Hermitian within 1e-10")
@@ -357,8 +341,11 @@ def _grid_step(t: np.ndarray) -> Optional[float]:
 
 
 def _quarters(n: int) -> list:
-    """Four slices that cover range(n), the unit of the in-place updates below."""
-    size = -(-n // 4)
+    """Four slices that cover range(n), the unit of the in-place updates below.
+
+    One slice when an n x n array is smaller than _QUARTER_BYTES.
+    """
+    size = -(-n // 4) if 8 * n * n >= _QUARTER_BYTES else n
     return [slice(i, i + size) for i in range(0, n, size)]
 
 
@@ -386,11 +373,15 @@ def _squarings(g: np.ndarray, h: float) -> int:
 
 
 def _pin_trace_row(e: np.ndarray, m: int) -> None:
-    """Make the last m rows of e (the populations) sum to the trace row t^T."""
-    populations = e[-m:]
-    defect = populations.sum(axis=0)
-    defect[-m:] -= 1.0
-    populations -= defect / m
+    """Make the last m rows of e (the populations) sum to the trace row t^T.
+
+    e is one matrix or a stack of them along the leading axes.
+    """
+    populations = e[..., -m:, :]
+    # einsum sums a stack of small blocks several times faster than .sum(axis=-2)
+    defect = np.einsum("...ij->...j", populations)
+    defect[..., -m:] -= 1.0
+    populations -= defect[..., None, :] / m
 
 
 def _expm(g: np.ndarray, h: float, s: int, pinned: int) -> np.ndarray:
@@ -439,74 +430,46 @@ def _expm(g: np.ndarray, h: float, s: int, pinned: int) -> np.ndarray:
     return e
 
 
-def _modes(gen: np.ndarray, m: int, probe: np.ndarray, preserving: bool):
-    """Eigenvalues and right eigenvectors of the real generator G; G may be overwritten.
+def _powers(e: np.ndarray, count: int, pinned: int) -> np.ndarray:
+    """E, E^2, ..., E^count stacked, by doubling: log2(count) products.
 
-    LAPACK balances G before it diagonalizes. When a population is nearly
-    absorbing (its outflow, ~e^(-beta gap), far below the rest of G), the
-    balancing scales it by up to ~1e7 and the eigenvectors come back with
-    residuals near 1e-10 ||G|| where ~1e-15 is usual. The residual is
-    probed along p z for the unit probe z; above _EIG_RESIDUAL_TOL the
-    stationary mode is deflated instead. G' = G - (kappa/m) t t^T, with t
-    the trace row and kappa = 2 ||G||_1, keeps every other mode of G (each
-    is traceless, t^T v = 0) and moves the eigenvalue 0 to -kappa, outside
-    G's spectrum; its filled population block keeps the balancing mild.
-    The stationary mode then solves G' v0 = -(kappa/m) t. That needs a
-    trace-preserving G; any other keeps LAPACK's eigenvectors.
+    Each doubling is one product of the stacked rows, E^(j + d) = E^j E^d
+    for j = 1..d. The trace-row rounding of E^j grows like j ulps, so the
+    new powers have their trace row pinned, once all are formed: at m = 2
+    and N = 40000 that keeps tr rho(t) within 4.4e-16 (unpinned: 2.7e-12),
+    as pinning after every doubling does, in one pass instead of log2(count).
+    A single power is E itself, not a copy.
     """
-    w, p = np.linalg.eig(gen)
-    pz = p @ probe
-    wpz = p @ (w * probe)
-    residual = math.hypot(
-        np.linalg.norm(gen @ pz.real - wpz.real), np.linalg.norm(gen @ pz.imag - wpz.imag)
-    )
-    scale = max(gen.max(), -gen.min()) * np.linalg.norm(pz)
-    if residual <= _EIG_RESIDUAL_TOL * scale or not preserving:
-        return w, p
-    del p, pz, wpz
-    n2 = m * m
-    kappa = 2.0 * float(np.abs(gen).sum(axis=0).max())
-    gen[n2 - m:, n2 - m:] -= kappa / m
-    rhs = np.zeros(n2)
-    rhs[n2 - m:] = -kappa / m
-    v0 = np.linalg.solve(gen, rhs)
-    w, p = np.linalg.eig(gen)
-    k = np.argmin(np.abs(w + kappa))
-    w[k] = 0.0
-    p[:, k] = v0
-    return w, p
+    if count == 1:
+        return e[None]
+    n2 = e.shape[0]
+    stack = np.empty((count, n2, n2))
+    stack[0] = e
+    done = 1
+    while done < count:
+        more = stack[done : 2 * done]
+        np.dot(stack[: more.shape[0]].reshape(-1, n2), stack[done - 1], out=more.reshape(-1, n2))
+        done += more.shape[0]
+    if pinned:
+        _pin_trace_row(stack[1:], pinned)
+    return stack
 
 
-def integrate_master(
-    tensor: RedfieldTensor,
-    rho0: np.ndarray,
-    times,
-    method: str = "auto",
-) -> Trajectory:
+def integrate_master(tensor: RedfieldTensor, rho0: np.ndarray, times) -> Trajectory:
     """Propagate rho0 (the state at t=0) to every requested time.
 
-    The generator G is constant and real in the Hermitian coordinates x
-    (see the module docstring). "auto" takes one of three routes:
-    - step, when the grid is uniform from 0 (t_k = k h to a few ulps of
-      t_max, as np.linspace(0, T, N) gives), N <= m^2, and G h needs at
-      most 20 squarings: E = exp(G h) is formed once ([13/13] Pade with
-      scaling and squaring, the trace row t^T E = t^T pinned at every
-      squaring), and x_k = E x_(k-1) filled by N - 1 matrix-vector
-      products. It needs no eigenbasis, so a defective G is no obstacle.
-    - eig, otherwise: one real eigensolve of G (see _modes), and every
-      time evaluated directly from the modes; each complex-conjugate pair
-      of eigenvectors is held as its real and imaginary parts. N <= m^2
-      is a conservative cut between the two: the eigensolve is faster at
-      m <= 4 and N >= 200 (m = 2: 0.15 vs 0.36 ms), the step route at
-      m = 16, N = 200 (17 vs 52 ms) and at m = 40 up to N = 1600 and
-      beyond (1.6 vs 3.7 s at N = 200, 3.0 vs 4.1 s at N = 1600). The
-      m = 2 runs of every mode and sweep (N >= 20) stay here.
-    - rk45, when the eig route's eigenvector basis is ill-conditioned:
-      adaptive embedded Runge-Kutta on x. The condition number is
-      estimated from the LU that also gives the expansion coefficients:
-      sqrt(m^2) * ||P^-1 z|| for a fixed unit probe z, against the limit
-      1e10 (a defective generator exceeds it).
-    "eig" and "rk45" force their route on any grid.
+    G is constant and real in the Hermitian coordinates x (see the module
+    docstring), so every step is exact: x_k = exp(G h_k) x_(k-1) with
+    h_k = t_k - t_(k-1) and t_(-1) = 0. E = exp(G h) is formed once per
+    distinct h ([13/13] Pade with scaling and squaring; when G preserves
+    the trace, the trace row t^T E = t^T is pinned at every squaring), and
+    a zero step copies the row before. A uniform grid from 0 (t_k = k h to
+    a few ulps of t_max, as np.linspace(0, T, N) gives) takes one E and
+    fills B = max(1, N // m^2) rows per product from the stacked powers
+    E, ..., E^B, which are thus never larger than the trajectory. Raises
+    DenseLimitError, before any exponential is formed, when a grid's
+    distinct steps need more exponentials (m^4 doubles each) than fit in
+    the memory the process can still allocate.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -515,92 +478,58 @@ def integrate_master(
         raise InvalidParameterError("time grid must be finite and nonnegative")
     if (t[1:] < t[:-1]).any():
         raise InvalidParameterError("time grid must be nondecreasing")
-    if method not in ("auto", "eig", "rk45"):
-        raise InvalidParameterError(f"unknown method {method!r}")
     m = tensor.m
     n2 = m * m
     rho = _validate_rho0(rho0, m)
+    h = _grid_step(t)
+    if h is None:
+        steps = np.diff(t, prepend=0.0)
+    else:
+        steps = np.full(t.size, h)
+        steps[0] = 0.0
+    lengths = np.unique(steps[steps > 0])
+    # one exponential is part of assemble_redfield's estimate; more are not
+    if lengths.size > 1:
+        need = lengths.size * 8.0 * n2 * n2
+        budget = _memory_budget()
+        if need > budget:
+            raise DenseLimitError(
+                f"{lengths.size} distinct time steps at m={m} need about {need / 2**30:.3g} GiB "
+                f"of exponentials, more than the {budget / 2**30:.3g} GiB this process can still allocate"
+            )
     gen = tensor._real_generator()
     coords = _hermitian_coordinates(m)
-    x0 = coords.to_real(rho)
 
     # a trace-preserving G has t^T G = 0: its population rows sum to zero in
-    # every column. Both routes restore what that implies, and only then
+    # every column. E then has the trace row t^T; pinning that removes the
+    # rounding that would drift tr rho(t) and the stationary mode
     populations = gen[n2 - m:]
     preserving = bool(np.abs(populations.sum(axis=0)).max() <= _TRACE_TOL * np.abs(populations).max())
+    pinned = m if preserving else 0
     del populations
 
-    h = _grid_step(t) if method == "auto" and t.size <= n2 else None
-    squarings = _squarings(gen, h) if h is not None else _MAX_SQUARINGS + 1
-    if squarings <= _MAX_SQUARINGS:
-        # E then has the trace row t^T; pinning that removes the rounding
-        # that would drift tr rho(t) and the stationary mode
-        step = _expm(gen, h, squarings, m if preserving else 0)
-        del gen
-        x = np.empty((t.size, n2))
-        x[0] = x0
-        for k in range(1, t.size):
-            np.dot(step, x[k - 1], out=x[k])
-        return Trajectory(times=t, rhos=coords.to_rho(x))
+    exps = {}
+    for i, step in enumerate(lengths.tolist()):
+        squarings = _squarings(gen, step)
+        # the last exponential takes G itself, so a single step copies nothing
+        exps[step] = _expm(gen if i == lengths.size - 1 else gen.copy(), step, squarings, pinned)
+    del gen
 
-    if method in ("auto", "eig"):
-        w, p = _modes(gen, m, coords.probe, preserving)
-        pairs = None
-        if np.iscomplexobj(p):
-            # LAPACK lists each pair as (v, conj v), positive imaginary part
-            # first; keep the real basis (Re v, -Im v) in their columns
-            pairs = np.flatnonzero(w.imag > 0)
-            p = np.where(w.imag < 0, p.imag, p.real)
-        if preserving:
-            # trace preservation makes the trace row a left eigenvector of the
-            # eigenvalue 0, so every mode of a nonzero eigenvalue is traceless;
-            # restoring that removes the rounding that would drift tr rho(t)
-            rates = np.abs(w)
-            moving = rates > _ZERO_MODE_TOL * rates.max()
-            populations = p[n2 - m:]
-            populations -= populations.sum(axis=0) * (moving / m)
-        rhs = np.empty((n2, 2))
-        rhs[:, 0] = x0
-        rhs[:, 1] = coords.probe
-        try:
-            sol = np.linalg.solve(p, rhs)
-        except np.linalg.LinAlgError:  # an exactly singular basis
-            if method == "eig":
-                raise
-            sol = None
-        if sol is not None and (
-            method == "eig" or m * math.sqrt(sol[:, 1] @ sol[:, 1]) < _EIG_COND_LIMIT
-        ):
-            c = sol[:, 0]
-            amps = np.exp(t[:, None] * w.real) * c
-            if pairs is not None:
-                # c_j Re v - c_k Im v = Re((c_j + i c_k) v) evolves into
-                # Re(z v) = Re z Re v - Im z Im v, z = (c_j + i c_k) e^(w_j t)
-                j, k = pairs, pairs + 1
-                z = np.exp(t[:, None] * w[j])
-                z *= c[j] + 1j * c[k]
-                amps[:, j] = z.real
-                amps[:, k] = z.imag
-            return Trajectory(times=t, rhos=coords.to_rho(amps @ p.T))
-
-    # imported on use: scipy.integrate costs more than the rest of `import qsearch`
-    from scipy.integrate import solve_ivp
-
-    if method != "rk45":
-        gen = tensor._real_generator()  # _modes may have shifted it
-
-    sol = solve_ivp(
-        lambda _ti, y: gen @ y,
-        t_span=(0.0, float(t[-1])) if t[-1] > 0 else (0.0, 1.0),
-        y0=x0,
-        t_eval=t if t[-1] > 0 else None,
-        method="RK45",
-        rtol=_RK45_RTOL,
-        atol=_RK45_ATOL,
-    )
-    if sol.status < 0 or not sol.success:
-        raise StiffnessError(f"adaptive integration failed: {sol.message}")
-    x = sol.y.T if t[-1] > 0 else np.broadcast_to(x0, (len(t), x0.size))
+    x = np.empty((t.size, n2))
+    x0 = coords.to_real(rho)
+    x[0] = x0 if steps[0] == 0.0 else exps[steps[0]] @ x0
+    if h:
+        block = max(1, t.size // n2)
+        powers = _powers(exps[h], block, pinned).reshape(-1, n2)
+        for k in range(1, t.size, block):
+            rows = min(block, t.size - k)
+            np.dot(powers[: rows * n2], x[k - 1], out=x[k : k + rows].reshape(-1))
+    else:
+        for k, step in enumerate(steps.tolist()[1:], start=1):
+            if step:
+                np.dot(exps[step], x[k - 1], out=x[k])
+            else:
+                x[k] = x[k - 1]
     return Trajectory(times=t, rhos=coords.to_rho(x))
 
 

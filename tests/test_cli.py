@@ -10,7 +10,7 @@ import pytest
 
 import qsearch
 from qsearch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VALIDITY, build_parser, main
-from qsearch.errors import StiffnessError
+from qsearch.errors import NoEstimateError
 
 
 def _write(tmp_path, doc: dict) -> str:
@@ -79,7 +79,7 @@ def test_validity_refusal_and_force_override(tmp_path, capsys) -> None:
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch) -> None:
     def boom(*args, **kwargs):
-        raise StiffnessError("integrator stalled")
+        raise NoEstimateError("residual is not decaying")
 
     monkeypatch.setattr("qsearch.cli.run", boom)
     code = main(["unitary", "--config", _write(tmp_path, _unitary_doc()), "--out", str(tmp_path)])
@@ -118,7 +118,8 @@ def test_package_namespace_holds_only_submodules() -> None:
 
 
 def test_two_level_redfield_path_loads_no_scipy() -> None:
-    # every disorder-free sweep point assembles, propagates and solves an m = 2 tensor
+    # every disorder-free sweep point assembles, propagates and solves an m = 2
+    # tensor; no grid and no generator, not even a defective one, reaches scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsearch.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
@@ -128,6 +129,11 @@ def test_two_level_redfield_path_loads_no_scipy() -> None:
         "te = q.redfield.assemble_redfield(co, tl, q.bath.BathSpec(g=0.02, beta=15.0))\n"
         "q.redfield.integrate_master(te, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 1e5, 400))\n"
         "q.redfield.steady_state(te)\n"
+        "q.redfield.integrate_master(te, np.eye(2, dtype=complex) / 2, np.array([1.0, 2.0, 2.0, 7.5]))\n"
+        "jordan = -0.5 * np.eye(4)\n"
+        "jordan[0, 3] = 0.3\n"
+        "de = q.redfield.RedfieldTensor(2, jordan.reshape(2, 2, 2, 2), np.zeros((2, 2)), np.zeros(2))\n"
+        "q.redfield.integrate_master(de, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 12.0, 40))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
