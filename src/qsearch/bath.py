@@ -4,7 +4,9 @@ Provides the spectral density, one-sided transition rates S(omega), the
 bath correlation function (closed forms plus an adaptive-quadrature
 oracle), the correlation time, and the weak-coupling validity checks.
 The sign convention for rate_S is fixed by detailed balance: the
-two-level steady state it induces is thermal.
+two-level steady state it induces is thermal. The functions of omega and
+t other than the quadrature are elementwise: an array gives an array of
+its shape, a scalar a numpy scalar.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .special import trigamma
 # thresholds on the dimensionless margins used to grade "much less than"
 CHI_MARKOV = 0.1
 CHI_SECULAR = 0.5
+# points per trigamma call in correlation_finite_T: bounds its temporaries
+_CORRELATION_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -54,32 +58,29 @@ class BathSpec:
         return math.isinf(self.beta)
 
 
-def spectral_density(omega: float, bath: BathSpec) -> float:
+def spectral_density(omega, bath: BathSpec):
     """J(omega) = eta g^2 omega^d omega_c^(1-d) exp(-omega/omega_c), omega >= 0."""
-    omega = float(omega)
-    if omega < 0:
+    omega = np.asarray(omega, dtype=float)
+    if (omega < 0).any():
         raise OutOfRegimeError(
-            f"spectral density is defined for omega >= 0, got {omega}; use rate_S for signed frequencies"
+            f"spectral density is defined for omega >= 0, got {omega.min()}; use rate_S for signed frequencies"
         )
-    if omega == 0.0:
-        return 0.0
+    # omega^d with d > 0 makes J(0) = 0
     return (
         bath.eta
         * bath.g**2
         * omega**bath.d
         * bath.omega_c ** (1.0 - bath.d)
-        * math.exp(-omega / bath.omega_c)
-    )
+        * np.exp(-omega / bath.omega_c)
+    )[()]
 
 
-def _occupation(x: float) -> float:
-    """Bose factor 1/(e^x - 1) for x > 0, stable at small x."""
-    if x < 1e-6:
-        return 1.0 / x - 0.5 + x / 12.0
-    return 1.0 / math.expm1(x)
+def _occupation(x: np.ndarray) -> np.ndarray:
+    """Bose factor 1/(e^x - 1) for x > 0, stable at small x; 0 where e^x overflows."""
+    return np.where(x < 1e-6, 1.0 / x - 0.5 + x / 12.0, 1.0 / np.expm1(x))
 
 
-def rate_S(omega: float, bath: BathSpec) -> float:
+def rate_S(omega, bath: BathSpec):
     """One-sided bath rate at transition frequency omega (no 2*pi factor).
 
     omega > 0 is the emission branch J(omega)(N+1): energy omega is
@@ -87,21 +88,22 @@ def rate_S(omega: float, bath: BathSpec) -> float:
     J(|omega|) N(|omega|). The omega=0 limit is eta g^2 / beta, which both
     branches approach continuously; it vanishes at zero temperature.
     """
-    omega = float(omega)
-    if bath.is_zero_temperature:
-        return spectral_density(omega, bath) if omega > 0 else 0.0
-    if omega == 0.0:
-        return bath.eta * bath.g**2 / bath.beta
-    a = abs(omega)
-    n_occ = _occupation(bath.beta * a)
+    omega = np.asarray(omega, dtype=float)
+    a = np.abs(omega)
     j = spectral_density(a, bath)
-    return j * (n_occ + 1.0) if omega > 0 else j * n_occ
+    if bath.is_zero_temperature:
+        return np.where(omega > 0, j, 0.0)[()]
+    # emission adds 1 to the occupation; at omega = 0 this is 0 * inf,
+    # replaced by its limit
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = j * (_occupation(bath.beta * a) + (omega > 0))
+    return np.where(omega == 0.0, bath.eta * bath.g**2 / bath.beta, out)[()]
 
 
 def correlation_zero_T(t, bath: BathSpec):
     """Zero-temperature correlation eta g^2 omega_c^2 / (1 + i t omega_c)^2.
 
-    Closed form for d=1 only. Accepts scalar or array t.
+    Closed form for d=1 only.
     """
     if not bath.is_zero_temperature:
         raise OutOfRegimeError("zero-temperature correlation requested for a finite-beta bath")
@@ -109,7 +111,7 @@ def correlation_zero_T(t, bath: BathSpec):
         raise OutOfRegimeError(f"closed form requires d=1, got d={bath.d}")
     t_arr = np.asarray(t, dtype=float)
     out = bath.eta * bath.g**2 * bath.omega_c**2 / (1.0 + 1j * t_arr * bath.omega_c) ** 2
-    return complex(out) if np.isscalar(t) else out
+    return out[()]
 
 
 def correlation_finite_T(t, bath: BathSpec):
@@ -117,7 +119,8 @@ def correlation_finite_T(t, bath: BathSpec):
 
     F(t) = (eta g^2/beta^2) [psi'(1/(beta omega_c) + it/beta)
                              + psi'(1 + 1/(beta omega_c) - it/beta)].
-    Accepts scalar or array t.
+    Evaluated in blocks of _CORRELATION_BLOCK points, so the temporaries
+    stay a fixed size.
     """
     if bath.is_zero_temperature:
         raise OutOfRegimeError("finite-temperature correlation requested for a zero-T bath")
@@ -131,15 +134,12 @@ def correlation_finite_T(t, bath: BathSpec):
         )
     pref = bath.eta * bath.g**2 / bath.beta**2
     a = 1.0 / (bath.beta * bath.omega_c)
-
-    def one(tv: float) -> complex:
-        z = tv / bath.beta
-        return pref * (trigamma(a + 1j * z) + trigamma(1.0 + a - 1j * z))
-
-    if np.isscalar(t):
-        return one(float(t))
     t_arr = np.asarray(t, dtype=float)
-    return np.array([one(tv) for tv in t_arr.ravel()]).reshape(t_arr.shape)
+    out = np.empty(t_arr.size, dtype=complex)
+    for i in range(0, out.size, _CORRELATION_BLOCK):
+        iz = 1j * (t_arr.flat[i : i + _CORRELATION_BLOCK] / bath.beta)
+        out[i : i + _CORRELATION_BLOCK] = pref * (trigamma(a + iz) + trigamma(1.0 + a - iz))
+    return out.reshape(t_arr.shape)[()]
 
 
 def _coth(x: float) -> float:

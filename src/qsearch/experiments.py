@@ -489,10 +489,7 @@ def _run_relaxation(cfg: ExperimentConfig, force: bool) -> _Output:
 
 def _run_correlation(cfg: ExperimentConfig, force: bool) -> _Output:
     times = np.linspace(0.0, cfg.grid.t_max, cfg.grid.points)
-    if cfg.bath.is_zero_temperature:
-        f_vals = correlation_zero_T(times, cfg.bath)
-    else:
-        f_vals = correlation_finite_T(times, cfg.bath)
+    f_vals = (correlation_zero_T if cfg.bath.is_zero_temperature else correlation_finite_T)(times, cfg.bath)
     table = (["t", "re_f", "im_f", "abs_f"], zip(times, np.real(f_vals), np.imag(f_vals), np.abs(f_vals)))
     summary: dict = {"temperature_mode": cfg.bath.temperature_mode}
     if cfg.system is None:

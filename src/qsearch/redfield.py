@@ -142,7 +142,9 @@ class RedfieldTensor:
     def generator(self) -> np.ndarray:
         """Flattened generator L of d(rho)/dt = L rho, rho in row-major order."""
         m2 = self.m * self.m
-        return self.r.reshape(m2, m2) - 1j * np.diag(self.omegas.reshape(m2))
+        gen = self.r.reshape(m2, m2).astype(complex)
+        np.einsum("ii->i", gen)[...] -= 1j * self.omegas.reshape(m2)
+        return gen
 
     def _real_generator(self) -> np.ndarray:
         """The generator as a real matrix acting on x (see _Coordinates).
@@ -283,10 +285,8 @@ def assemble_redfield(
     levels = _eigenvalues_of(source, m)
     rows = coeffs.rows
     counts = coeffs.counts
-    smat = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            smat[i, j] = 2.0 * math.pi * rate_S(levels[i] - levels[j], bath)
+    omegas = levels[:, None] - levels[None, :]
+    smat = 2.0 * math.pi * rate_S(omegas, bath)
     sq = rows**2
     # T[a,c,x] = sum_sites c_a c_c c_x^2 ; U[a,c] = sum_x T S[c,x]
     t3 = np.einsum("j,ja,jc,jx->acx", counts, rows, rows, sq)
@@ -305,7 +305,6 @@ def assemble_redfield(
     np.einsum("abcb->abc", r)[...] -= u[:, None, :]
     np.einsum("abad->abd", r)[...] -= u[None, :, :]
     r *= 0.5
-    omegas = levels[:, None] - levels[None, :]
     r.setflags(write=False)
     omegas.setflags(write=False)
     levels.setflags(write=False)
@@ -569,7 +568,7 @@ def damping_rate(coeffs: CouplingCoefficients, bath: BathSpec, delta: float) -> 
     """
     if delta <= 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
-    return math.pi * coeffs.o1 * (rate_S(delta, bath) + rate_S(-delta, bath))
+    return math.pi * coeffs.o1 * rate_S([delta, -delta], bath).sum()
 
 
 @dataclass(frozen=True)
@@ -608,9 +607,7 @@ def secular_rates(
             "pass force=True to override"
         )
     lam12 = float(coeffs.lambda_kl[0, 1])
-    two_pi = 2.0 * math.pi
-    w12 = two_pi * lam12 * rate_S(delta, bath)
-    w21 = two_pi * lam12 * rate_S(-delta, bath)
+    w12, w21 = (2.0 * math.pi * lam12 * rate_S([delta, -delta], bath)).tolist()
     total = w12 + w21
     if total <= 0:
         raise InvalidParameterError("total transfer rate is zero; no relaxation")

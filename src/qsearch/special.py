@@ -7,7 +7,9 @@ Re(z) = 1/2 are handled by reflection.
 
 from __future__ import annotations
 
-import cmath
+import math
+
+import numpy as np
 
 # Bernoulli numbers B_2..B_20
 _BERNOULLI = (
@@ -26,22 +28,29 @@ _BERNOULLI = (
 _LIFT_RADIUS = 10.0
 
 
-def trigamma(z: complex) -> complex:
-    """d^2/dz^2 log Gamma(z), for complex z off the nonpositive integers."""
-    z = complex(z)
+def trigamma(z):
+    """d^2/dz^2 log Gamma(z) for complex z off the nonpositive integers.
+
+    Elementwise: an array gives an array of its shape, a scalar a numpy scalar.
+    """
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).reshape(-1)
     # far from the real axis the asymptotic series holds for any Re(z),
     # and sin(pi z) would overflow; reflect only near the axis
-    if z.real < 0.5 and abs(z.imag) <= 100.0:
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise ZeroDivisionError(f"trigamma pole at z={z}")
-        return -trigamma(1.0 - z) + (cmath.pi / s) ** 2
-    acc = 0.0 + 0.0j
-    while abs(z) < _LIFT_RADIUS:
-        acc += 1.0 / (z * z)
-        z += 1.0
-    w = 1.0 / (z * z)
-    tail = 0.0 + 0.0j
+    reflect = (z.real < 0.5) & (np.abs(z.imag) <= 100.0)
+    w = np.where(reflect, 1.0 - z, z)
+    acc = np.zeros_like(w)
+    # every lifted point has Re(w) >= 1/2, so this ends within _LIFT_RADIUS rounds
+    while (lift := np.abs(w) < _LIFT_RADIUS).any():
+        acc += np.where(lift, 1.0 / (w * w), 0.0)
+        w += lift
+    u = 1.0 / (w * w)
+    tail = np.zeros_like(u)
     for b in reversed(_BERNOULLI):
-        tail = (tail + b) * w
-    return acc + 1.0 / z + 0.5 * w + tail / z
+        tail = (tail + b) * u
+    out = acc + 1.0 / w + 0.5 * u + tail / w
+    s = np.sin(math.pi * z[reflect])
+    if not s.all():
+        raise ZeroDivisionError(f"trigamma pole at z={z[reflect][s == 0][0]}")
+    out[reflect] = -out[reflect] + (math.pi / s) ** 2
+    return out.reshape(shape)[()]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -238,3 +240,61 @@ def test_correlation_quadrature_scalar_only() -> None:
     value = correlation_quadrature(0.25, FINITE)
     direct = correlation_finite_T(0.25, FINITE)
     assert abs(value - direct) <= 1e-10 * abs(direct)
+
+
+def test_rates_keep_the_shape_of_their_input() -> None:
+    omegas = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    for bath in (FINITE, ZERO):
+        rates = rate_S(omegas, bath)
+        assert rates.shape == (3, 4)
+        for w, value in zip(omegas.ravel(), rates.ravel()):
+            assert value == pytest.approx(rate_S(w, bath), rel=1e-15, abs=0.0)
+    density = spectral_density(np.abs(omegas), FINITE)
+    assert density.shape == (3, 4)
+    times = np.linspace(0.0, 50.0, 12).reshape(4, 3)
+    corr = correlation_finite_T(times, FINITE)
+    assert corr.shape == (4, 3)
+    for t, value in zip(times.ravel(), corr.ravel()):
+        assert value == pytest.approx(correlation_finite_T(t, FINITE), rel=1e-14)
+
+
+def test_scalar_inputs_give_scalars_that_format_and_serialise() -> None:
+    values = (
+        rate_S(0.5, FINITE),
+        rate_S(-0.5, ZERO),
+        spectral_density(0.5, FINITE),
+        correlation_finite_T(2.0, FINITE).real,
+        correlation_zero_T(2.0, ZERO).imag,
+    )
+    for value in values:
+        assert isinstance(value, float) and np.ndim(value) == 0
+        assert json.loads(json.dumps(value)) == value
+        assert float("%.12g" % value) == pytest.approx(value, rel=1e-11)
+    assert isinstance(correlation_finite_T(2.0, FINITE), complex)
+
+
+def test_spectral_density_refuses_any_negative_entry() -> None:
+    with pytest.raises(OutOfRegimeError, match="-0.25"):
+        spectral_density(np.array([[0.0, 1.0], [-0.25, 2.0]]), FINITE)
+
+
+def test_rate_when_the_bose_factor_underflows() -> None:
+    # beta * omega = 2500: e^x overflows a double, so absorption is exactly zero
+    cold = BathSpec(g=0.02, beta=5000.0, omega_c=2.0)
+    assert rate_S(0.5, cold) == spectral_density(0.5, cold)
+    assert rate_S(-0.5, cold) == 0.0
+    assert rate_S(0.0, cold) == pytest.approx(0.0004 / 5000.0, rel=1e-14)
+
+
+def test_correlation_peak_memory_is_bounded() -> None:
+    # the per-point form (a Python complex per point, then the array) peaked at
+    # 5,601,336 traced bytes on these 10^5 points (numpy 2.4); blocking keeps the
+    # result plus one block's temporaries, 2,331,056 bytes
+    times = np.linspace(0.0, 100.0, 100_000)
+    tracemalloc.start()
+    try:
+        correlation_finite_T(times, FINITE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_601_336

@@ -3,10 +3,15 @@ from __future__ import annotations
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsearch import experiments
+from qsearch.bath import CHI_MARKOV, CHI_SECULAR, BathSpec, validate_approximations
 from qsearch.cli import EXIT_CONFIG
 from qsearch.cli import main as cli_main
 from qsearch.errors import ConfigError, InvalidParameterError
@@ -821,3 +826,52 @@ def test_sweep_relaxation_vs_sigma_zero_temperature() -> None:
 def test_module_constants_status() -> None:
     assert set(SWEEP_PARAMETERS) == {"n", "sigma", "beta", "g", "omega_c"}
     assert "sweep" in MODES and "validate" in MODES
+
+
+def _recording(name: str, store: dict):
+    """Patch experiments.<name> to keep its last return value in store[name]."""
+    real = getattr(experiments, name)
+
+    def wrapper(*args, **kwargs):
+        store[name] = real(*args, **kwargs)
+        return store[name]
+
+    return mock.patch.object(experiments, name, wrapper)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(64, 4096),
+    sigma_frac=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**16),
+    beta_frac=st.floats(1.05, 4.0),
+    g_frac=st.floats(0.05, 0.95),
+    omega_c=st.floats(1.0, 4.0),
+)
+def test_relax_keeps_the_physical_invariants(n, sigma_frac, seed, beta_frac, g_frac, omega_c) -> None:
+    """Detailed balance, trace, Hermiticity and the Gibbs fixed point through _relax."""
+    sys_cfg = experiments.SystemConfig(
+        n=n, sigma=sigma_frac / math.sqrt(n), seed=seed, gamma_policy="shifted"
+    )
+    tl, eps_w = experiments._reduced_system(sys_cfg)
+    # inside the validity region: two-level bound, memoryless bath, coarse graining
+    beta = beta_frac * math.log(n) / (1.0 - tl.delta)
+    g = g_frac * min(CHI_MARKOV / beta, CHI_SECULAR * math.sqrt(tl.delta / beta))
+    bath = BathSpec(g=g, beta=beta, omega_c=omega_c)
+    report = validate_approximations(bath, tl.delta, n)
+    assert (report.markov_status, report.secular_status, report.two_level_ok) == ("ok", "ok", True)
+    grid = experiments.GridConfig(points=200)
+    gibbs = 1.0 / (1.0 + math.exp(-beta * tl.delta))
+
+    _, _, summary = experiments._relax(tl, eps_w, bath, grid, force=False, secular=True)
+    rates = summary["rates"]
+    assert rates["w12"] / rates["w21"] == pytest.approx(math.exp(beta * tl.delta), rel=1e-10)
+    assert rates["p_suc"] == pytest.approx(gibbs, abs=1e-4)
+
+    seen: dict = {}
+    with _recording("integrate_master", seen), _recording("steady_state", seen):
+        experiments._relax(tl, eps_w, bath, grid, force=False, secular=False)
+    rhos = seen["integrate_master"].rhos
+    assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() <= 1e-9
+    assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() <= 1e-12
+    assert float(np.real(seen["steady_state"][0, 0])) == pytest.approx(gibbs, abs=1e-4)

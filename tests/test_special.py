@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from qsearch.special import trigamma
@@ -68,3 +69,23 @@ def test_trigamma_large_imaginary_part_does_not_overflow() -> None:
 def test_trigamma_conjugate_symmetry() -> None:
     z = complex(1.7, 2.9)
     assert trigamma(z.conjugate()) == pytest.approx(trigamma(z).conjugate(), rel=1e-14)
+
+
+def test_trigamma_on_an_array_matches_reference() -> None:
+    got = trigamma(np.array(POINTS, dtype=complex))
+    assert got.shape == (len(POINTS),)
+    for z, value in zip(POINTS, got):
+        want = complex(mpmath.polygamma(1, mpmath.mpc(z)))
+        assert abs(value - want) <= 5e-14 * abs(want)
+
+
+def test_trigamma_keeps_the_shape_and_returns_a_scalar_for_a_scalar() -> None:
+    grid = np.array(POINTS[:12], dtype=complex).reshape(3, 4)
+    assert trigamma(grid).shape == (3, 4)
+    value = trigamma(complex(1.0, 1.0))
+    assert isinstance(value, complex) and np.ndim(value) == 0
+
+
+def test_trigamma_raises_at_a_pole_inside_an_array() -> None:
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        trigamma(np.array([1.0, 0.0, complex(2.0, 3.0)]))
