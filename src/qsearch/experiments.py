@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bath import BathSpec, correlation_finite_T, correlation_zero_T, validate_approximations
-from .errors import ConfigError, InvalidParameterError, NoEstimateError
+from .errors import ConfigError, DenseLimitError, InvalidParameterError
 from .model import (
     DENSE_LIMIT,
     SearchHamiltonian,
@@ -31,9 +31,11 @@ from .model import (
     sample_disorder,
 )
 from .redfield import (
+    SecularRates,
+    _decay_times,
+    _memory_budget,
     assemble_redfield,
     damping_rate,
-    extract_relaxation_time,
     integrate_master,
     secular_populations,
     secular_rates,
@@ -61,6 +63,11 @@ _BATH_KEYS = {"beta", "g", "omega_c", "eta", "d"}
 _GRID_KEYS = {"t_max", "points"}
 _SWEEP_KEYS = {"parameter", "values", "seeds", "fit"}
 _OUTPUT_KEYS = {"stem"}
+# points x grid points per relaxation stack in a sweep: bounds its arrays
+_STACK_BLOCK = 1 << 16
+# bytes a sweep holds per (value, seed) row until it writes its table:
+# tracemalloc gave 600-850 per row over 4000-16000 rows
+_SWEEP_ROW_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -283,6 +290,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError(f"swept n must be >= 2 and exceed system.w = {point.w}, got {point.n}")
             if not 0 <= point.sigma < 1:
                 raise ConfigError(f"swept sigma must be nonnegative and below 1, got {point.sigma}")
+        # the rows are all held until the table is written
+        rows = len(sweep_cfg.values) * sweep_cfg.seeds
+        need = rows * float(_SWEEP_ROW_BYTES)
+        budget = _memory_budget()
+        if need > budget:
+            raise DenseLimitError(
+                f"sweep.seeds = {sweep_cfg.seeds} over {len(sweep_cfg.values)} values makes a table of "
+                f"{rows} rows, about {need / 2**30:.3g} GiB, more than the {budget / 2**30:.3g} GiB "
+                "this process can still allocate"
+            )
     if mode in ("redfield", "secular", "sweep"):
         g_min = min(point_bath.g for _, point_bath in points)
         if g_min <= 0:
@@ -370,8 +387,15 @@ def _projected_initial_state(tl: TwoLevelSystem) -> Tuple[np.ndarray, float]:
     return rho0, 1.0 - weight
 
 
-def _times(grid: GridConfig, t_max: float) -> np.ndarray:
-    return np.linspace(0.0, grid.t_max if grid.t_max is not None else t_max, grid.points)
+def _times(grid: GridConfig, t_max) -> np.ndarray:
+    """The time grid of a default window t_max; an array of P windows gives P rows.
+
+    Each row is bitwise the grid of its window alone. The rows are
+    contiguous (linspace lays a stack out by columns), so that whatever is
+    computed from them is too.
+    """
+    stop = t_max if grid.t_max is None else np.broadcast_to(grid.t_max, np.shape(t_max))
+    return np.ascontiguousarray(np.linspace(0.0, stop, grid.points, axis=-1))
 
 
 def _gibbs_p_suc(beta: float, delta: float) -> float:
@@ -414,77 +438,95 @@ def _run_unitary(cfg: ExperimentConfig, force: bool) -> _Output:
 
 
 def _relax(
-    tl: TwoLevelSystem, eps_w: float, bath: BathSpec, grid: GridConfig, force: bool, secular: bool
-) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], dict]:
-    """Relax the projected uniform state of the reduced pair tl and fit t_rel.
+    tls: Sequence[TwoLevelSystem],
+    eps_ws: Sequence[float],
+    bath: BathSpec,
+    grid: GridConfig,
+    force: bool,
+    secular: bool,
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], List[dict]]:
+    """Relax the projected uniform state of each reduced pair in tls and fit t_rel.
 
-    The secular path propagates the populations on transfer rates (default
-    window 6 t_rel, zero coherence); the tensor path integrates the full
-    two-level Redfield tensor (default window 6/gamma). eps_w is reported
-    in the summary only. Returns (times, columns, summary): the columns are
-    p_w, rho11, rho22, re_rho12 and im_rho12; the summary carries the
-    scalar results, with t_rel_fit None and the reason in fit_note when no
-    decay time can be fitted.
+    The pairs are one stack along a leading points axis. The secular path
+    propagates their populations on transfer rates (default window
+    6 t_rel, zero coherence): one rate call and one population array for
+    the whole stack. The tensor path integrates the full two-level Redfield
+    tensor of its one pair (default window 6/gamma). eps_ws are reported
+    in the summaries only. Returns (times, columns, summaries): times and
+    the columns p_w, rho11, rho22, re_rho12 and im_rho12 have one row per
+    pair, and each summary holds its pair's scalar results, with t_rel_fit
+    None and the reason in fit_note when no decay time can be fitted.
     """
-    coeffs = coupling_coefficients(tl, retained=2)
-    rho0, defect = _projected_initial_state(tl)
+    coeffs = [coupling_coefficients(tl, retained=2) for tl in tls]
+    starts = [_projected_initial_state(tl) for tl in tls]
+    # squared by Python's float pow, pair by pair: numpy squares by x*x,
+    # which differs from pow in the last bit for about 1 value in 1200
+    a1sq = np.array([[tl.a1**2] for tl in tls])
+    a2sq = np.array([[tl.a2**2] for tl in tls])
     if secular:
-        rates = secular_rates(coeffs, bath, tl.delta, force=force)
-        times = _times(grid, 6.0 * rates.t_rel)
-        rho11 = secular_populations(rates, times, float(np.real(rho0[0, 0])))
+        rates = secular_rates(coeffs, bath, np.array([[tl.delta] for tl in tls]), force=force)
+        times = _times(grid, 6.0 * rates.t_rel[:, 0])
+        rho11 = secular_populations(rates, times, np.array([[np.real(rho0[0, 0])] for rho0, _ in starts]))
         rho22 = 1.0 - rho11
-        zeros = np.zeros_like(times)
-        columns = (tl.a1**2 * rho11 + tl.a2**2 * rho22, rho11, rho22, zeros, zeros)
-        p_suc = rates.p_suc
-        p_w_steady = tl.a1**2 * p_suc + tl.a2**2 * (1.0 - p_suc)
-        summary = {"rates": rates.to_dict(), "t_rel_formula": rates.t_rel}
+        zeros = np.broadcast_to(0.0, times.shape)
+        p_w = a1sq * rho11
+        p_w += a2sq * rho22  # in place: one (P, N) temporary fewer at the stack's peak
+        columns = (p_w, rho11, rho22, zeros, zeros)
+        p_suc = rates.p_suc[:, 0]
+        p_w_steady = (a1sq * rates.p_suc + a2sq * (1.0 - rates.p_suc))[:, 0]
+        per_pair = zip(*(x[:, 0].tolist() for x in vars(rates).values()))
+        records = [SecularRates(*row).to_dict() for row in per_pair]
+        extras = [{"rates": record, "t_rel_formula": record["t_rel"]} for record in records]
     else:
-        tensor = assemble_redfield(coeffs, tl, bath, force=force)
-        gamma = damping_rate(coeffs, bath, tl.delta)
+        # the tensor path relaxes one pair: every seed of a sigma = 0 value is the same point
+        (tl,), (c,), ((rho0, _),) = tls, coeffs, starts
+        tensor = assemble_redfield(c, tl, bath, force=force)
+        gamma = damping_rate(c, bath, tl.delta)
         if gamma == 0.0:  # g > 0 whose square underflows
             raise InvalidParameterError(f"the damping rate at g = {bath.g} is zero; nothing relaxes")
-        times = _times(grid, 6.0 / gamma)
-        traj = integrate_master(tensor, rho0, times)
+        times = _times(grid, 6.0 / gamma)[None]
+        traj = integrate_master(tensor, rho0, times[0])
         series = solution_population(traj, tl)
         rhos = traj.rhos
-        columns = (
+        columns = tuple(col[None] for col in (
             series.values, np.real(rhos[:, 0, 0]), np.real(rhos[:, 1, 1]),
             np.real(rhos[:, 0, 1]), np.imag(rhos[:, 0, 1]),
-        )
-        p_suc = _gibbs_p_suc(bath.beta, tl.delta)
+        ))
+        p_suc = np.array([_gibbs_p_suc(bath.beta, tl.delta)])
         wrow = np.array([tl.a1, tl.a2])
-        p_w_steady = float(np.real(wrow @ steady_state(tensor) @ wrow))
-        summary = {
+        p_w_steady = np.array([np.real(wrow @ steady_state(tensor) @ wrow)])
+        extras = [{
             "gamma_damping": gamma,
             "regime": "underdamped" if gamma < tl.delta else "overdamped",
             "t_rel_formula": 1.0 / (2.0 * gamma),
             "truncation_bound": series.truncation_bound,
-        }
-    report = validate_approximations(bath, tl.delta, tl.n)
-    try:
-        t_rel_fit = extract_relaxation_time(times, columns[0], p_w_steady)
-        fit_note = ""
-    except NoEstimateError as exc:
-        t_rel_fit = None
-        fit_note = str(exc)
-    summary.update({
-        "delta": tl.delta,
-        "eps_w": eps_w,
-        "p_suc": p_suc,
-        "p_w_steady": p_w_steady,
-        "t_rel_fit": t_rel_fit,
-        "fit_note": fit_note,
-        "projection_defect": defect,
-        "validity": report.to_dict(),
-    })
-    return times, columns, summary
+        }]
+    fits, notes = _decay_times(times, columns[0], p_w_steady)
+    summaries = []
+    for tl, eps_w, (_, defect), extra, p, steady, t_rel_fit, note in zip(
+        tls, eps_ws, starts, extras, p_suc.tolist(), p_w_steady.tolist(), fits.tolist(), notes
+    ):
+        summaries.append(dict(
+            extra,
+            delta=tl.delta,
+            eps_w=eps_w,
+            p_suc=p,
+            p_w_steady=steady,
+            t_rel_fit=None if note else t_rel_fit,
+            fit_note=note,
+            projection_defect=defect,
+            validity=validate_approximations(bath, tl.delta, tl.n).to_dict(),
+        ))
+    return times, columns, summaries
 
 
 def _run_relaxation(cfg: ExperimentConfig, force: bool) -> _Output:
     tl, eps_w = _reduced_system(cfg.system)
-    times, columns, summary = _relax(tl, eps_w, cfg.bath, cfg.grid, force, secular=cfg.mode == "secular")
+    times, columns, (summary,) = _relax(
+        [tl], [eps_w], cfg.bath, cfg.grid, force, secular=cfg.mode == "secular"
+    )
     header = ["t", "p_w", "rho11", "rho22", "re_rho12", "im_rho12"]
-    return (header, zip(times, *columns)), "summary", summary
+    return (header, zip(times[0], *(col[0] for col in columns))), "summary", summary
 
 
 def _run_correlation(cfg: ExperimentConfig, force: bool) -> _Output:
@@ -565,27 +607,31 @@ def _apply_sweep_value(
     return system, replace(bath, **{parameter: float(value)})
 
 
-def _sweep_point(
-    system: SystemConfig, eps_w: float, bath: BathSpec, grid: GridConfig, force: bool
-) -> dict:
-    """The row of one point, less its value and seed, at the marked-site energy eps_w."""
-    tl = _two_level(system, eps_w)
-    # disordered points relax on secular population rates, disorder-free
-    # points on the full two-level tensor
-    _, _, summary = _relax(tl, eps_w, bath, grid, force, secular=system.sigma > 0)
-    validity = summary["validity"]
-    return {
-        "eps_w": eps_w,
-        "delta": tl.delta,
-        "t_rel_fit": math.nan if summary["t_rel_fit"] is None else summary["t_rel_fit"],
-        "t_rel_formula": summary["t_rel_formula"],
-        "p_suc": summary["p_suc"],
-        "p_peak": reduced_peak(tl)[1],
-        "markov_status": validity["markov_status"],
-        "secular_status": validity["secular_status"],
-        "two_level_ok": validity["two_level_ok"],
-        "note": summary["fit_note"],
-    }
+def _sweep_points(
+    system: SystemConfig, eps_ws: Sequence[float], bath: BathSpec, grid: GridConfig, force: bool
+) -> List[dict]:
+    """The rows of the points at marked-site energies eps_ws, less their value and seed.
+
+    Disordered points relax as one stack on secular population rates; a
+    disorder-free point relaxes on the full two-level tensor.
+    """
+    tls = [_two_level(system, eps_w) for eps_w in eps_ws]
+    _, _, summaries = _relax(tls, eps_ws, bath, grid, force, secular=system.sigma > 0)
+    return [
+        {
+            "eps_w": eps_w,
+            "delta": tl.delta,
+            "t_rel_fit": math.nan if summary["t_rel_fit"] is None else summary["t_rel_fit"],
+            "t_rel_formula": summary["t_rel_formula"],
+            "p_suc": summary["p_suc"],
+            "p_peak": reduced_peak(tl)[1],
+            "markov_status": summary["validity"]["markov_status"],
+            "secular_status": summary["validity"]["secular_status"],
+            "two_level_ok": summary["validity"]["two_level_ok"],
+            "note": summary["fit_note"],
+        }
+        for tl, eps_w, summary in zip(tls, eps_ws, summaries)
+    ]
 
 
 def sweep(cfg: ExperimentConfig, force: bool = False) -> SweepResult:
@@ -593,23 +639,25 @@ def sweep(cfg: ExperimentConfig, force: bool = False) -> SweepResult:
 
     Within one value a point depends on its seed only through eps_w, so the
     seeds that draw the same eps_w (every seed of a sigma = 0 value) share
-    one run, and each gets its own copy of the row. Rows come out in
-    (value, seed) order.
+    one run, and each gets its own copy of the row. A value's distinct
+    points run as stacks of at most _STACK_BLOCK // grid.points points.
+    Rows come out in (value, seed) order.
     """
     sw = cfg.sweep
+    stack = max(1, _STACK_BLOCK // cfg.grid.points)
     rows: List[dict] = []
     per_value = []
     for value in sw.values:
         system, bath = _apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value)
+        # eps_w by its exact bits, so that -0.0 and 0.0 stay apart; fromhex restores it
+        keys = [_marked_energy(replace(system, seed=seed)).hex() for seed in range(sw.seeds)]
+        unique = list(dict.fromkeys(keys))
         solved: Dict[str, dict] = {}
-        for seed in range(sw.seeds):
-            point = replace(system, seed=seed)
-            eps_w = _marked_energy(point)
-            # keyed on the exact bits, so that -0.0 and 0.0 stay apart
-            key = eps_w.hex()
-            if key not in solved:
-                solved[key] = _sweep_point(point, eps_w, bath, cfg.grid, force)
-            rows.append(dict(solved[key], value=value, seed=seed))
+        for i in range(0, len(unique), stack):
+            part = unique[i : i + stack]
+            eps_ws = [float.fromhex(key) for key in part]
+            solved.update(zip(part, _sweep_points(system, eps_ws, bath, cfg.grid, force)))
+        rows.extend(dict(solved[key], value=value, seed=seed) for seed, key in enumerate(keys))
         fits = np.array([r["t_rel_fit"] for r in rows[-sw.seeds:]])
         finite = fits[np.isfinite(fits)]
         if finite.size:

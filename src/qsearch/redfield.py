@@ -33,7 +33,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -573,12 +573,16 @@ def damping_rate(coeffs: CouplingCoefficients, bath: BathSpec, delta: float) -> 
 
 @dataclass(frozen=True)
 class SecularRates:
-    """Population-transfer rates between the retained pair of levels."""
+    """Population-transfer rates between the retained pair of levels.
 
-    w12: float
-    w21: float
-    t_rel: float
-    p_suc: float
+    Each field is a float (a numpy scalar) for one pair, or an array with
+    one entry per pair of a stack.
+    """
+
+    w12: Union[float, np.ndarray]
+    w21: Union[float, np.ndarray]
+    t_rel: Union[float, np.ndarray]
+    p_suc: Union[float, np.ndarray]
 
     def to_dict(self) -> dict:
         # every field is a scalar or a string, so a shallow copy is the whole record
@@ -586,9 +590,9 @@ class SecularRates:
 
 
 def secular_rates(
-    coeffs: CouplingCoefficients,
+    coeffs: Union[CouplingCoefficients, Sequence[CouplingCoefficients]],
     bath: BathSpec,
-    delta: float,
+    delta,
     force: bool = False,
 ) -> SecularRates:
     """Downward/upward rates 2*pi*Lambda_12*S(+-delta) and their summary.
@@ -597,26 +601,42 @@ def secular_rates(
     thermal detailed-balance factor e^(beta delta), making the fixed
     point p_suc = 1/(1 + e^(-beta delta)). Refused outside the
     coarse-graining validity bound unless forced.
+
+    A sequence of P coefficient sets with an array of their P deltas is
+    one stack: one rate_S call on every +-delta, and fields of delta's
+    shape. The refusal names the margin of the first pair that breaks it.
     """
-    if delta <= 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    margin = bath.g * math.sqrt(correlation_time(bath) / delta)
-    if margin >= 1.0 and not force:
+    delta = np.asarray(delta, dtype=float)
+    pairs = [coeffs] if isinstance(coeffs, CouplingCoefficients) else coeffs
+    if len(pairs) != delta.size:
+        raise InvalidParameterError(f"need one delta per coefficient set, got {delta.size} for {len(pairs)}")
+    lam12 = np.array([c.lambda_kl[0, 1] for c in pairs], dtype=float).reshape(delta.shape)
+    if (delta <= 0).any():
+        raise InvalidParameterError(f"delta must be positive, got {delta[delta <= 0][0]}")
+    margin = bath.g * np.sqrt(correlation_time(bath) / delta)
+    broken = margin >= 1.0
+    if broken.any() and not force:
         raise ValidityError(
-            f"coarse-graining margin g*sqrt(delta_t/delta) = {margin:.3g} >= 1; "
+            f"coarse-graining margin g*sqrt(delta_t/delta) = {margin[broken][0]:.3g} >= 1; "
             "pass force=True to override"
         )
-    lam12 = float(coeffs.lambda_kl[0, 1])
-    w12, w21 = (2.0 * math.pi * lam12 * rate_S([delta, -delta], bath)).tolist()
+    rates = 2.0 * math.pi * lam12[..., None] * rate_S(np.stack([delta, -delta], axis=-1), bath)
+    w12, w21 = rates[..., 0], rates[..., 1]
     total = w12 + w21
-    if total <= 0:
+    if (total <= 0).any():
         raise InvalidParameterError("total transfer rate is zero; no relaxation")
-    return SecularRates(w12=w12, w21=w21, t_rel=1.0 / total, p_suc=w12 / total)
+    # [()] makes the fields of one pair numpy scalars (floats) and leaves a stack's arrays
+    return SecularRates(w12=w12[()], w21=w21[()], t_rel=(1.0 / total)[()], p_suc=(w12 / total)[()])
 
 
-def secular_populations(rates: SecularRates, t, rho11_0: float):
-    """Ground-level population at time(s) t from initial value rho11_0."""
-    if not (0.0 <= rho11_0 <= 1.0):
+def secular_populations(rates: SecularRates, t, rho11_0):
+    """Ground-level population at time(s) t from initial value rho11_0.
+
+    Broadcasts: a stack's rates fields and rho11_0 as (P, 1) columns
+    against a (P, N) t give one row per pair.
+    """
+    rho11_0 = np.asarray(rho11_0, dtype=float)
+    if not ((rho11_0 >= 0.0) & (rho11_0 <= 1.0)).all():
         raise InvalidParameterError(f"rho11_0 must be in [0, 1], got {rho11_0}")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
@@ -662,44 +682,97 @@ def solution_population(
     return PopulationSeries(times=traj.times, values=values, truncation_bound=bound)
 
 
+def _sign_changes(series: np.ndarray) -> np.ndarray:
+    """Slope sign changes along each row, zero steps skipped.
+
+    The nonzero steps of all rows, in row-major order, are compared with
+    their predecessors, and a change counts for its row when both steps
+    lie in it.
+    """
+    sign = np.sign(np.diff(series, axis=1))
+    row, col = np.nonzero(sign)
+    steps = sign[row, col]
+    change = (row[1:] == row[:-1]) & (steps[1:] != steps[:-1])
+    return np.bincount(row[1:][change], minlength=series.shape[0])
+
+
+def _centred(x: np.ndarray, drop: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """x less its mean over the entries not dropped, row by row, and 0 where dropped; in place."""
+    x[drop] = 0.0
+    x -= (x.sum(axis=1) / count)[:, None]
+    x[drop] = 0.0
+    return x
+
+
+def _decay_times(times, values, targets) -> Tuple[np.ndarray, List[str]]:
+    """Exponential-decay time of |values - target| of each row of a (P, N) stack.
+
+    The rule of extract_relaxation_time, row by row, with the fit in
+    closed form: the least-squares slope of log|residual| against t is
+    sum(dt dy) / sum(dt^2) over the kept points, dt and dy centred on
+    their means. Returns (t_rel, notes): t_rel is NaN and the note gives
+    the reason where a row has no estimate, and the note is "" elsewhere.
+    A row's result is bitwise that of its stack of one: the series are
+    taken row-contiguous, so every row sum is the same pairwise sum (summed
+    across a column-major stack, numpy adds the rows' terms in another
+    order).
+    """
+    t = np.ascontiguousarray(times, dtype=float)
+    v = np.ascontiguousarray(values, dtype=float)
+    target = np.asarray(targets, dtype=float)
+    if t.shape != v.shape or t.ndim != 2 or t.shape[1] < 4 or target.shape != t.shape[:1]:
+        raise InvalidParameterError("need matching 1-d series with at least 4 points")
+    if (target == 0.0).any():
+        raise InvalidParameterError("target must be nonzero to scale the residual check")
+    i0 = int(0.4 * t.shape[1])
+    changes = _sign_changes(v[:, i0:])
+    rw = np.subtract(v[:, i0:], target[:, None])
+    np.abs(rw, out=rw)
+    end = rw[:, -1].copy()
+    scale = np.abs(target)
+    unconverged = end > 0.05 * scale
+    # oscillatory rows with three or more local maxima are fitted through them
+    peaks = np.zeros(rw.shape, dtype=bool)
+    peaks[:, 1:-1] = (rw[:, 1:-1] >= rw[:, :-2]) & (rw[:, 1:-1] >= rw[:, 2:])
+    envelope = (changes >= 3) & (peaks.sum(axis=1) >= 3)
+    drop = np.where(envelope[:, None], ~peaks, False) | ~(rw > 0.0)
+    count = rw.shape[1] - drop.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log 0 and the rows with fewer than two points give inf and NaN, all dropped
+        dy = _centred(np.log(rw, out=rw), drop, count)
+        dt = _centred(t[:, i0:].copy(), drop, count)
+        slope = (dt * dy).sum(axis=1) / (dt * dt).sum(axis=1)
+        few = count < 2
+        fitted = ~unconverged & ~few & (slope < 0)
+        t_rel = np.where(fitted, -1.0 / slope, math.nan)
+    notes = [""] * t.shape[0]
+    for i in np.flatnonzero(~fitted).tolist():
+        if unconverged[i]:
+            notes[i] = (
+                f"series is {end[i]:.3g} from target at window end (> 5% of {scale[i]:.3g})"
+            )
+        elif few[i]:
+            notes[i] = "too few nonzero residuals to fit a decay rate"
+        else:
+            notes[i] = f"residual is not decaying (fit slope {slope[i]:.3g})"
+    return t_rel, notes
+
+
 def extract_relaxation_time(times, values, target: float) -> float:
     """Exponential-decay time of |values - target| over the final 60% window.
 
     Oscillatory approaches (three or more slope sign changes in the
-    window) are fitted through the local maxima of the residual, i.e.
-    the envelope; monotone approaches use every point. Raises when the
-    series has not converged to within 5% of the target by the window
-    end, or when no decaying fit is possible.
+    window, zero steps skipped) are fitted through the local maxima of
+    the residual, i.e. the envelope, when it has three or more; monotone
+    approaches use every point. Zero residuals are dropped, and the decay
+    rate is the closed-form least-squares slope of log|residual| against
+    t. Raises when the series has not converged to within 5% of the
+    target by the window end, or when no decaying fit is possible. One
+    row of _decay_times.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.shape != v.shape or t.ndim != 1 or t.size < 4:
-        raise InvalidParameterError("need matching 1-d series with at least 4 points")
-    if target == 0.0:
-        raise InvalidParameterError("target must be nonzero to scale the residual check")
-    i0 = int(0.4 * t.size)
-    tw = t[i0:]
-    rw = np.abs(v[i0:] - target)
-    if rw[-1] > 0.05 * abs(target):
-        raise NoEstimateError(
-            f"series is {rw[-1]:.3g} from target at window end (> 5% of {abs(target):.3g})"
-        )
-    dv = np.diff(v[i0:])
-    dv = dv[dv != 0.0]
-    sign_changes = int(np.sum(np.sign(dv[1:]) != np.sign(dv[:-1]))) if dv.size > 1 else 0
-    if sign_changes >= 3:
-        peaks = [
-            i
-            for i in range(1, rw.size - 1)
-            if rw[i] >= rw[i - 1] and rw[i] >= rw[i + 1]
-        ]
-        if len(peaks) >= 3:
-            tw, rw = tw[peaks], rw[peaks]
-    keep = rw > 0.0
-    tw, rw = tw[keep], rw[keep]
-    if tw.size < 2:
-        raise NoEstimateError("too few nonzero residuals to fit a decay rate")
-    slope = np.polyfit(tw, np.log(rw), 1)[0]
-    if slope >= 0:
-        raise NoEstimateError(f"residual is not decaying (fit slope {slope:.3g})")
-    return -1.0 / float(slope)
+    (t_rel,), (note,) = _decay_times(t[None], v[None], np.array([target], dtype=float))
+    if note:
+        raise NoEstimateError(note)
+    return float(t_rel)

@@ -266,7 +266,8 @@ def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
     finite. The other levels are lam = mu + gamma over the roots mu of the
     secular equation; their eigenvectors are u_j = 1/(a_j - mu), which gives
     <w|lam> = 1/((a_w - mu)||u||) and <lam|s> = 1/(gamma sqrt(n) ||u||).
-    Roots are solved _SECULAR_ROWS at a time. Each iteration sums the poles
+    Roots are solved _SECULAR_ROWS at a time after the ground pair, which
+    is solved on its own. Each iteration sums the poles
     near the block exactly and the rest by their far-field series
     (_far_field), so the work arrays are a block of roots by its near
     poles, never n x n.
@@ -293,8 +294,11 @@ def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
     roots = np.empty(k)
     w_overlaps = np.empty(k)
     norms = np.empty(k)
-    for start in range(0, k, _SECULAR_ROWS):
-        stop = min(start + _SECULAR_ROWS, k)
+    # the ground pair is a block of its own: root 1 lies in the wide gap
+    # between the marked pole and the band, where the far-field series
+    # would not converge fast, so a block holding it sums all n poles
+    bounds = [0, *range(min(2, k), k, _SECULAR_ROWS), k]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         origin, tau, norm2 = _secular_block(poles, weights, gamma, start, stop)
         base = poles[origin]
         norms[start:stop] = np.sqrt(norm2)

@@ -2,9 +2,10 @@
 
 The disorder-free two-level Pauli-basis Bloch matrix and closed-form
 damped coherence, the coefficient sums and materialized forms that only
-these checks read, and the column loop that the vectorised eigenvector
-phase convention and the first-peak search replaced. No mode of the
-package calls them.
+these checks read, the column loop that the vectorised eigenvector
+phase convention and the first-peak search replaced, and the per-series
+np.polyfit form of the relaxation-time fit that the row-wise closed-form
+fit replaced. No mode of the package calls them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from qsearch.bath import BathSpec, rate_S
-from qsearch.errors import InvalidParameterError
+from qsearch.errors import InvalidParameterError, NoEstimateError
 from qsearch.redfield import Trajectory
 from qsearch.spectral import CouplingCoefficients
 
@@ -67,6 +68,42 @@ def first_peak_index_by_loop(values: np.ndarray) -> int:
         if values[i] >= values[i - 1] and values[i] >= values[i + 1] and values[i] >= 0.5 * best:
             return i
     return int(np.argmax(values))
+
+
+def extract_relaxation_time_by_polyfit(times, values, target: float) -> float:
+    """Per-series np.polyfit form of redfield.extract_relaxation_time."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if t.shape != v.shape or t.ndim != 1 or t.size < 4:
+        raise InvalidParameterError("need matching 1-d series with at least 4 points")
+    if target == 0.0:
+        raise InvalidParameterError("target must be nonzero to scale the residual check")
+    i0 = int(0.4 * t.size)
+    tw = t[i0:]
+    rw = np.abs(v[i0:] - target)
+    if rw[-1] > 0.05 * abs(target):
+        raise NoEstimateError(
+            f"series is {rw[-1]:.3g} from target at window end (> 5% of {abs(target):.3g})"
+        )
+    dv = np.diff(v[i0:])
+    dv = dv[dv != 0.0]
+    sign_changes = int(np.sum(np.sign(dv[1:]) != np.sign(dv[:-1]))) if dv.size > 1 else 0
+    if sign_changes >= 3:
+        peaks = [
+            i
+            for i in range(1, rw.size - 1)
+            if rw[i] >= rw[i - 1] and rw[i] >= rw[i + 1]
+        ]
+        if len(peaks) >= 3:
+            tw, rw = tw[peaks], rw[peaks]
+    keep = rw > 0.0
+    tw, rw = tw[keep], rw[keep]
+    if tw.size < 2:
+        raise NoEstimateError("too few nonzero residuals to fit a decay rate")
+    slope = np.polyfit(tw, np.log(rw), 1)[0]
+    if slope >= 0:
+        raise NoEstimateError(f"residual is not decaying (fit slope {slope:.3g})")
+    return -1.0 / float(slope)
 
 
 def pauli_two_level_matrix(

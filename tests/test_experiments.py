@@ -487,7 +487,7 @@ def test_sweep_rows_and_per_value_structure() -> None:
 
 
 def _reference_sweep_rows(cfg, force: bool) -> list:
-    """One _sweep_point per (value, seed), eps_w read from the full n-site field."""
+    """A stack of one point per (value, seed), eps_w read from the full n-site field."""
     import dataclasses
 
     import qsearch.experiments as experiments
@@ -500,7 +500,7 @@ def _reference_sweep_rows(cfg, force: bool) -> list:
         for seed in range(sw.seeds):
             point = dataclasses.replace(system, seed=seed)
             eps_w = float(sample_disorder(point.n, point.sigma, "uniform", seed).epsilons[point.w])
-            row = experiments._sweep_point(point, eps_w, bath, cfg.grid, force)
+            (row,) = experiments._sweep_points(point, [eps_w], bath, cfg.grid, force)
             rows.append(dict(row, value=value, seed=seed))
     return rows
 
@@ -514,20 +514,63 @@ def test_sweep_runs_each_distinct_point_once(monkeypatch, sigma, runs) -> None:
     doc["sweep"]["seeds"] = 4
     cfg = parse_config(doc)
     expected = [json.dumps(r, sort_keys=True) for r in _reference_sweep_rows(cfg, force=True)]
-    relaxed = []
+    carried = []
     relax = experiments._relax
 
-    def counting(*args, **kwargs):
-        relaxed.append(args)
-        return relax(*args, **kwargs)
+    def counting(tls, *args, **kwargs):
+        carried.append(len(tls))
+        return relax(tls, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_relax", counting)
     rows = sweep(cfg, force=True).rows
-    # at sigma = 0 every seed of a value is the same point; each value runs once
-    assert len(relaxed) == runs
+    # at sigma = 0 every seed of a value is the same point; each value runs
+    # its distinct points as one stack
+    assert carried == [runs // 3] * 3
     assert [json.dumps(r, sort_keys=True) for r in rows] == expected
     assert len({id(r) for r in rows}) == 12
     assert [r["seed"] for r in rows] == [0, 1, 2, 3] * 3
+
+
+def test_a_disordered_value_makes_one_rate_call(monkeypatch) -> None:
+    import qsearch.bath as bath
+    import qsearch.redfield as redfield
+
+    calls = []
+    rate_s = bath.rate_S
+
+    def counting(omega, spec):
+        calls.append(np.shape(omega))
+        return rate_s(omega, spec)
+
+    for module in (bath, redfield):
+        monkeypatch.setattr(module, "rate_S", counting)
+    doc = _small_sweep_doc([1e4, 1e5], fit=False)
+    doc["sweep"].update(parameter="n", seeds=5)
+    rows = sweep(parse_config(doc), force=True).rows
+    assert len(rows) == 10 and len({r["eps_w"] for r in rows}) == 5
+    # one call per value, on the +-delta of its five points
+    assert calls == [(5, 1, 2)] * 2
+
+
+def test_a_sweep_table_that_cannot_fit_is_refused_at_parse(tmp_path, capsys, monkeypatch) -> None:
+    def no_points(*_args, **_kwargs):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(experiments, "_relax", no_points)
+    doc = _small_sweep_doc([10.0, 20.0, 30.0], fit=False)
+    doc["sweep"]["seeds"] = 10**9
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "sweep.seeds = 1000000000" in capsys.readouterr().err
+    # the estimate is the rows times their bytes, against what the process can still allocate
+    doc["sweep"]["seeds"] = 4
+    monkeypatch.setattr(experiments, "_memory_budget", lambda: 12 * experiments._SWEEP_ROW_BYTES - 1)
+    path.write_text(json.dumps(doc))
+    assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "table of 12 rows" in capsys.readouterr().err
+    monkeypatch.setattr(experiments, "_memory_budget", lambda: 12 * experiments._SWEEP_ROW_BYTES)
+    assert parse_config(doc).sweep.seeds == 4
 
 
 def test_sigma_sweep_collapses_only_the_disorder_free_value(monkeypatch) -> None:
@@ -539,13 +582,13 @@ def test_sigma_sweep_collapses_only_the_disorder_free_value(monkeypatch) -> None
     relaxed = []
     relax = experiments._relax
 
-    def counting(tl, eps_w, *args, **kwargs):
-        relaxed.append(eps_w)
-        return relax(tl, eps_w, *args, **kwargs)
+    def counting(tls, eps_ws, *args, **kwargs):
+        relaxed.append(list(eps_ws))
+        return relax(tls, eps_ws, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_relax", counting)
     rows = sweep(cfg, force=True).rows
-    assert len(relaxed) == 1 + 3 and relaxed.count(0.0) == 1
+    assert [len(eps_ws) for eps_ws in relaxed] == [1, 3] and relaxed[0] == [0.0]
     assert [(r["value"], r["seed"]) for r in rows] == [(0.0, 0), (0.0, 1), (0.0, 2), (0.01, 0), (0.01, 1), (0.01, 2)]
     assert len({r["eps_w"] for r in rows[3:]}) == 3
 
@@ -556,13 +599,13 @@ def test_sweep_points_run_on_the_calling_thread(tmp_path, monkeypatch) -> None:
     import qsearch.experiments as experiments
 
     threads = []
-    point = experiments._sweep_point
+    points = experiments._sweep_points
 
-    def spy(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return point(*args, **kwargs)
+    def spy(system, eps_ws, *args, **kwargs):
+        threads.extend([threading.get_ident()] * len(eps_ws))
+        return points(system, eps_ws, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_sweep_point", spy)
+    monkeypatch.setattr(experiments, "_sweep_points", spy)
     # the workers keyword is accepted and ignored
     cfg = parse_config(_small_sweep_doc([10.0, 20.0, 30.0]))
     run(cfg, out_dir=str(tmp_path), force=True, workers=4)
@@ -598,7 +641,7 @@ def test_sweep_fit_over_nonpositive_values_is_refused_at_parse(tmp_path, monkeyp
     def no_points(*_args, **_kwargs):
         raise AssertionError("a sweep point ran")
 
-    monkeypatch.setattr("qsearch.experiments._sweep_point", no_points)
+    monkeypatch.setattr("qsearch.experiments._sweep_points", no_points)
     assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
@@ -636,7 +679,7 @@ def test_swept_points_are_checked_before_any_runs(tmp_path, capsys, monkeypatch)
     def no_points(*_args, **_kwargs):
         raise AssertionError("a sweep point ran")
 
-    monkeypatch.setattr("qsearch.experiments._sweep_point", no_points)
+    monkeypatch.setattr("qsearch.experiments._sweep_points", no_points)
     n_below_w = {
         "mode": "sweep",
         "system": {"n": 100, "sigma": 0.01, "seed": 1, "w": 50},
@@ -863,14 +906,14 @@ def test_relax_keeps_the_physical_invariants(n, sigma_frac, seed, beta_frac, g_f
     grid = experiments.GridConfig(points=200)
     gibbs = 1.0 / (1.0 + math.exp(-beta * tl.delta))
 
-    _, _, summary = experiments._relax(tl, eps_w, bath, grid, force=False, secular=True)
+    _, _, (summary,) = experiments._relax([tl], [eps_w], bath, grid, force=False, secular=True)
     rates = summary["rates"]
     assert rates["w12"] / rates["w21"] == pytest.approx(math.exp(beta * tl.delta), rel=1e-10)
     assert rates["p_suc"] == pytest.approx(gibbs, abs=1e-4)
 
     seen: dict = {}
     with _recording("integrate_master", seen), _recording("steady_state", seen):
-        experiments._relax(tl, eps_w, bath, grid, force=False, secular=False)
+        experiments._relax([tl], [eps_w], bath, grid, force=False, secular=False)
     rhos = seen["integrate_master"].rhos
     assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() <= 1e-9
     assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() <= 1e-12

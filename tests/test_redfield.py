@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsearch.bath import BathSpec
+from qsearch.bath import BathSpec, correlation_time
 from qsearch import redfield
 from qsearch.errors import (
     ContractViolationError,
@@ -31,7 +32,13 @@ from qsearch.redfield import (
     steady_state,
 )
 from qsearch.spectral import coupling_coefficients, eigendecompose, reduce_two_level
-from reference import analytic_population, analytic_rho_x, pauli_two_level_matrix, traces
+from reference import (
+    analytic_population,
+    analytic_rho_x,
+    extract_relaxation_time_by_polyfit,
+    pauli_two_level_matrix,
+    traces,
+)
 
 ZERO_T = BathSpec(g=0.02, beta=math.inf, omega_c=2.0)
 
@@ -276,6 +283,22 @@ def test_secular_rates_refuses_invalid_regime() -> None:
     assert rates.w12 > 0.0
 
 
+def test_secular_rates_of_a_stack_are_each_pair_s_rates() -> None:
+    tls = [reduce_two_level(10**6, eps, sigma=0.007, policy="plain") for eps in (-0.006, 0.0, 0.005)]
+    coeffs = [coupling_coefficients(tl, 2) for tl in tls]
+    deltas = np.array([0.02, 0.005, 0.001])
+    bath = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
+    stack = secular_rates(coeffs, bath, deltas, force=True)
+    for i, (co, delta) in enumerate(zip(coeffs, deltas)):
+        one = secular_rates(co, bath, delta, force=True)
+        assert [x[i] for x in vars(stack).values()] == list(vars(one).values())
+    # the refusal names the margin of the first pair that breaks the bound
+    margins = bath.g * np.sqrt(correlation_time(bath) / deltas)
+    assert margins[0] < 1.0 <= margins[1] < margins[2]
+    with pytest.raises(ValidityError, match=f"= {margins[1]:.3g} >= 1"):
+        secular_rates(coeffs, bath, deltas)
+
+
 def test_assemble_refuses_invalid_regime() -> None:
     tl, co = _clean_system(256)
     bath = BathSpec(g=0.1, beta=15.0, omega_c=2.0)
@@ -315,6 +338,117 @@ def test_extract_relaxation_time_unconverged_series() -> None:
     series = 0.6 - 0.5 * np.exp(-0.001 * times)
     with pytest.raises(NoEstimateError):
         extract_relaxation_time(times, series, 0.6)
+
+
+_SERIES_KINDS = ("monotone", "oscillatory", "steps", "zeros", "few", "growing", "unconverged")
+
+
+def _series(kind: str, times: np.ndarray, target: float, amp: float, frac: float, seed: int) -> np.ndarray:
+    """One synthetic approach to target of the given kind on times."""
+    rng = np.random.default_rng(seed)
+    span = times[-1]
+    decay = np.exp(-times / (frac * span))
+    if kind == "monotone":
+        return target + amp * target * decay
+    if kind == "oscillatory":
+        turns = 2.0 + 18.0 * rng.random()
+        return target + amp * target * decay * np.cos(2.0 * np.pi * turns * times / span + rng.random())
+    if kind == "steps":
+        # quantised, so that the window holds zero steps and, once the
+        # residual rounds to zero, zero residuals
+        quantum = 1e-3 * target
+        return target + np.round(amp * target * decay / quantum) * quantum
+    if kind == "zeros":
+        v = target + amp * target * decay
+        v[rng.random(times.size) < 0.3] = target
+        return v
+    if kind == "few":
+        v = np.full(times.size, target)
+        v[rng.integers(times.size)] += 0.01 * amp * target
+        return v
+    if kind == "growing":
+        return target + 0.04 * amp * target * np.exp((times - span) / (frac * span))
+    return target + amp * target * np.exp(-times / (20.0 * span))  # unconverged
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.integers(4, 300),
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(_SERIES_KINDS),
+            st.floats(1.0, 1e4),
+            st.floats(0.1, 0.9),
+            st.sampled_from([-1.0, 1.0]).flatmap(lambda sign: st.floats(0.1, 1.0).map(lambda a: sign * a)),
+            st.floats(0.03, 0.3),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_row_fit_matches_the_polyfit_reference_row_by_row(points, rows) -> None:
+    """Each row of a stack is its one-row call bit for bit, and the per-series polyfit within 1e-10."""
+    times = np.array([np.linspace(0.0, span, points) for _, span, *_ in rows])
+    targets = np.array([target for _, _, target, *_ in rows])
+    values = np.array([
+        _series(kind, t, target, amp, frac, seed)
+        for t, (kind, _, target, amp, frac, seed) in zip(times, rows)
+    ])
+    fits, notes = redfield._decay_times(times, values, targets)
+    assert fits.shape == (len(rows),) and len(notes) == len(rows)
+    for i, (t, v, target) in enumerate(zip(times, values, targets)):
+        (alone,), (note,) = redfield._decay_times(t[None], v[None], targets[i : i + 1])
+        assert (alone == fits[i] or (math.isnan(alone) and math.isnan(fits[i]))) and note == notes[i]
+        residual = np.abs(v[int(0.4 * t.size) :] - target)
+        kept = residual[residual > 0.0]
+        if residual[-1] <= 0.05 * target and kept.size >= 2 and (kept == kept[0]).all():
+            # a constant residual has slope 0, so the sign of either fit's
+            # slope is rounding: no decay, or one far slower than the window
+            assert note.startswith("residual is not decaying") or fits[i] > 1e10 * t[-1]
+            continue
+        try:
+            expected = extract_relaxation_time_by_polyfit(t, v, target)
+        except NoEstimateError as exc:
+            assert math.isnan(fits[i]) and notes[i] == str(exc)
+            with pytest.raises(NoEstimateError, match=f"^{re.escape(str(exc))}$"):
+                extract_relaxation_time(t, v, target)
+        else:
+            assert notes[i] == "" and fits[i] == pytest.approx(expected, rel=1e-10, abs=0.0)
+            assert extract_relaxation_time(t, v, target) == fits[i]
+
+
+def test_row_fit_does_not_depend_on_the_stack_layout() -> None:
+    """A column-major stack, as np.linspace lays one out, gives each row's own bits."""
+    rng = np.random.default_rng(7)
+    spans = rng.uniform(1.0, 1e3, 64)
+    times = np.linspace(0.0, spans, 400, axis=-1)
+    assert times.flags.f_contiguous
+    targets = rng.uniform(0.2, 0.8, 64)
+    values = targets[:, None] * (1.0 - 0.9 * np.exp(-times / (0.1 * spans[:, None])))
+    fits, notes = redfield._decay_times(times, values, targets)
+    assert notes == [""] * 64
+    alone = [redfield._decay_times(t[None], v[None], targets[i : i + 1])[0][0]
+             for i, (t, v) in enumerate(zip(times, values))]
+    assert fits.tolist() == alone
+
+
+def test_row_fit_covers_every_branch() -> None:
+    """The property test's kinds reach the envelope and each reason for no estimate."""
+    times = np.linspace(0.0, 100.0, 200)
+    notes = {
+        "oscillatory": "",
+        "steps": "",
+        "few": "too few nonzero residuals to fit a decay rate",
+        "growing": "residual is not decaying",
+        "unconverged": "from target at window end",
+    }
+    values = np.array([_series(kind, times, 0.5, 0.8, 0.1, 3) for kind in notes])
+    fits, got = redfield._decay_times(np.tile(times, (len(notes), 1)), values, np.full(len(notes), 0.5))
+    for fit, note, expected in zip(fits, got, notes.values()):
+        assert (expected in note if expected else note == "") and math.isnan(fit) == bool(expected)
+    # the oscillatory series is fitted through its envelope, which decays in 10
+    assert fits[0] == pytest.approx(10.0, rel=0.05)
 
 
 def test_solution_population_identities() -> None:
