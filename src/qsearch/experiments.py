@@ -68,6 +68,11 @@ _STACK_BLOCK = 1 << 16
 # bytes a sweep holds per (value, seed) row until it writes its table:
 # tracemalloc gave 600-850 per row over 4000-16000 rows
 _SWEEP_ROW_BYTES = 1024
+# bytes each mode holds per grid point at its peak: tracemalloc gave 24 (unitary,
+# reduced) and 32 (exact), 208 (redfield), 53 (secular), 32 (correlation at
+# finite temperature) and 40 (zero), and a sweep 53 on rates and 208 on the
+# tensor, each from 10^5 to 2 10^5 points
+_GRID_POINT_BYTES = {"unitary": 40, "redfield": 256, "secular": 64, "correlation": 48, "sweep": 256}
 
 
 @dataclass(frozen=True)
@@ -273,6 +278,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("mode 'sweep' requires a sweep section")
     if mode == "spectrum" and system.n > DENSE_LIMIT:
         raise ConfigError(f"spectrum mode needs n <= {DENSE_LIMIT}, got {system.n}")
+    # a grid of up to _STACK_BLOCK points takes at most 16 MiB, which is left
+    # out like the interpreter's own memory
+    budget = _memory_budget()
+    need = grid.points * float(_GRID_POINT_BYTES.get(mode, 0))
+    if grid.points > _STACK_BLOCK and need > budget:
+        raise DenseLimitError(
+            f"grid.points = {grid.points} in mode {mode!r} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {budget / 2**30:.3g} GiB this process can still allocate"
+        )
     points = [(system, bath)]
     if mode == "sweep":
         # every swept point is built and checked here, before any of them runs
@@ -293,7 +307,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         # the rows are all held until the table is written
         rows = len(sweep_cfg.values) * sweep_cfg.seeds
         need = rows * float(_SWEEP_ROW_BYTES)
-        budget = _memory_budget()
         if need > budget:
             raise DenseLimitError(
                 f"sweep.seeds = {sweep_cfg.seeds} over {len(sweep_cfg.values)} values makes a table of "

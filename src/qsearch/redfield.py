@@ -16,11 +16,12 @@ ContractViolationError. RedfieldTensor.generator() keeps the complex
 row-major form.
 
 integrate_master propagates by exact steps: for each distinct gap h
-between consecutive times it forms E = exp(G h) once, by [13/13] Pade
-with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005),
-and steps x_k = E x_(k-1). No eigenbasis is involved, so a defective or
-nearly defective G (a nearly absorbing ground state at low temperature)
-is propagated as accurately as any other.
+between consecutive times it forms E = exp(G h) once, by the degree-18
+Taylor polynomial in five products with scaling and squaring (Bader,
+Blanes & Casas, Mathematics 7, 1174, 2019), and steps x_k = E x_(k-1).
+No eigenbasis is involved, so a defective or nearly defective G (a nearly
+absorbing ground state at low temperature) is propagated as accurately
+as any other.
 
 All rates carry the 2*pi prefactor on top of the bare rate_S; the
 combination is pinned by the thermal fixed point and the closed-form
@@ -48,10 +49,10 @@ from .errors import (
 from .spectral import CouplingCoefficients, Spectrum, TwoLevelSystem
 
 # peak memory of assemble_redfield + integrate_master on a uniform grid, in m^4
-# doubles: R and at most five m^4 buffers plus a quarter block (the Pade
-# polynomial), then R, V +- U, the solve's two copies and E. With a 200-point
-# trajectory ru_maxrss rose by 7.08, 6.64, 6.48 and 6.40 such units at m = 30,
-# 40, 50 and 60; the trajectory is 0.67 of them at m = 30
+# doubles: R and the Taylor polynomial's five m^4 buffers plus a row eighth
+# (5.1-5.25 traced besides R). With a 200-point trajectory ru_maxrss rose by
+# 6.75, 6.42 and 6.30 such units at m = 30, 40 and 50; the trajectory is 0.67
+# of them at m = 30
 _PEAK_M4_DOUBLES = 7
 
 # bound on |R_abcd - R_badc| relative to max |R|: rounding only
@@ -59,21 +60,39 @@ _HERMITIAN_TOL = 1e-12
 # bound on the column sums of G's population rows relative to their largest
 # entry, below which G counts as trace-preserving: rounding only
 _TRACE_TOL = 1e-12
+# a row's kept log-residuals whose spread about their mean is within this many
+# eps of the mean's magnitude are equal but for the rounding of the mean (at
+# most 3.4 eps over 2000 constant series of 4-2000 points)
+_FLAT_EPS = 16
 _SQRT2 = math.sqrt(2.0)
-# [13/13] Pade coefficients of exp and the 1-norm up to which they give it to
-# double precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
+# Bader, Blanes & Casas (Mathematics 7, 1174, 2019): the degree-18 Taylor
+# polynomial of exp in five products. Row i holds the coefficients of B_(i+1)
+# on I, A, A^2, A^3 and A^6; with them A9 = B1 B5 + B4 and
+# T18(A) = B2 + (B3 + A9) A9
+_T18 = np.array([
+    [0.0, -0.10036558103014462001, -0.00802924648241156960, -0.00089213849804572995, 0.0],
+    [0.0, 0.39784974949964507614, 1.36783778460411719922, 0.49828962252538267755,
+     -0.00063789819459472330],
+    [-10.9676396052962062593, 1.68015813878906197182, 0.05717798464788655127,
+     -0.00698210122488052084, 0.00003349750170860705],
+    [-0.09043168323908105619, -0.06764045190713819075, 0.06759613017704596460,
+     0.02955525704293155274, -0.00001391802575160607],
+    [0.0, 0.0, -0.09233646193671185927, -0.01693649390020817171, -0.00001400867981820361],
+])
+# the 1-norm of A up to which T18(A) gives exp(A) to double precision: the root
+# of sum_(k>=19) |c_k| theta^(k-1) = 2^-53, where c_k are the coefficients of
+# log(e^-x T18(x)), a bound on the relative backward error
+_THETA18 = 1.090863719290036
 # grid points off k*h by at most this many ulps of t_max still count as uniform
 _UNIFORM_ULPS = 4
-# n x n arrays below this many bytes are updated whole, not by quarters: their
-# temporaries are small, and at m = 2 the quarters' numpy calls made exp(G h)
-# take 150 us instead of 72
-_QUARTER_BYTES = 1 << 16
+# n x n arrays below this many bytes are worked on whole, not by row blocks:
+# their temporaries are small, and at m = 2 the blocks' numpy calls made
+# exp(G h) take 150 us instead of 72
+_WHOLE_BYTES = 1 << 16
+# bound on the bytes of the stacked rows from which _expm forms each block of
+# B1..B5: from 256 KiB to 1 MiB the pass took 30 ms at m = 40, against 54 ms
+# at 64 KiB and 43 ms at 2 MiB
+_STACK_BYTES = 1 << 19
 
 
 class _Coordinates:
@@ -159,14 +178,16 @@ class RedfieldTensor:
         r, omegas = self.r, self.omegas
         if np.iscomplexobj(r) or np.iscomplexobj(omegas):
             raise ContractViolationError("the relaxation tensor and Bohr frequencies must be real")
-        defect = r - r.transpose(1, 0, 3, 2)
-        np.abs(defect, out=defect)
-        # omega_ab = lambda_a - lambda_b is antisymmetric to the last bit
-        if defect.max() > _HERMITIAN_TOL * np.abs(r).max() or (omegas + omegas.T).any():
+        bound = _HERMITIAN_TOL * max(r.max(), -r.min())
+        # omega_ab = lambda_a - lambda_b is antisymmetric to the last bit; R_abcd
+        # is checked against R_badc one leading index a at a time, so that no
+        # m^4 temporary is made: r[:, a] holds R_bacd, transposed to R_badc
+        if (omegas + omegas.T).any() or any(
+            np.abs(r[a] - r[:, a].transpose(0, 2, 1)).max() > bound for a in range(m)
+        ):
             raise ContractViolationError(
                 "tensor does not preserve Hermiticity: need R_abcd = R_badc and omega_ab = -omega_ba"
             )
-        del defect
         c = _hermitian_coordinates(m)
         p = c.pairs
         rf = r.reshape(n2, n2)
@@ -339,36 +360,28 @@ def _grid_step(t: np.ndarray) -> Optional[float]:
     return h
 
 
-def _quarters(n: int) -> list:
-    """Four slices that cover range(n), the unit of the in-place updates below.
+def _row_blocks(n: int, rows: int) -> list:
+    """Slices of at most rows consecutive indices that cover range(n)."""
+    return [slice(i, i + rows) for i in range(0, n, rows)]
 
-    One slice when an n x n array is smaller than _QUARTER_BYTES.
+
+def _right_multiply(b: np.ndarray, a: np.ndarray) -> None:
+    """b <- b @ a by row eighths, so no second full product is held.
+
+    Whole when b is smaller than _WHOLE_BYTES.
     """
-    size = -(-n // 4) if 8 * n * n >= _QUARTER_BYTES else n
-    return [slice(i, i + size) for i in range(0, n, size)]
-
-
-def _add_terms(out: np.ndarray, terms, diagonal: float = 0.0) -> None:
-    """out += sum of c * a over (c, a) in terms, plus diagonal * I, by row quarters."""
-    for rows in _quarters(out.shape[0]):
-        for c, a in terms:
-            out[rows] += c * a[rows]
-    out.reshape(-1)[:: out.shape[0] + 1] += diagonal
-
-
-def _left_multiply(a: np.ndarray, b: np.ndarray) -> None:
-    """b <- a @ b by column quarters, so no second full product is held."""
-    for cols in _quarters(b.shape[1]):
-        b[:, cols] = a @ b[:, cols]
+    n = b.shape[0]
+    for rows in _row_blocks(n, -(-n // 8) if 8 * n * n >= _WHOLE_BYTES else n):
+        b[rows] = b[rows] @ a
 
 
 def _squarings(g: np.ndarray, h: float) -> int:
-    """The fewest halvings s that bring ||g h / 2^s||_1 within theta_13."""
+    """The fewest halvings s that bring ||g h / 2^s||_1 within theta_18."""
     norm = float(np.abs(g).sum(axis=0).max())
     if norm == 0.0 or h == 0.0:
         return 0
     # summed in logarithms, so that no product overflows
-    return max(0, math.ceil(math.log2(norm) + math.log2(h / _THETA13)))
+    return max(0, math.ceil(math.log2(norm) + math.log2(h / _THETA18)))
 
 
 def _pin_trace_row(e: np.ndarray, m: int) -> None:
@@ -384,46 +397,56 @@ def _pin_trace_row(e: np.ndarray, m: int) -> None:
 
 
 def _expm(g: np.ndarray, h: float, s: int, pinned: int) -> np.ndarray:
-    """exp(g h) by [13/13] Pade with s squarings; g is overwritten.
+    """exp(g h) by the degree-18 Taylor polynomial with s squarings; g is overwritten.
 
-    With A = g h / 2^s: U = A [A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6
-    + b5 A4 + b3 A2 + b1 I], V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6
-    + b4 A4 + b2 A2 + b0 I, and exp(g h) = ((V - U)^-1 (V + U))^(2^s).
-    Five m^4 buffers at most are live: A, A2, A4, A6 and U's; V takes A's
-    once U is done. When pinned > 0, the trace row over the last pinned
-    coordinates is restored after the solve and after every squaring; a
-    trace-preserving g keeps it exactly, and rounding there would
-    otherwise grow by 2^s (m = 2, beta = 5: 1.7e-10 at s = 23, 5e-15 pinned).
+    With A = g h / 2^s and B1..B5 the combinations of I, A, A2, A3 and A6
+    in _T18: A9 = B1 B5 + B4, T18(A) = B2 + (B3 + A9) A9, and
+    exp(g h) = T18(A)^(2^s). That is five products and no solve. Five m^4
+    buffers at most are live: A, A2, A3, A6 and B5's; one pass over row
+    blocks turns the powers into B1..B4 in place, each block from a stacked
+    copy of its old rows, and each product overwrites its left factor by
+    contiguous row eighths. When pinned > 0, the trace row over the last
+    pinned coordinates is restored after the polynomial and after every
+    squaring; a trace-preserving g keeps it exactly, and rounding there
+    would otherwise grow by 2^s (m = 2, beta = 5: 1.5e-10 at s = 24).
     """
-    b = _PADE13
     a = g
     a *= math.ldexp(h, -s)
-    # U's buffer comes before the powers, so that once they are freed they
-    # lie at the top of the heap and go back to the system before the solve
-    u = np.empty_like(a)
+    # B5's buffer comes before the powers, and the products go by row eighths:
+    # over repeated open_full passes ru_maxrss then settled at 189.6 MB,
+    # against 196.2 with B5's buffer last and row quarters
+    b5 = np.empty_like(a)
     a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    np.multiply(a6, b[13], out=u)
-    _add_terms(u, ((b[11], a4), (b[9], a2)))
-    _left_multiply(a6, u)
-    _add_terms(u, ((b[7], a6), (b[5], a4), (b[3], a2)), b[1])
-    _left_multiply(a, u)
-    v = a
-    np.multiply(a6, b[12], out=v)
-    _add_terms(v, ((b[10], a4), (b[8], a2)))
-    _left_multiply(a6, v)
-    _add_terms(v, ((b[6], a6), (b[4], a4), (b[2], a2)), b[0])
-    del a, a2, a4, a6
-    v += u
-    u *= -2.0
-    u += v
-    e = np.linalg.solve(u, v)  # (V - U)^-1 (V + U)
-    del u, v
+    a3 = a2 @ a
+    powers = (a, a2, a3, a3 @ a3)
+    bs = powers + (b5,)
+    n = a.shape[0]
+    # a block's stacked rows are at most an eighth of one power, and whole when small
+    block = n
+    if 8 * n * n >= _WHOLE_BYTES:
+        block = max(1, min(n // 32, _STACK_BYTES // (8 * len(powers) * n)))
+    for rows in _row_blocks(n, block):
+        old = np.stack([p[rows] for p in powers]).reshape(len(powers), -1)
+        for b, coeffs in zip(bs, _T18):
+            np.dot(coeffs[1:], old, out=b[rows].reshape(-1))
+    for b, coeffs in zip(bs, _T18):
+        if coeffs[0]:
+            b.reshape(-1)[:: n + 1] += coeffs[0]
+    b1, b2, b3, b4 = powers
+    del a, a2, a3, powers, bs, old
+    _right_multiply(b1, b5)
+    b1 += b4  # A9
+    del b4, b5
+    b3 += b1
+    _right_multiply(b3, b1)
+    b2 += b3  # T18(A)
+    e, spare = b2, b3
+    del b1, b2, b3
     for _ in range(s):
         if pinned:
             _pin_trace_row(e, pinned)
-        e = e @ e
+        np.matmul(e, e, out=spare)
+        e, spare = spare, e
     if pinned:
         _pin_trace_row(e, pinned)
     return e
@@ -460,9 +483,9 @@ def integrate_master(tensor: RedfieldTensor, rho0: np.ndarray, times) -> Traject
     G is constant and real in the Hermitian coordinates x (see the module
     docstring), so every step is exact: x_k = exp(G h_k) x_(k-1) with
     h_k = t_k - t_(k-1) and t_(-1) = 0. E = exp(G h) is formed once per
-    distinct h ([13/13] Pade with scaling and squaring; when G preserves
-    the trace, the trace row t^T E = t^T is pinned at every squaring), and
-    a zero step copies the row before. A uniform grid from 0 (t_k = k h to
+    distinct h (the degree-18 Taylor polynomial with scaling and squaring;
+    when G preserves the trace, the trace row t^T E = t^T is pinned at
+    every squaring), and a zero step copies the row before. A uniform grid from 0 (t_k = k h to
     a few ulps of t_max, as np.linspace(0, T, N) gives) takes one E and
     fills B = max(1, N // m^2) rows per product from the stacked powers
     E, ..., E^B, which are thus never larger than the trajectory. Raises
@@ -696,12 +719,16 @@ def _sign_changes(series: np.ndarray) -> np.ndarray:
     return np.bincount(row[1:][change], minlength=series.shape[0])
 
 
-def _centred(x: np.ndarray, drop: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """x less its mean over the entries not dropped, row by row, and 0 where dropped; in place."""
+def _centred(x: np.ndarray, drop: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """x less its mean over the entries not dropped, row by row, and 0 where dropped; in place.
+
+    Returns x and the row means.
+    """
     x[drop] = 0.0
-    x -= (x.sum(axis=1) / count)[:, None]
+    mean = x.sum(axis=1) / count
+    x -= mean[:, None]
     x[drop] = 0.0
-    return x
+    return x, mean
 
 
 def _decay_times(times, values, targets) -> Tuple[np.ndarray, List[str]]:
@@ -710,8 +737,10 @@ def _decay_times(times, values, targets) -> Tuple[np.ndarray, List[str]]:
     The rule of extract_relaxation_time, row by row, with the fit in
     closed form: the least-squares slope of log|residual| against t is
     sum(dt dy) / sum(dt^2) over the kept points, dt and dy centred on
-    their means. Returns (t_rel, notes): t_rel is NaN and the note gives
-    the reason where a row has no estimate, and the note is "" elsewhere.
+    their means; kept logs that are equal but for the rounding of their
+    mean (a constant residual) have slope 0. Returns (t_rel, notes): t_rel
+    is NaN and the note gives the reason where a row has no estimate, and
+    the note is "" elsewhere.
     A row's result is bitwise that of its stack of one: the series are
     taken row-contiguous, so every row sum is the same pairwise sum (summed
     across a column-major stack, numpy adds the rows' terms in another
@@ -739,9 +768,12 @@ def _decay_times(times, values, targets) -> Tuple[np.ndarray, List[str]]:
     count = rw.shape[1] - drop.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         # log 0 and the rows with fewer than two points give inf and NaN, all dropped
-        dy = _centred(np.log(rw, out=rw), drop, count)
-        dt = _centred(t[:, i0:].copy(), drop, count)
+        dy, level = _centred(np.log(rw, out=rw), drop, count)
+        dt, _ = _centred(t[:, i0:].copy(), drop, count)
         slope = (dt * dy).sum(axis=1) / (dt * dt).sum(axis=1)
+        # kept logs equal up to the rounding of their mean have slope 0, not
+        # the sign that rounding gives it
+        slope[np.abs(dy).max(axis=1) <= _FLAT_EPS * np.finfo(float).eps * np.abs(level)] = 0.0
         few = count < 2
         fitted = ~unconverged & ~few & (slope < 0)
         t_rel = np.where(fitted, -1.0 / slope, math.nan)

@@ -573,6 +573,41 @@ def test_a_sweep_table_that_cannot_fit_is_refused_at_parse(tmp_path, capsys, mon
     assert parse_config(doc).sweep.seeds == 4
 
 
+def test_a_grid_that_cannot_fit_is_refused_at_parse(tmp_path, capsys, monkeypatch) -> None:
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("a mode ran")
+
+    for mode in experiments._GRID_POINT_BYTES:
+        monkeypatch.setitem(experiments._RUNNERS, mode, no_run)
+    bath = {"g": 0.01, "beta": 15.0, "omega_c": 2.0}
+    docs = [
+        _unitary_doc(),
+        dict(_secular_doc(), mode="redfield"),
+        _secular_doc(),
+        {"mode": "correlation", "bath": bath, "grid": {"t_max": 10.0}},
+        _small_sweep_doc([10.0, 20.0, 30.0], fit=False),
+    ]
+    # a 7.7 GB machine's budget: 10^10 points, and 10^9 for correlation, cannot fit
+    monkeypatch.setattr(experiments, "_memory_budget", lambda: 7.7e9)
+    path = tmp_path / "config.json"
+    for doc in docs:
+        points = 10**9 if doc["mode"] == "correlation" else 10**10
+        doc["grid"] = dict(doc.get("grid", {}), points=points)
+        path.write_text(json.dumps(doc))
+        assert cli_main([doc["mode"], "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"grid.points = {points} in mode {doc['mode']!r}" in capsys.readouterr().err
+    # the estimate is the points times their mode's bytes, against what the process can still allocate
+    for doc in docs:
+        doc["grid"]["points"] = 10**5
+        need = 10**5 * experiments._GRID_POINT_BYTES[doc["mode"]]
+        monkeypatch.setattr(experiments, "_memory_budget", lambda: need - 1)
+        path.write_text(json.dumps(doc))
+        assert cli_main([doc["mode"], "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "grid.points = 100000" in capsys.readouterr().err
+        monkeypatch.setattr(experiments, "_memory_budget", lambda: need + 10**9)
+        assert parse_config(doc).grid.points == 10**5
+
+
 def test_sigma_sweep_collapses_only_the_disorder_free_value(monkeypatch) -> None:
     import qsearch.experiments as experiments
 

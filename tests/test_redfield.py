@@ -402,10 +402,10 @@ def test_row_fit_matches_the_polyfit_reference_row_by_row(points, rows) -> None:
         assert (alone == fits[i] or (math.isnan(alone) and math.isnan(fits[i]))) and note == notes[i]
         residual = np.abs(v[int(0.4 * t.size) :] - target)
         kept = residual[residual > 0.0]
-        if residual[-1] <= 0.05 * target and kept.size >= 2 and (kept == kept[0]).all():
-            # a constant residual has slope 0, so the sign of either fit's
-            # slope is rounding: no decay, or one far slower than the window
-            assert note.startswith("residual is not decaying") or fits[i] > 1e10 * t[-1]
+        if residual[-1] <= 0.05 * abs(target) and kept.size >= 2 and (kept == kept[0]).all():
+            # a constant residual has slope 0, whatever sign the rounding of
+            # its mean gives the polyfit reference's slope
+            assert math.isnan(fits[i]) and note.startswith("residual is not decaying")
             continue
         try:
             expected = extract_relaxation_time_by_polyfit(t, v, target)
@@ -416,6 +416,20 @@ def test_row_fit_matches_the_polyfit_reference_row_by_row(points, rows) -> None:
         else:
             assert notes[i] == "" and fits[i] == pytest.approx(expected, rel=1e-10, abs=0.0)
             assert extract_relaxation_time(t, v, target) == fits[i]
+
+
+def test_a_constant_residual_is_not_decaying() -> None:
+    """Its slope is 0, not the sign that the rounding of the log-residuals' mean gives it."""
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        points = int(rng.integers(4, 2000))
+        times = np.linspace(0.0, rng.uniform(1.0, 1e4), points)
+        target = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.9)
+        values = np.full(points, target + rng.choice([-1.0, 1.0]) * 0.05 * abs(target) * rng.uniform(1e-6, 1.0))
+        head = int(0.4 * points)
+        values[:head] = target + 0.5 * target * np.exp(-times[:head] / times[-1])
+        (fit,), (note,) = redfield._decay_times(times[None], values[None], np.array([target]))
+        assert math.isnan(fit) and note == "residual is not decaying (fit slope 0)"
 
 
 def test_row_fit_does_not_depend_on_the_stack_layout() -> None:
@@ -610,6 +624,74 @@ def test_one_long_step_matches_a_high_precision_exponential() -> None:
         assert np.max(np.abs(traj.rhos[1].reshape(4) - oracle.reshape(4))) <= 1e-13
 
 
+def _series_product(p: list, q: list, order: int) -> list:
+    """Coefficients of p(x) q(x) up to x^order."""
+    out = [0] * (order + 1)
+    for i, a in enumerate(p[: order + 1]):
+        if a:
+            for j, b in enumerate(q[: order + 1 - i]):
+                out[i + j] += a * b
+    return out
+
+
+def test_t18_coefficients_give_the_degree_18_taylor_polynomial() -> None:
+    import mpmath
+
+    with mpmath.workdps(40):
+        # I, A, A^2, A^3 and A^6 as polynomials in x, then B1..B5 from their table
+        basis = [[mpmath.mpf(int(k == d)) for k in range(19)] for d in (0, 1, 2, 3, 6)]
+        b1, b2, b3, b4, b5 = (
+            [sum(mpmath.mpf(float(c)) * x[k] for c, x in zip(row, basis)) for k in range(19)]
+            for row in redfield._T18
+        )
+        a9 = [x + y for x, y in zip(_series_product(b1, b5, 18), b4)]
+        t18 = [x + y for x, y in zip(b2, _series_product([x + y for x, y in zip(b3, a9)], a9, 18))]
+        for k, c in enumerate(t18):
+            assert abs(c * mpmath.factorial(k) - 1) <= 2e-15
+
+
+def test_theta18_bounds_the_backward_error_by_the_unit_roundoff() -> None:
+    import mpmath
+
+    order = 80
+    with mpmath.workdps(40):
+        # q = e^-x T18(x) - 1 starts at x^19, so q^5 and beyond start past x^80
+        e_minus = [mpmath.mpf(-1) ** k / mpmath.factorial(k) for k in range(order + 1)]
+        taylor = [1 / mpmath.factorial(k) for k in range(19)]
+        q = _series_product(e_minus, taylor, order)
+        q[0] -= 1
+        log = [mpmath.mpf(0)] * (order + 1)
+        power = q
+        for j in range(1, 5):
+            log = [x + (-1) ** (j + 1) * y / j for x, y in zip(log, power)]
+            power = _series_product(power, q, order)
+        assert all(abs(c) < 1e-30 for c in log[:19])
+        theta = mpmath.findroot(
+            lambda x: sum(abs(log[k]) * x ** (k - 1) for k in range(19, order + 1)) - mpmath.mpf(2) ** -53,
+            1.09,
+        )
+        assert abs(theta - redfield._THETA18) <= 1e-15
+
+
+@pytest.mark.parametrize("squarings", [0, 3])
+@pytest.mark.parametrize("pinned", [0, 3])
+def test_t18_exponential_matches_a_high_precision_one(squarings, pinned) -> None:
+    import mpmath
+
+    rng = np.random.default_rng(30 + 10 * squarings + pinned)
+    g = rng.normal(size=(6, 6))
+    if pinned:
+        # the last pinned rows sum to zero in every column, so t^T exp(g h) = t^T
+        g[-pinned:] -= g[-pinned:].sum(axis=0) / pinned
+    # just inside the norm that takes this many squarings
+    h = 0.99 * 2**squarings * redfield._THETA18 / np.abs(g).sum(axis=0).max()
+    assert redfield._squarings(g, h) == squarings
+    e = redfield._expm(g.copy(), h, squarings, pinned)
+    with mpmath.workdps(50):
+        oracle = np.array(mpmath.expm(mpmath.matrix(g.tolist()) * h).tolist(), dtype=float)
+    assert np.max(np.abs(e - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
 def test_block_steps_keep_the_trace_within_rounding() -> None:
     # N = 40000 points at m = 2 fill 10000 rows per product from E..E^10000;
     # their trace rows are pinned, without which tr rho drifts by ~1e-12
@@ -763,6 +845,17 @@ def test_assembly_and_steady_state_peak_below_three_tensors() -> None:
     assert steady_peak <= 3 * m**4 * 8
 
 
+def test_real_generator_peak_below_one_point_six_tensors() -> None:
+    m = 24
+    spec, co, _ = _random_levels(m, 9)
+    tensor = assemble_redfield(co, spec, BathSpec(g=0.02, beta=15.0, omega_c=2.0))
+    tensor._real_generator()  # builds the cached coordinate maps
+    _, peak = _traced_peak(tensor._real_generator)
+    # G and the gathered rows of R (0.52 m^4); the Hermiticity check takes R
+    # an m^3 block at a time
+    assert peak < 1.6 * m**4 * 8
+
+
 def test_step_route_peak_at_most_five_and_a_half_tensors() -> None:
     m = 24
     spec, co, rho0 = _random_levels(m, 9)
@@ -771,5 +864,6 @@ def test_step_route_peak_at_most_five_and_a_half_tensors() -> None:
     integrate_master(tensor, rho0, times)  # builds the cached coordinate maps
     traj, peak = _traced_peak(lambda: integrate_master(tensor, rho0, times))
     assert traj.rhos.shape == (200, m, m)
-    # A, A2, A4, A6 and U of the Pade polynomial plus a quarter block: 5.25 measured
+    # the Taylor polynomial's five m^4 buffers (B1..B5) plus a row quarter of
+    # their first product: 5.25 measured
     assert peak <= 5.5 * m**4 * 8
