@@ -19,7 +19,6 @@ from .errors import (
     ContractViolationError,
     DenseLimitError,
     InvalidParameterError,
-    NoEstimateError,
     ValidityError,
 )
 from .experiments import MODES, load_config, run
@@ -59,7 +58,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidityError as exc:
         print(f"validity: {exc}", file=sys.stderr)
         return EXIT_VALIDITY
-    except (NoEstimateError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for path in files:

@@ -29,9 +29,5 @@ class ValidityError(QSearchError):
     """A weak-coupling approximation bound is violated hard (margin > 1)."""
 
 
-class NoEstimateError(QSearchError):
-    """A fit could not produce a trustworthy estimate."""
-
-
 class ConfigError(QSearchError, ValueError):
     """An experiment configuration document is malformed."""

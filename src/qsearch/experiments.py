@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bath import BathSpec, correlation_finite_T, correlation_zero_T, validate_approximations
-from .errors import ConfigError, DenseLimitError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .model import (
     DENSE_LIMIT,
     SearchHamiltonian,
@@ -28,12 +28,13 @@ from .model import (
     build_custom_graph,
     build_search_hamiltonian,
     gamma_policy,
+    require_memory,
     sample_disorder,
+    uniform_site,
 )
 from .redfield import (
     SecularRates,
     _decay_times,
-    _memory_budget,
     assemble_redfield,
     damping_rate,
     integrate_master,
@@ -280,12 +281,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"spectrum mode needs n <= {DENSE_LIMIT}, got {system.n}")
     # a grid of up to _STACK_BLOCK points takes at most 16 MiB, which is left
     # out like the interpreter's own memory
-    budget = _memory_budget()
-    need = grid.points * float(_GRID_POINT_BYTES.get(mode, 0))
-    if grid.points > _STACK_BLOCK and need > budget:
-        raise DenseLimitError(
-            f"grid.points = {grid.points} in mode {mode!r} needs about {need / 2**30:.3g} GiB, "
-            f"more than the {budget / 2**30:.3g} GiB this process can still allocate"
+    if grid.points > _STACK_BLOCK:
+        require_memory(
+            grid.points * float(_GRID_POINT_BYTES.get(mode, 0)),
+            f"grid.points = {grid.points} in mode {mode!r}",
         )
     points = [(system, bath)]
     if mode == "sweep":
@@ -306,13 +305,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError(f"swept sigma must be nonnegative and below 1, got {point.sigma}")
         # the rows are all held until the table is written
         rows = len(sweep_cfg.values) * sweep_cfg.seeds
-        need = rows * float(_SWEEP_ROW_BYTES)
-        if need > budget:
-            raise DenseLimitError(
-                f"sweep.seeds = {sweep_cfg.seeds} over {len(sweep_cfg.values)} values makes a table of "
-                f"{rows} rows, about {need / 2**30:.3g} GiB, more than the {budget / 2**30:.3g} GiB "
-                "this process can still allocate"
-            )
+        require_memory(
+            rows * float(_SWEEP_ROW_BYTES),
+            f"sweep.seeds = {sweep_cfg.seeds} over {len(sweep_cfg.values)} values, a table of {rows} rows,",
+        )
     if mode in ("redfield", "secular", "sweep"):
         g_min = min(point_bath.g for _, point_bath in points)
         if g_min <= 0:
@@ -370,15 +366,6 @@ def _hamiltonian(sys_cfg: SystemConfig) -> SearchHamiltonian:
     return build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
 
 
-def _marked_energy(sys_cfg: SystemConfig) -> float:
-    """eps_w, the last site of a (w+1)-site draw.
-
-    sample_disorder guarantees it is site w of the n-site field.
-    """
-    prefix = sample_disorder(sys_cfg.w + 1, sys_cfg.sigma, sys_cfg.distribution, sys_cfg.seed)
-    return float(prefix.epsilons[-1])
-
-
 def _two_level(sys_cfg: SystemConfig, eps_w: float) -> TwoLevelSystem:
     """Complete-graph two-level reduction at the marked-site energy eps_w."""
     sigma_arg = sys_cfg.sigma if (sys_cfg.sigma > 0 or sys_cfg.gamma_policy == "shifted") else None
@@ -386,8 +373,8 @@ def _two_level(sys_cfg: SystemConfig, eps_w: float) -> TwoLevelSystem:
 
 
 def _reduced_system(sys_cfg: SystemConfig) -> Tuple[TwoLevelSystem, float]:
-    """Two-level reduction of the configured system; returns (tl, eps_w)."""
-    eps_w = _marked_energy(sys_cfg)
+    """Two-level reduction of the configured system at its eps_w, drawn alone; returns (tl, eps_w)."""
+    eps_w = uniform_site(sys_cfg.w, sys_cfg.sigma, sys_cfg.seed)
     return _two_level(sys_cfg, eps_w), eps_w
 
 
@@ -663,7 +650,7 @@ def sweep(cfg: ExperimentConfig, force: bool = False) -> SweepResult:
     for value in sw.values:
         system, bath = _apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value)
         # eps_w by its exact bits, so that -0.0 and 0.0 stay apart; fromhex restores it
-        keys = [_marked_energy(replace(system, seed=seed)).hex() for seed in range(sw.seeds)]
+        keys = [uniform_site(system.w, system.sigma, seed).hex() for seed in range(sw.seeds)]
         unique = list(dict.fromkeys(keys))
         solved: Dict[str, dict] = {}
         for i in range(0, len(unique), stack):

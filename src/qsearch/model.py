@@ -1,7 +1,8 @@
 """Graphs, static diagonal disorder, and search Hamiltonians held as parameters.
 
 ``SearchHamiltonian.dense()`` is the one place that builds an n x n search
-matrix, on demand and only up to ``DENSE_LIMIT`` nodes.
+matrix, on demand and only up to ``DENSE_LIMIT`` nodes. ``require_memory`` is
+the one place that refuses work the process cannot hold.
 
 Units: hbar = k_B = 1. Energies are measured in units of the marked-node
 depth (default -1), times in inverse energy.
@@ -9,6 +10,8 @@ depth (default -1), times in inverse energy.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +24,58 @@ from .errors import ContractViolationError, DenseLimitError, InvalidParameterErr
 DENSE_LIMIT = 4096
 
 _SYMMETRY_TOL = 1e-12
+
+
+def _read(path: str) -> bytes:
+    """The start of a small kernel file; os.read costs half of open().read()."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, 1 << 14)
+    finally:
+        os.close(fd)
+
+
+def _memory_budget() -> float:
+    """Bytes this process can still allocate, from its own view of memory.
+
+    The least of MemAvailable and, for each memory cgroup the process is
+    in, its limit less its usage (v2 memory.max - memory.current, v1
+    memory.limit_in_bytes - memory.usage_in_bytes). A source that is
+    absent or unlimited is skipped, so with none the budget is infinite.
+    """
+    budget = math.inf
+    try:
+        meminfo = _read("/proc/meminfo")
+        entries = _read("/proc/self/cgroup").decode().splitlines()
+    except OSError:  # not Linux
+        return budget
+    at = meminfo.find(b"MemAvailable:")
+    if at >= 0:
+        budget = int(meminfo[at + 13:meminfo.index(b"kB", at)]) * 1024
+    for entry in entries:
+        _, controllers, path = entry.split(":", 2)
+        if not controllers:
+            files = (f"/sys/fs/cgroup{path}/memory.max", f"/sys/fs/cgroup{path}/memory.current")
+        elif "memory" in controllers.split(","):
+            root = f"/sys/fs/cgroup/memory{path}"
+            files = (f"{root}/memory.limit_in_bytes", f"{root}/memory.usage_in_bytes")
+        else:
+            continue
+        try:
+            budget = min(budget, int(_read(files[0])) - int(_read(files[1])))
+        except (OSError, ValueError):  # no memory controller there, or a "max" limit
+            continue
+    return budget
+
+
+def require_memory(need: float, what: str) -> None:
+    """Refuse need bytes for what, with DenseLimitError, when _memory_budget() is smaller."""
+    budget = _memory_budget()
+    if need > budget:
+        raise DenseLimitError(
+            f"{what} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {budget / 2**30:.3g} GiB this process can still allocate"
+        )
 
 
 @dataclass(frozen=True)
@@ -86,11 +141,6 @@ class SearchHamiltonian:
             h[np.diag_indices(n)] += self.disorder.epsilons
         return h
 
-    def eps_w(self) -> float:
-        if self.disorder is None:
-            return 0.0
-        return self.disorder.eps_at(self.w)
-
 
 def build_complete_graph(n: int) -> GraphSpec:
     """Complete graph on n nodes; no adjacency is stored."""
@@ -127,8 +177,9 @@ def sample_disorder(
     PCG64(seed), which is part of the reproducibility contract.
 
     A "uniform" field is drawn site by site, so its first k sites are bitwise
-    the k-site field of the same sigma and seed. "gaussian-truncated" has no
-    such prefix rule: its redraws come after the whole field is filled.
+    the k-site field of the same sigma and seed, and uniform_site draws any
+    one site alone. "gaussian-truncated" has no such prefix rule: its
+    redraws come after the whole field is filled.
     """
     if sigma < 0:
         raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
@@ -150,6 +201,24 @@ def sample_disorder(
             bad = np.abs(eps) > 3.0 * sigma
     eps.setflags(write=False)
     return DisorderField(epsilons=eps, sigma=float(sigma), seed=int(seed), distribution=distribution)
+
+
+def uniform_site(w: int, sigma: float, seed: int) -> float:
+    """Site w of the "uniform" field of sample_disorder, in O(1) time and memory.
+
+    Each uniform draw takes one 64-bit output of PCG64(seed), so advancing
+    the stream by w outputs and drawing once gives bitwise the field's
+    entry w, for any n > w.
+    """
+    if sigma < 0:
+        raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
+    if w < 0:
+        raise InvalidParameterError(f"site index must be nonnegative, got w={w}")
+    if sigma == 0.0:
+        return 0.0
+    bits = np.random.PCG64(seed)
+    bits.advance(w)
+    return float(np.random.Generator(bits).uniform(-sigma, sigma))
 
 
 def gamma_policy(n: int, sigma: float, policy: str) -> float:

@@ -3,7 +3,7 @@
 Assembles the full relaxation tensor from coupling coefficients and bath
 rates, integrates the master equation with the constant generator, and
 provides the secular population rates with their closed-form solution,
-steady states, and a relaxation-time estimator.
+steady states, and the row-wise decay-time fit of a stack of series.
 
 Propagation and the steady state work in real Hermitian coordinates:
 x holds sqrt2 Im rho_ab and sqrt2 Re rho_ab for a < b, then the
@@ -32,20 +32,14 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .bath import BathSpec, correlation_time, rate_S
-from .errors import (
-    ContractViolationError,
-    DenseLimitError,
-    InvalidParameterError,
-    NoEstimateError,
-    ValidityError,
-)
+from .errors import ContractViolationError, InvalidParameterError, ValidityError
+from .model import require_memory
 from .spectral import CouplingCoefficients, Spectrum, TwoLevelSystem
 
 # peak memory of assemble_redfield + integrate_master on a uniform grid, in m^4
@@ -233,48 +227,6 @@ def _eigenvalues_of(source: Union[Spectrum, TwoLevelSystem, np.ndarray], m: int)
     return levels
 
 
-def _read(path: str) -> bytes:
-    """The start of a small kernel file; os.read costs half of open().read()."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        return os.read(fd, 1 << 14)
-    finally:
-        os.close(fd)
-
-
-def _memory_budget() -> float:
-    """Bytes this process can still allocate, from its own view of memory.
-
-    The least of MemAvailable and, for each memory cgroup the process is
-    in, its limit less its usage (v2 memory.max - memory.current, v1
-    memory.limit_in_bytes - memory.usage_in_bytes). A source that is
-    absent or unlimited is skipped, so with none the budget is infinite.
-    """
-    budget = math.inf
-    try:
-        meminfo = _read("/proc/meminfo")
-        entries = _read("/proc/self/cgroup").decode().splitlines()
-    except OSError:  # not Linux
-        return budget
-    at = meminfo.find(b"MemAvailable:")
-    if at >= 0:
-        budget = int(meminfo[at + 13:meminfo.index(b"kB", at)]) * 1024
-    for entry in entries:
-        _, controllers, path = entry.split(":", 2)
-        if not controllers:
-            files = (f"/sys/fs/cgroup{path}/memory.max", f"/sys/fs/cgroup{path}/memory.current")
-        elif "memory" in controllers.split(","):
-            root = f"/sys/fs/cgroup/memory{path}"
-            files = (f"{root}/memory.limit_in_bytes", f"{root}/memory.usage_in_bytes")
-        else:
-            continue
-        try:
-            budget = min(budget, int(_read(files[0])) - int(_read(files[1])))
-        except (OSError, ValueError):  # no memory controller there, or a "max" limit
-            continue
-    return budget
-
-
 def assemble_redfield(
     coeffs: CouplingCoefficients,
     source: Union[Spectrum, TwoLevelSystem, np.ndarray],
@@ -291,13 +243,7 @@ def assemble_redfield(
     hard (g * delta_t > 1) unless forced.
     """
     m = coeffs.m
-    need = _PEAK_M4_DOUBLES * 8.0 * m**4
-    budget = _memory_budget()
-    if need > budget:
-        raise DenseLimitError(
-            f"full Redfield dynamics at m={m} need about {need / 2**30:.3g} GiB, "
-            f"more than the {budget / 2**30:.3g} GiB this process can still allocate"
-        )
+    require_memory(_PEAK_M4_DOUBLES * 8.0 * m**4, f"full Redfield dynamics at m={m}")
     margin = bath.g * correlation_time(bath)
     if margin > 1.0 and not force:
         raise ValidityError(
@@ -512,13 +458,10 @@ def integrate_master(tensor: RedfieldTensor, rho0: np.ndarray, times) -> Traject
     lengths = np.unique(steps[steps > 0])
     # one exponential is part of assemble_redfield's estimate; more are not
     if lengths.size > 1:
-        need = lengths.size * 8.0 * n2 * n2
-        budget = _memory_budget()
-        if need > budget:
-            raise DenseLimitError(
-                f"{lengths.size} distinct time steps at m={m} need about {need / 2**30:.3g} GiB "
-                f"of exponentials, more than the {budget / 2**30:.3g} GiB this process can still allocate"
-            )
+        require_memory(
+            lengths.size * 8.0 * n2 * n2,
+            f"the exponential of each of {lengths.size} distinct time steps at m={m}",
+        )
     gen = tensor._real_generator()
     coords = _hermitian_coordinates(m)
 
@@ -734,13 +677,16 @@ def _centred(x: np.ndarray, drop: np.ndarray, count: np.ndarray) -> Tuple[np.nda
 def _decay_times(times, values, targets) -> Tuple[np.ndarray, List[str]]:
     """Exponential-decay time of |values - target| of each row of a (P, N) stack.
 
-    The rule of extract_relaxation_time, row by row, with the fit in
-    closed form: the least-squares slope of log|residual| against t is
-    sum(dt dy) / sum(dt^2) over the kept points, dt and dy centred on
-    their means; kept logs that are equal but for the rounding of their
-    mean (a constant residual) have slope 0. Returns (t_rel, notes): t_rel
-    is NaN and the note gives the reason where a row has no estimate, and
-    the note is "" elsewhere.
+    Each row is fitted over its final 60%: through the local maxima of the
+    residual (its envelope) when the window has three or more slope sign
+    changes (zero steps skipped) and three or more maxima, else through
+    every point, zero residuals dropped. The fit is closed-form least
+    squares: the slope of log|residual| against t is sum(dt dy) / sum(dt^2),
+    dt and dy centred on their means; logs equal but for the rounding of
+    their mean (a constant residual) have slope 0. A row ending more than
+    5% of its target away, keeping fewer than two points or not decaying
+    has no estimate. Returns (t_rel, notes): t_rel is NaN and the note
+    gives the reason where a row has no estimate, and "" elsewhere.
     A row's result is bitwise that of its stack of one: the series are
     taken row-contiguous, so every row sum is the same pairwise sum (summed
     across a column-major stack, numpy adds the rows' terms in another
@@ -788,23 +734,3 @@ def _decay_times(times, values, targets) -> Tuple[np.ndarray, List[str]]:
         else:
             notes[i] = f"residual is not decaying (fit slope {slope[i]:.3g})"
     return t_rel, notes
-
-
-def extract_relaxation_time(times, values, target: float) -> float:
-    """Exponential-decay time of |values - target| over the final 60% window.
-
-    Oscillatory approaches (three or more slope sign changes in the
-    window, zero steps skipped) are fitted through the local maxima of
-    the residual, i.e. the envelope, when it has three or more; monotone
-    approaches use every point. Zero residuals are dropped, and the decay
-    rate is the closed-form least-squares slope of log|residual| against
-    t. Raises when the series has not converged to within 5% of the
-    target by the window end, or when no decaying fit is possible. One
-    row of _decay_times.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    (t_rel,), (note,) = _decay_times(t[None], v[None], np.array([target], dtype=float))
-    if note:
-        raise NoEstimateError(note)
-    return float(t_rel)

@@ -1,16 +1,16 @@
 """Closed-system search dynamics and running-time accounting.
 
 Exact spectral propagation of the uniform initial state (through the
-secular solver on complete graphs, dense eigh otherwise), the reduced
-two-level success probability, the weak/strong disorder classification,
-and the expected runtime with repetitions.
+secular solver on complete graphs, dense eigh otherwise) with its first
+peak and repetitions, the reduced two-level success probability and its
+peak, and the weak/strong disorder classification.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,17 +43,6 @@ class ClosedRunResult:
             "repetitions": self.repetitions,
             "t_expected": self.t_expected,
         }
-
-
-def default_time_grid(delta: float, points: int = 2000, t_max: Optional[float] = None) -> np.ndarray:
-    """Uniform grid over [0, 3*pi/delta] unless t_max is given."""
-    if delta <= 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    if points < 2:
-        raise InvalidParameterError(f"need at least 2 grid points, got {points}")
-    if t_max is None:
-        t_max = 3.0 * math.pi / delta
-    return np.linspace(0.0, t_max, points)
 
 
 def _validate_times(times) -> np.ndarray:
@@ -196,22 +185,3 @@ def regime_classify(n: int, sigma: float) -> str:
     if sigma < 0:
         raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
     return "weak" if sigma <= 1.0 / math.sqrt(n) else "strong"
-
-
-class RuntimeEstimate(NamedTuple):
-    t_single: float
-    repetitions: float
-    t_expected: float
-
-
-def expected_runtime(n: int, eps_w: float) -> RuntimeEstimate:
-    """Single-shot time pi/delta, repetitions 1 + n eps_w^2/4, and their product.
-
-    The product equals (pi sqrt(n)/2) sqrt(1 + n eps_w^2/4) identically.
-    """
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got n={n}")
-    delta = math.sqrt(eps_w**2 + 4.0 / n)
-    t_single = math.pi / delta
-    repetitions = 1.0 + n * eps_w**2 / 4.0
-    return RuntimeEstimate(t_single, repetitions, t_single * repetitions)

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from qsearch.bath import BathSpec, rate_S
-from qsearch.errors import InvalidParameterError, NoEstimateError
+from qsearch.errors import InvalidParameterError
 from qsearch.redfield import Trajectory
 from qsearch.spectral import CouplingCoefficients
 
@@ -70,8 +70,12 @@ def first_peak_index_by_loop(values: np.ndarray) -> int:
     return int(np.argmax(values))
 
 
-def extract_relaxation_time_by_polyfit(times, values, target: float) -> float:
-    """Per-series np.polyfit form of redfield.extract_relaxation_time."""
+def decay_time_by_polyfit(times, values, target: float) -> Tuple[float, str]:
+    """Per-series np.polyfit form of one row of redfield._decay_times: (t_rel, note).
+
+    t_rel is NaN and the note gives the reason where the series has no
+    estimate; the note is "" elsewhere.
+    """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or t.size < 4:
@@ -82,9 +86,7 @@ def extract_relaxation_time_by_polyfit(times, values, target: float) -> float:
     tw = t[i0:]
     rw = np.abs(v[i0:] - target)
     if rw[-1] > 0.05 * abs(target):
-        raise NoEstimateError(
-            f"series is {rw[-1]:.3g} from target at window end (> 5% of {abs(target):.3g})"
-        )
+        return math.nan, f"series is {rw[-1]:.3g} from target at window end (> 5% of {abs(target):.3g})"
     dv = np.diff(v[i0:])
     dv = dv[dv != 0.0]
     sign_changes = int(np.sum(np.sign(dv[1:]) != np.sign(dv[:-1]))) if dv.size > 1 else 0
@@ -99,11 +101,11 @@ def extract_relaxation_time_by_polyfit(times, values, target: float) -> float:
     keep = rw > 0.0
     tw, rw = tw[keep], rw[keep]
     if tw.size < 2:
-        raise NoEstimateError("too few nonzero residuals to fit a decay rate")
+        return math.nan, "too few nonzero residuals to fit a decay rate"
     slope = np.polyfit(tw, np.log(rw), 1)[0]
     if slope >= 0:
-        raise NoEstimateError(f"residual is not decaying (fit slope {slope:.3g})")
-    return -1.0 / float(slope)
+        return math.nan, f"residual is not decaying (fit slope {slope:.3g})"
+    return -1.0 / float(slope), ""
 
 
 def pauli_two_level_matrix(

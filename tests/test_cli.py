@@ -6,11 +6,11 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import qsearch
 from qsearch.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VALIDITY, build_parser, main
-from qsearch.errors import NoEstimateError
 
 
 def _write(tmp_path, doc: dict) -> str:
@@ -79,7 +79,7 @@ def test_validity_refusal_and_force_override(tmp_path, capsys) -> None:
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch) -> None:
     def boom(*args, **kwargs):
-        raise NoEstimateError("residual is not decaying")
+        raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr("qsearch.cli.run", boom)
     code = main(["unitary", "--config", _write(tmp_path, _unitary_doc()), "--out", str(tmp_path)])

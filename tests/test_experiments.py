@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsearch import experiments
+from qsearch import experiments, model
 from qsearch.bath import CHI_MARKOV, CHI_SECULAR, BathSpec, validate_approximations
 from qsearch.cli import EXIT_CONFIG
 from qsearch.cli import main as cli_main
@@ -565,11 +566,11 @@ def test_a_sweep_table_that_cannot_fit_is_refused_at_parse(tmp_path, capsys, mon
     assert "sweep.seeds = 1000000000" in capsys.readouterr().err
     # the estimate is the rows times their bytes, against what the process can still allocate
     doc["sweep"]["seeds"] = 4
-    monkeypatch.setattr(experiments, "_memory_budget", lambda: 12 * experiments._SWEEP_ROW_BYTES - 1)
+    monkeypatch.setattr(model, "_memory_budget", lambda: 12 * experiments._SWEEP_ROW_BYTES - 1)
     path.write_text(json.dumps(doc))
     assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "table of 12 rows" in capsys.readouterr().err
-    monkeypatch.setattr(experiments, "_memory_budget", lambda: 12 * experiments._SWEEP_ROW_BYTES)
+    monkeypatch.setattr(model, "_memory_budget", lambda: 12 * experiments._SWEEP_ROW_BYTES)
     assert parse_config(doc).sweep.seeds == 4
 
 
@@ -588,7 +589,7 @@ def test_a_grid_that_cannot_fit_is_refused_at_parse(tmp_path, capsys, monkeypatc
         _small_sweep_doc([10.0, 20.0, 30.0], fit=False),
     ]
     # a 7.7 GB machine's budget: 10^10 points, and 10^9 for correlation, cannot fit
-    monkeypatch.setattr(experiments, "_memory_budget", lambda: 7.7e9)
+    monkeypatch.setattr(model, "_memory_budget", lambda: 7.7e9)
     path = tmp_path / "config.json"
     for doc in docs:
         points = 10**9 if doc["mode"] == "correlation" else 10**10
@@ -600,11 +601,11 @@ def test_a_grid_that_cannot_fit_is_refused_at_parse(tmp_path, capsys, monkeypatc
     for doc in docs:
         doc["grid"]["points"] = 10**5
         need = 10**5 * experiments._GRID_POINT_BYTES[doc["mode"]]
-        monkeypatch.setattr(experiments, "_memory_budget", lambda: need - 1)
+        monkeypatch.setattr(model, "_memory_budget", lambda: need - 1)
         path.write_text(json.dumps(doc))
         assert cli_main([doc["mode"], "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "grid.points = 100000" in capsys.readouterr().err
-        monkeypatch.setattr(experiments, "_memory_budget", lambda: need + 10**9)
+        monkeypatch.setattr(model, "_memory_budget", lambda: need + 10**9)
         assert parse_config(doc).grid.points == 10**5
 
 
@@ -772,15 +773,21 @@ def test_dense_only_inputs_are_refused_at_parse(monkeypatch) -> None:
 
 def test_reduced_modes_draw_only_the_sites_up_to_w(tmp_path, monkeypatch) -> None:
     import qsearch.experiments as experiments
-    from qsearch.model import DENSE_LIMIT, sample_disorder
+    from qsearch.model import DENSE_LIMIT, sample_disorder, uniform_site
 
     requested = []
+    sites = []
 
     def recording(n, sigma, distribution="uniform", seed=0):
         requested.append(n)
         return sample_disorder(n, sigma, distribution, seed)
 
+    def recording_site(w, sigma, seed):
+        sites.append(w)
+        return uniform_site(w, sigma, seed)
+
     monkeypatch.setattr(experiments, "sample_disorder", recording)
+    monkeypatch.setattr(experiments, "uniform_site", recording_site)
     docs = []
     for mode in ("secular", "redfield", "validate", "correlation"):
         doc = _secular_doc()
@@ -795,11 +802,28 @@ def test_reduced_modes_draw_only_the_sites_up_to_w(tmp_path, monkeypatch) -> Non
     docs.append({"mode": "unitary", "system": big, "grid": {"points": 20}})
     for doc in docs:
         requested.clear()
+        sites.clear()
         _, summary = run(parse_config(doc), out_dir=str(tmp_path), force=True)
-        assert requested and max(requested) <= doc["system"]["w"] + 1, doc["mode"]
+        # no field is drawn: site w alone
+        assert not requested and set(sites) == {doc["system"]["w"]}, doc["mode"]
     # the reduced unitary run reads site w of the n-site field it no longer draws
     assert big["n"] > DENSE_LIMIT and summary["method"] == "reduced"
     assert summary["eps_w"] == sample_disorder(big["n"], 0.01, "uniform", 4).epsilons[12345]
+
+
+def test_a_marked_site_far_out_is_drawn_in_constant_memory(tmp_path) -> None:
+    # n = 10^12 and w = 10^11: a (w+1)-site draw would be 800 GB
+    doc = _secular_doc()
+    doc["system"].update(n=10**12, w=10**11, sigma=0.02)
+    doc["grid"]["points"] = 2000
+    tracemalloc.start()
+    try:
+        files, summary = run(parse_config(doc), out_dir=str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(files) == 2 and abs(summary["eps_w"]) <= 0.02
+    assert peak < 8 * 2**20
 
 
 def test_csv_cells_keep_their_text_form(tmp_path, monkeypatch, csv_body) -> None:

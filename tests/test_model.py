@@ -21,6 +21,7 @@ from qsearch.model import (
     build_search_hamiltonian,
     gamma_policy,
     sample_disorder,
+    uniform_site,
 )
 from qsearch.spectral import eigendecompose
 
@@ -76,11 +77,36 @@ def test_disorder_is_deterministic_per_seed() -> None:
     seed=st.integers(0, 2**63),
 )
 def test_uniform_disorder_prefix_is_the_shorter_draw(data, n, sigma, seed) -> None:
-    # the rule the runner relies on to read eps_w from a (w+1)-site draw
     k = data.draw(st.integers(1, n))
     full = sample_disorder(n, sigma, "uniform", seed).epsilons
     prefix = sample_disorder(k, sigma, "uniform", seed).epsilons
     assert prefix.tobytes() == full[:k].tobytes()
+
+
+@settings(max_examples=100, deadline=2000)
+@given(
+    w=st.integers(0, 2 * 10**5 - 1),
+    sigma=st.sampled_from([0.0, 1e-300, 1e-3, 0.5, 0.999]),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_one_site_draw_is_the_fields_site(w, sigma, seed) -> None:
+    # the rule the runner relies on to read eps_w without drawing the field
+    prefix = sample_disorder(w + 1, sigma, "uniform", seed).epsilons
+    assert uniform_site(w, sigma, seed).hex() == float(prefix[-1]).hex()
+
+
+def test_one_site_draw_at_a_huge_index_is_constant_memory() -> None:
+    tracemalloc.start()
+    try:
+        eps = uniform_site(10**11, 0.02, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(eps) <= 0.02 and peak < 64 * 1024
+    with pytest.raises(InvalidParameterError):
+        uniform_site(-1, 0.02, 3)
+    with pytest.raises(InvalidParameterError):
+        uniform_site(0, -0.02, 3)
 
 
 def test_disorder_uniform_is_bounded_by_sigma() -> None:
@@ -216,5 +242,5 @@ def test_hamiltonian_eps_w_accessor() -> None:
     graph = build_complete_graph(8)
     field = sample_disorder(8, 0.2, "uniform", seed=11)
     h = build_search_hamiltonian(graph, w=5, gamma=1.0 / 8, disorder=field)
-    assert h.eps_w() == field.eps_at(5) == field.epsilons[5]
-    assert build_search_hamiltonian(graph, w=5, gamma=1.0 / 8).eps_w() == 0.0
+    assert h.disorder.eps_at(h.w) == field.epsilons[5] == uniform_site(5, 0.2, 11)
+    assert uniform_site(5, 0.0, 11) == 0.0

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -11,12 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsearch.bath import BathSpec, correlation_time
-from qsearch import redfield
+from qsearch import model, redfield
 from qsearch.errors import (
     ContractViolationError,
     DenseLimitError,
     InvalidParameterError,
-    NoEstimateError,
     QSearchError,
     ValidityError,
 )
@@ -24,7 +22,6 @@ from qsearch.redfield import (
     RedfieldTensor,
     assemble_redfield,
     damping_rate,
-    extract_relaxation_time,
     integrate_master,
     secular_populations,
     secular_rates,
@@ -35,7 +32,7 @@ from qsearch.spectral import coupling_coefficients, eigendecompose, reduce_two_l
 from reference import (
     analytic_population,
     analytic_rho_x,
-    extract_relaxation_time_by_polyfit,
+    decay_time_by_polyfit,
     pauli_two_level_matrix,
     traces,
 )
@@ -308,36 +305,40 @@ def test_assemble_refuses_invalid_regime() -> None:
     assert tensor.r.shape == (2, 2, 2, 2)
 
 
-def test_extract_relaxation_time_synthetic_exponential() -> None:
+def _decay_time(times, series, target: float):
+    """(t_rel, note) of one series: the one row of its _decay_times stack."""
+    (t_rel,), (note,) = redfield._decay_times(times[None], series[None], np.array([target]))
+    return t_rel, note
+
+
+def test_decay_time_synthetic_exponential() -> None:
     times = np.linspace(0.0, 400.0, 2000)
     series = 0.6 - 0.5 * np.exp(-0.01 * times)
-    assert extract_relaxation_time(times, series, 0.6) == pytest.approx(100.0, rel=0.01)
+    assert _decay_time(times, series, 0.6) == (pytest.approx(100.0, rel=0.01), "")
 
 
-def test_extract_relaxation_time_secular_curve() -> None:
+def test_decay_time_secular_curve() -> None:
     tl = reduce_two_level(10**6, 0.0, sigma=0.007, policy="plain")
     co = coupling_coefficients(tl, 2)
     rates = secular_rates(co, BathSpec(g=0.02, beta=15.0, omega_c=2.0), 0.011, force=True)
     times = np.linspace(0.0, 6.0 * rates.t_rel, 3000)
     series = secular_populations(rates, times, 1e-6)
-    assert extract_relaxation_time(times, series, rates.p_suc) == pytest.approx(
-        rates.t_rel, rel=0.02
-    )
+    assert _decay_time(times, series, rates.p_suc) == (pytest.approx(rates.t_rel, rel=0.02), "")
 
 
-def test_extract_relaxation_time_oscillatory_envelope() -> None:
+def test_decay_time_oscillatory_envelope() -> None:
     tl, co = _clean_system(10**4)
     gamma = damping_rate(co, ZERO_T, tl.delta)
     times = np.linspace(0.0, 5.0 / gamma, 4000)
     series = analytic_population(times, gamma, tl.delta)
-    assert extract_relaxation_time(times, series, 0.5) == pytest.approx(1.0 / gamma, rel=0.10)
+    assert _decay_time(times, series, 0.5) == (pytest.approx(1.0 / gamma, rel=0.10), "")
 
 
-def test_extract_relaxation_time_unconverged_series() -> None:
+def test_decay_time_unconverged_series() -> None:
     times = np.linspace(0.0, 10.0, 100)
     series = 0.6 - 0.5 * np.exp(-0.001 * times)
-    with pytest.raises(NoEstimateError):
-        extract_relaxation_time(times, series, 0.6)
+    t_rel, note = _decay_time(times, series, 0.6)
+    assert math.isnan(t_rel) and note.startswith("series is ") and "from target at window end" in note
 
 
 _SERIES_KINDS = ("monotone", "oscillatory", "steps", "zeros", "few", "growing", "unconverged")
@@ -407,15 +408,12 @@ def test_row_fit_matches_the_polyfit_reference_row_by_row(points, rows) -> None:
             # its mean gives the polyfit reference's slope
             assert math.isnan(fits[i]) and note.startswith("residual is not decaying")
             continue
-        try:
-            expected = extract_relaxation_time_by_polyfit(t, v, target)
-        except NoEstimateError as exc:
-            assert math.isnan(fits[i]) and notes[i] == str(exc)
-            with pytest.raises(NoEstimateError, match=f"^{re.escape(str(exc))}$"):
-                extract_relaxation_time(t, v, target)
+        expected, expected_note = decay_time_by_polyfit(t, v, target)
+        assert notes[i] == expected_note
+        if expected_note:
+            assert math.isnan(fits[i])
         else:
-            assert notes[i] == "" and fits[i] == pytest.approx(expected, rel=1e-10, abs=0.0)
-            assert extract_relaxation_time(t, v, target) == fits[i]
+            assert fits[i] == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_a_constant_residual_is_not_decaying() -> None:
@@ -718,19 +716,19 @@ def test_many_distinct_steps_are_refused_before_any_exponential(monkeypatch) -> 
     spec, co, rho0 = _random_levels(4, 2)
     tensor = assemble_redfield(co, spec, ZERO_T)
     times = np.cumsum(np.arange(1.0, 11.0))  # ten distinct steps
-    monkeypatch.setattr(redfield, "_memory_budget", lambda: 10 * 8 * 4**4 - 1)
+    monkeypatch.setattr(model, "_memory_budget", lambda: 10 * 8 * 4**4 - 1)
     expms = _counting(monkeypatch, redfield, "_expm")
     with pytest.raises(DenseLimitError, match="10 distinct time steps at m=4"):
         integrate_master(tensor, rho0, times)
     assert not expms
-    monkeypatch.setattr(redfield, "_memory_budget", lambda: 10 * 8 * 4**4)
+    monkeypatch.setattr(model, "_memory_budget", lambda: 10 * 8 * 4**4)
     assert integrate_master(tensor, rho0, times).rhos.shape == (10, 4, 4)
     assert len(expms) == 10
 
 
 def test_assemble_rejects_oversized_systems(monkeypatch) -> None:
     # the refusal depends on the memory left, so pin it to a 7.7 GB machine's
-    monkeypatch.setattr(redfield, "_memory_budget", lambda: 7.7e9)
+    monkeypatch.setattr(model, "_memory_budget", lambda: 7.7e9)
     rng = np.random.default_rng(3)
     a = rng.normal(size=(129, 129))
     spec = eigendecompose(0.5 * (a + a.T))
@@ -742,19 +740,19 @@ def test_assemble_rejects_oversized_systems(monkeypatch) -> None:
 def test_assemble_refuses_what_the_memory_budget_cannot_hold(monkeypatch) -> None:
     spec, co, _ = _random_levels(4, seed=2)
     need = 7 * 8 * 4**4  # the pipeline's peak, seven m^4 arrays of doubles
-    monkeypatch.setattr(redfield, "_memory_budget", lambda: need)
+    monkeypatch.setattr(model, "_memory_budget", lambda: need)
     assert assemble_redfield(co, spec, ZERO_T).m == 4
 
     def no_rates(*_args):
         raise AssertionError("a rate was computed before the refusal")
 
-    monkeypatch.setattr(redfield, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(model, "_memory_budget", lambda: need - 1)
     monkeypatch.setattr(redfield, "rate_S", no_rates)
     with pytest.raises(DenseLimitError, match="m=4"):
         assemble_redfield(co, spec, ZERO_T)
     # the real budget is read from this process's view of memory
     monkeypatch.undo()
-    assert redfield._memory_budget() > need
+    assert model._memory_budget() > need
 
 
 def _random_levels(m: int, seed: int):

@@ -13,9 +13,7 @@ from qsearch.model import DisorderField, build_complete_graph, build_search_hami
 from qsearch.spectral import reduce_two_level
 from qsearch.unitary import (
     _first_peak,
-    default_time_grid,
     evolve_closed,
-    expected_runtime,
     reduced_peak,
     regime_classify,
     success_probability_reduced,
@@ -105,7 +103,7 @@ def test_reduced_peak_damped_by_marked_site_energy() -> None:
 def _exact_peak_n1024_eps02() -> float:
     tl = reduce_two_level(1024, 0.2, policy="plain")
     h = _clean_hamiltonian(1024, eps_w=0.2)
-    result = evolve_closed(h, default_time_grid(tl.delta, points=6000))
+    result = evolve_closed(h, np.linspace(0.0, 3.0 * math.pi / tl.delta, 6000))
     return result.p_peak
 
 
@@ -139,7 +137,7 @@ def test_reduced_matches_exact_evolution(eps_w: float) -> None:
     n = 1024
     h = _clean_hamiltonian(n, eps_w=eps_w)
     tl = reduce_two_level(n, eps_w, policy="plain")
-    times = default_time_grid(tl.delta, points=1500)
+    times = np.linspace(0.0, 3.0 * math.pi / tl.delta, 1500)
     exact = evolve_closed(h, times).p_w
     reduced = success_probability_reduced(tl, times)
     assert np.max(np.abs(exact - reduced)) <= 0.05
@@ -153,7 +151,7 @@ def test_peak_decreases_with_marked_site_energy() -> None:
         tl = reduce_two_level(n, eps_w, policy="plain")
         peaks_formula.append(reduced_peak(tl)[1])
         h = _clean_hamiltonian(n, eps_w=eps_w)
-        result = evolve_closed(h, default_time_grid(tl.delta, points=4000))
+        result = evolve_closed(h, np.linspace(0.0, 3.0 * math.pi / tl.delta, 4000))
         peaks_exact.append(result.p_peak)
     assert peaks_formula[0] > peaks_formula[1] > peaks_formula[2]
     assert peaks_exact[0] > peaks_exact[1] > peaks_exact[2]
@@ -169,44 +167,37 @@ def test_regime_boundary_is_inclusive() -> None:
         regime_classify(64, -0.1)
 
 
-def test_expected_runtime_clean_case() -> None:
-    est = expected_runtime(10**4, 0.0)
-    assert est.t_single == pytest.approx(math.pi * 50.0, rel=1e-14)
-    assert est.repetitions == pytest.approx(1.0, rel=1e-14)
-    assert est.t_expected == pytest.approx(math.pi * 50.0, rel=1e-14)
+def _plain_runtime(n: int, eps_w: float):
+    """(t_single, repetitions, t_expected) of the plain pair: t_peak, 1/p_peak and their product."""
+    t_peak, p_peak = reduced_peak(reduce_two_level(n, eps_w, policy="plain"))
+    return t_peak, 1.0 / p_peak, t_peak / p_peak
 
 
-def test_expected_runtime_disordered_case() -> None:
-    est = expected_runtime(10**6, 0.007)
-    assert est.repetitions == pytest.approx(13.25, rel=1e-12)
-    assert est.t_expected == pytest.approx(5717.78, rel=1e-4)
+def test_reduced_peak_runtime_clean_case() -> None:
+    t_single, repetitions, t_expected = _plain_runtime(10**4, 0.0)
+    assert t_single == pytest.approx(math.pi * 50.0, rel=1e-14)
+    assert repetitions == pytest.approx(1.0, rel=1e-14)
+    assert t_expected == pytest.approx(math.pi * 50.0, rel=1e-14)
+
+
+def test_reduced_peak_runtime_disordered_case() -> None:
+    _, repetitions, t_expected = _plain_runtime(10**6, 0.007)
+    assert repetitions == pytest.approx(13.25, rel=1e-12)
+    assert t_expected == pytest.approx(5717.78, rel=1e-4)
     # closed form: product equals (pi sqrt(n)/2) sqrt(repetitions)
     ident = 0.5 * math.pi * 1000.0 * math.sqrt(13.25)
-    assert est.t_expected == pytest.approx(ident, rel=1e-12)
+    assert t_expected == pytest.approx(ident, rel=1e-12)
 
 
-def test_expected_runtime_scaling_with_n() -> None:
+def test_reduced_peak_runtime_scaling_with_n() -> None:
     # clean case: quadrupling n doubles the expected time exactly
-    c1 = expected_runtime(10**6, 0.0)
-    c2 = expected_runtime(4 * 10**6, 0.0)
-    assert c2.t_expected / c1.t_expected == pytest.approx(2.0, rel=1e-12)
+    c1 = _plain_runtime(10**6, 0.0)[2]
+    c2 = _plain_runtime(4 * 10**6, 0.0)[2]
+    assert c2 / c1 == pytest.approx(2.0, rel=1e-12)
     # fixed eps_w: repetitions grow linearly in n on top of the sqrt
-    r1 = expected_runtime(10**6, 0.02)
-    r2 = expected_runtime(4 * 10**6, 0.02)
-    ratio = r2.t_expected / r1.t_expected
-    assert ratio == pytest.approx(2.0 * math.sqrt(401.0 / 101.0), rel=1e-6)
-
-
-def test_default_time_grid_span_and_validation() -> None:
-    grid = default_time_grid(0.25)
-    assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(12.0 * math.pi, rel=1e-14)
-    assert grid.size == 2000
-    assert default_time_grid(0.25, t_max=7.0)[-1] == 7.0
-    with pytest.raises(InvalidParameterError):
-        default_time_grid(0.0)
-    with pytest.raises(InvalidParameterError):
-        default_time_grid(0.25, points=1)
+    r1 = _plain_runtime(10**6, 0.02)[2]
+    r2 = _plain_runtime(4 * 10**6, 0.02)[2]
+    assert r2 / r1 == pytest.approx(2.0 * math.sqrt(401.0 / 101.0), rel=1e-6)
 
 
 def test_evolve_closed_rejects_bad_grids() -> None:
