@@ -239,8 +239,8 @@ def validate_approximations(bath: BathSpec, delta: float, n: int) -> ValidityRep
     The memoryless-bath condition needs g << 1/delta_t; the
     population-coherence decoupling needs g << sqrt(delta/delta_t); the
     two-level truncation needs beta above log(n) divided by the spectral
-    gap 1 - delta separating the retained pair from the rest. Reports,
-    never raises, for any finite inputs.
+    gap 1 - delta separating the retained pair from the rest. Reports
+    failed margins; raises only for delta <= 0 or n < 2.
     """
     if delta <= 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")

@@ -26,7 +26,7 @@ class ContractViolationError(QSearchError):
 
 
 class ValidityError(QSearchError):
-    """A weak-coupling approximation bound is violated hard (margin > 1)."""
+    """A run's validity report fails (>= 1) the margin that its path relies on."""
 
 
 class ConfigError(QSearchError, ValueError):

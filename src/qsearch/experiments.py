@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bath import BathSpec, correlation_finite_T, correlation_zero_T, validate_approximations
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, ValidityError
 from .model import (
     DENSE_LIMIT,
     SearchHamiltonian,
@@ -451,11 +451,14 @@ def _relax(
     propagates their populations on transfer rates (default window
     6 t_rel, zero coherence): one rate call and one population array for
     the whole stack. The tensor path integrates the full two-level Redfield
-    tensor of its one pair (default window 6/gamma). eps_ws are reported
-    in the summaries only. Returns (times, columns, summaries): times and
-    the columns p_w, rho11, rho22, re_rho12 and im_rho12 have one row per
-    pair, and each summary holds its pair's scalar results, with t_rel_fit
-    None and the reason in fit_note when no decay time can be fitted.
+    tensor of its one pair (default window 6/gamma). Unless forced, the
+    first pair whose validity report fails its path's margin (secular:
+    coarse graining; tensor: memoryless bath) raises ValidityError before
+    anything is propagated. eps_ws are reported in the summaries only.
+    Returns (times, columns, summaries): times and the columns p_w, rho11,
+    rho22, re_rho12 and im_rho12 have one row per pair, and each summary
+    holds its pair's scalar results and report, with t_rel_fit None and the
+    reason in fit_note when no decay time can be fitted.
     """
     coeffs = [coupling_coefficients(tl, retained=2) for tl in tls]
     starts = [_projected_initial_state(tl) for tl in tls]
@@ -463,8 +466,17 @@ def _relax(
     # which differs from pow in the last bit for about 1 value in 1200
     a1sq = np.array([[tl.a1**2] for tl in tls])
     a2sq = np.array([[tl.a2**2] for tl in tls])
+    # the refusal reads the reports that the summaries hold, so the two agree
+    reports = [validate_approximations(bath, tl.delta, tl.n) for tl in tls]
+    broken = next((r for r in reports if not (r.secular_ok if secular else r.markov_ok)), None)
+    if broken is not None and not force:
+        what, margin = (
+            ("coarse-graining margin g*sqrt(delta_t/delta)", broken.secular_margin) if secular
+            else ("bath memory margin g*delta_t", broken.markov_margin)
+        )
+        raise ValidityError(f"{what} = {margin:.3g} >= 1; pass force=True to override")
     if secular:
-        rates = secular_rates(coeffs, bath, np.array([[tl.delta] for tl in tls]), force=force)
+        rates = secular_rates(coeffs, bath, np.array([[tl.delta] for tl in tls]))
         times = _times(grid, 6.0 * rates.t_rel[:, 0])
         rho11 = secular_populations(rates, times, np.array([[np.real(rho0[0, 0])] for rho0, _ in starts]))
         rho22 = 1.0 - rho11
@@ -480,7 +492,7 @@ def _relax(
     else:
         # the tensor path relaxes one pair: every seed of a sigma = 0 value is the same point
         (tl,), (c,), ((rho0, _),) = tls, coeffs, starts
-        tensor = assemble_redfield(c, tl, bath, force=force)
+        tensor = assemble_redfield(c, tl, bath)
         gamma = damping_rate(c, bath, tl.delta)
         if gamma == 0.0:  # g > 0 whose square underflows
             raise InvalidParameterError(f"the damping rate at g = {bath.g} is zero; nothing relaxes")
@@ -503,8 +515,8 @@ def _relax(
         }]
     fits, notes = _decay_times(times, columns[0], p_w_steady)
     summaries = []
-    for tl, eps_w, (_, defect), extra, p, steady, t_rel_fit, note in zip(
-        tls, eps_ws, starts, extras, p_suc.tolist(), p_w_steady.tolist(), fits.tolist(), notes
+    for tl, eps_w, (_, defect), extra, p, steady, t_rel_fit, note, report in zip(
+        tls, eps_ws, starts, extras, p_suc.tolist(), p_w_steady.tolist(), fits.tolist(), notes, reports
     ):
         summaries.append(dict(
             extra,
@@ -515,7 +527,7 @@ def _relax(
             t_rel_fit=None if note else t_rel_fit,
             fit_note=note,
             projection_defect=defect,
-            validity=validate_approximations(bath, tl.delta, tl.n).to_dict(),
+            validity=report.to_dict(),
         ))
     return times, columns, summaries
 

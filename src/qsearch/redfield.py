@@ -11,9 +11,9 @@ populations rho_aa, an orthonormal basis of the Hermitian matrices. A
 real tensor with R_abcd = R_badc (and omega_ab = -omega_ba) maps
 Hermitian rho to Hermitian rho, so the generator G is a real m^2 x m^2
 matrix there, which integrate_master and steady_state each build afresh
-from the tensor; a tensor that breaks this is refused with
-ContractViolationError. RedfieldTensor.generator() keeps the complex
-row-major form.
+from the tensor; a RedfieldTensor that breaks this is refused with
+ContractViolationError when it is built. RedfieldTensor.generator() keeps
+the complex row-major form.
 
 integrate_master propagates by exact steps: for each distinct gap h
 between consecutive times it forms E = exp(G h) once, by the degree-18
@@ -37,8 +37,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bath import BathSpec, correlation_time, rate_S
-from .errors import ContractViolationError, InvalidParameterError, ValidityError
+from .bath import BathSpec, rate_S
+from .errors import ContractViolationError, InvalidParameterError
 from .model import require_memory
 from .spectral import CouplingCoefficients, Spectrum, TwoLevelSystem
 
@@ -145,12 +145,27 @@ def _hermitian_coordinates(m: int) -> _Coordinates:
 
 @dataclass(frozen=True)
 class RedfieldTensor:
-    """Relaxation tensor R_abcd with its Bohr-frequency matrix."""
+    """Relaxation tensor R_abcd with its Bohr-frequency matrix; built only if it preserves Hermiticity."""
 
     m: int
     r: np.ndarray
     omegas: np.ndarray
     eigenvalues: np.ndarray
+
+    def __post_init__(self) -> None:
+        r, omegas = self.r, self.omegas
+        if np.iscomplexobj(r) or np.iscomplexobj(omegas):
+            raise ContractViolationError("the relaxation tensor and Bohr frequencies must be real")
+        bound = _HERMITIAN_TOL * max(r.max(), -r.min())
+        # omega_ab = lambda_a - lambda_b is antisymmetric to the last bit; R_abcd
+        # is checked against R_badc one leading index a at a time, so that no
+        # m^4 temporary is made: r[:, a] holds R_bacd, transposed to R_badc
+        if (omegas + omegas.T).any() or any(
+            np.abs(r[a] - r[:, a].transpose(0, 2, 1)).max() > bound for a in range(self.m)
+        ):
+            raise ContractViolationError(
+                "tensor does not preserve Hermiticity: need R_abcd = R_badc and omega_ab = -omega_ba"
+            )
 
     def generator(self) -> np.ndarray:
         """Flattened generator L of d(rho)/dt = L rho, rho in row-major order."""
@@ -165,26 +180,12 @@ class RedfieldTensor:
         Its dissipator is block-diagonal: the symmetric (Re) block takes
         R_ab,cd + R_ab,dc and the antisymmetric (Im) block R_ab,cd - R_ab,dc;
         the Hamiltonian part couples each (Re, Im) pair by +-omega_ab.
-        Refuses a tensor that does not map Hermitian rho to Hermitian rho.
         """
         m = self.m
         n2 = m * m
-        r, omegas = self.r, self.omegas
-        if np.iscomplexobj(r) or np.iscomplexobj(omegas):
-            raise ContractViolationError("the relaxation tensor and Bohr frequencies must be real")
-        bound = _HERMITIAN_TOL * max(r.max(), -r.min())
-        # omega_ab = lambda_a - lambda_b is antisymmetric to the last bit; R_abcd
-        # is checked against R_badc one leading index a at a time, so that no
-        # m^4 temporary is made: r[:, a] holds R_bacd, transposed to R_badc
-        if (omegas + omegas.T).any() or any(
-            np.abs(r[a] - r[:, a].transpose(0, 2, 1)).max() > bound for a in range(m)
-        ):
-            raise ContractViolationError(
-                "tensor does not preserve Hermiticity: need R_abcd = R_badc and omega_ab = -omega_ba"
-            )
         c = _hermitian_coordinates(m)
         p = c.pairs
-        rf = r.reshape(n2, n2)
+        rf = self.r.reshape(n2, n2)
         g = np.zeros((n2, n2))
         rows = rf[c.rows_of_r]
         np.subtract(rows[:p, :p], rows[:p, p:2 * p], out=g[:p, :p])
@@ -194,7 +195,7 @@ class RedfieldTensor:
         del rows
         sym[:p, p:] *= _SQRT2
         sym[p:, :p] *= 1.0 / _SQRT2
-        w = omegas.reshape(n2)[c.upper]
+        w = self.omegas.reshape(n2)[c.upper]
         flat = g.reshape(n2 * n2)
         flat[c.re_from_im] = w
         flat[c.im_from_re] = -w
@@ -231,7 +232,6 @@ def assemble_redfield(
     coeffs: CouplingCoefficients,
     source: Union[Spectrum, TwoLevelSystem, np.ndarray],
     bath: BathSpec,
-    force: bool = False,
 ) -> RedfieldTensor:
     """Assemble the relaxation tensor for the retained levels.
 
@@ -239,16 +239,10 @@ def assemble_redfield(
     weighted quartic sum over the distinct coefficient rows. Raises
     DenseLimitError, before allocating, when the O(m^4) arrays of assembly
     and propagation would not fit in the memory the process can still
-    allocate, and ValidityError when the bath memory bound is violated
-    hard (g * delta_t > 1) unless forced.
+    allocate.
     """
     m = coeffs.m
     require_memory(_PEAK_M4_DOUBLES * 8.0 * m**4, f"full Redfield dynamics at m={m}")
-    margin = bath.g * correlation_time(bath)
-    if margin > 1.0 and not force:
-        raise ValidityError(
-            f"bath memory margin g*delta_t = {margin:.3g} > 1; pass force=True to override"
-        )
     levels = _eigenvalues_of(source, m)
     rows = coeffs.rows
     counts = coeffs.counts
@@ -559,18 +553,16 @@ def secular_rates(
     coeffs: Union[CouplingCoefficients, Sequence[CouplingCoefficients]],
     bath: BathSpec,
     delta,
-    force: bool = False,
 ) -> SecularRates:
     """Downward/upward rates 2*pi*Lambda_12*S(+-delta) and their summary.
 
     w12 feeds the ground state, w21 depletes it; their ratio is the
     thermal detailed-balance factor e^(beta delta), making the fixed
-    point p_suc = 1/(1 + e^(-beta delta)). Refused outside the
-    coarse-graining validity bound unless forced.
+    point p_suc = 1/(1 + e^(-beta delta)).
 
     A sequence of P coefficient sets with an array of their P deltas is
     one stack: one rate_S call on every +-delta, and fields of delta's
-    shape. The refusal names the margin of the first pair that breaks it.
+    shape.
     """
     delta = np.asarray(delta, dtype=float)
     pairs = [coeffs] if isinstance(coeffs, CouplingCoefficients) else coeffs
@@ -579,13 +571,6 @@ def secular_rates(
     lam12 = np.array([c.lambda_kl[0, 1] for c in pairs], dtype=float).reshape(delta.shape)
     if (delta <= 0).any():
         raise InvalidParameterError(f"delta must be positive, got {delta[delta <= 0][0]}")
-    margin = bath.g * np.sqrt(correlation_time(bath) / delta)
-    broken = margin >= 1.0
-    if broken.any() and not force:
-        raise ValidityError(
-            f"coarse-graining margin g*sqrt(delta_t/delta) = {margin[broken][0]:.3g} >= 1; "
-            "pass force=True to override"
-        )
     rates = 2.0 * math.pi * lam12[..., None] * rate_S(np.stack([delta, -delta], axis=-1), bath)
     w12, w21 = rates[..., 0], rates[..., 1]
     total = w12 + w21

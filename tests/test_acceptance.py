@@ -168,10 +168,10 @@ def test_criterion_04_gibbs_fixed_point() -> None:
         bath = BathSpec(g=0.05, beta=beta_delta / tl.delta, omega_c=2.0)
         coeffs = coupling_coefficients(tl, 2)
         gibbs = 1.0 / (1.0 + math.exp(-beta_delta))
-        tensor = assemble_redfield(coeffs, tl, bath, force=True)
+        tensor = assemble_redfield(coeffs, tl, bath)
         ss = steady_state(tensor)
         worst_full = max(worst_full, abs(float(np.real(ss[0, 0])) - gibbs))
-        rates = secular_rates(coeffs, bath, tl.delta, force=True)
+        rates = secular_rates(coeffs, bath, tl.delta)
         worst_secular = max(worst_secular, abs(rates.p_suc - gibbs))
         worst_balance = max(
             worst_balance,

@@ -55,3 +55,25 @@ def test_every_public_name_is_used_outside_the_tests() -> None:
             if not used and not re.search(rf"\b{re.escape(name)}\b", perfbench):
                 unused.append(f"{path.stem}.{qualified}")
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def _raised_names(tree: ast.Module):
+    """The name of each exception that a raise statement in the module constructs or re-raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_validity_refusal_has_one_home() -> None:
+    # the runner refuses from the validity report each run writes; a second
+    # refusal elsewhere could disagree with that report
+    raisers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "ValidityError" in _raised_names(ast.parse(path.read_text(), str(path)))
+    )
+    assert raisers == ["experiments.py"]

@@ -77,6 +77,46 @@ def test_validity_refusal_and_force_override(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
+def _tensor_doc(g: float) -> dict:
+    return {
+        "mode": "redfield",
+        "system": {"n": 1000, "sigma": 0.0, "seed": 0, "gamma_policy": "shifted"},
+        "bath": {"g": g, "beta": 10.0, "omega_c": 2.0},
+        "grid": {"t_max": 200.0, "points": 50},
+    }
+
+
+def test_tensor_path_refusal_and_force_override(tmp_path, capsys) -> None:
+    cfg = _write(tmp_path, _tensor_doc(0.5))
+    assert main(["redfield", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDITY
+    assert "validity: bath memory margin g*delta_t = 5 >= 1" in capsys.readouterr().err
+    assert main(["redfield", "--config", cfg, "--out", str(tmp_path), "--force"]) == 0
+    capsys.readouterr()
+
+
+def test_memory_margin_of_exactly_one_is_refused(tmp_path, capsys) -> None:
+    # g * delta_t = 0.1 * 10 = 1: the summary has always reported it as failed,
+    # and the refusal reads that report
+    cfg = _write(tmp_path, _tensor_doc(0.1))
+    assert main(["redfield", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDITY
+    assert "validity: bath memory margin g*delta_t = 1 >= 1" in capsys.readouterr().err
+    assert main(["redfield", "--config", cfg, "--out", str(tmp_path), "--force"]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "redfield_summary.json").read_text())
+    assert summary["validity"] == {
+        "beta_star": 7.374136629512897,
+        "delta_t": 10.0,
+        "markov_margin": 1.0,
+        "markov_ok": False,
+        "markov_status": "fail",
+        "notes": "memoryless-bath margin 1 is fail; coarse-graining margin 1.26 is fail",
+        "secular_margin": 1.2574334296829348,
+        "secular_ok": False,
+        "secular_status": "fail",
+        "two_level_ok": True,
+    }
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch) -> None:
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")

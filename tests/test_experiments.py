@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsearch import experiments, model
-from qsearch.bath import CHI_MARKOV, CHI_SECULAR, BathSpec, validate_approximations
+from qsearch.bath import CHI_MARKOV, CHI_SECULAR, BathSpec, correlation_time, validate_approximations
 from qsearch.cli import EXIT_CONFIG
 from qsearch.cli import main as cli_main
-from qsearch.errors import ConfigError, InvalidParameterError
+from qsearch.errors import ConfigError, InvalidParameterError, ValidityError
 from qsearch.experiments import (
     MODES,
     SWEEP_PARAMETERS,
@@ -27,6 +27,7 @@ from qsearch.experiments import (
     run,
     sweep,
 )
+from qsearch.spectral import reduce_two_level
 
 
 def _unitary_doc(n: int = 64, **system_extra) -> dict:
@@ -977,3 +978,30 @@ def test_relax_keeps_the_physical_invariants(n, sigma_frac, seed, beta_frac, g_f
     assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() <= 1e-9
     assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() <= 1e-12
     assert float(np.real(seen["steady_state"][0, 0])) == pytest.approx(gibbs, abs=1e-4)
+
+
+def test_relax_refuses_outside_the_coarse_graining_bound() -> None:
+    # a stack is refused at the margin of its first pair that breaks the bound
+    eps_ws = [-0.006, 0.005, 0.0]
+    tls = [reduce_two_level(10**6, eps, sigma=0.007, policy="plain") for eps in eps_ws]
+    bath = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
+    grid = experiments.GridConfig(points=50)
+    margins = bath.g * np.sqrt(correlation_time(bath) / np.array([tl.delta for tl in tls]))
+    assert margins[0] < 1.0 <= margins[1] < margins[2]
+    message = rf"coarse-graining margin g\*sqrt\(delta_t/delta\) = {margins[1]:.3g} >= 1"
+    with pytest.raises(ValidityError, match=message):
+        experiments._relax(tls, eps_ws, bath, grid, force=False, secular=True)
+    _, _, summaries = experiments._relax(tls, eps_ws, bath, grid, force=True, secular=True)
+    assert [s["validity"]["secular_ok"] for s in summaries] == [True, False, False]
+    assert all(s["rates"]["w12"] > 0.0 for s in summaries)
+
+
+def test_relax_refuses_outside_the_memory_bound() -> None:
+    tl = reduce_two_level(256, 0.0, policy="plain")
+    bath = BathSpec(g=0.1, beta=15.0, omega_c=2.0)
+    grid = experiments.GridConfig(points=50)
+    with pytest.raises(ValidityError, match=r"bath memory margin g\*delta_t = 1.5 >= 1"):
+        experiments._relax([tl], [0.0], bath, grid, force=False, secular=False)
+    _, columns, (summary,) = experiments._relax([tl], [0.0], bath, grid, force=True, secular=False)
+    assert columns[0].shape == (1, 50)
+    assert not summary["validity"]["markov_ok"]
