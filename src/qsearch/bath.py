@@ -200,12 +200,12 @@ def correlation_time(bath: BathSpec) -> float:
     return max(bath.beta, 1.0 / bath.omega_c)
 
 
-def _grade(margin: float, chi: float) -> str:
-    if margin < chi:
-        return "ok"
-    if margin < 1.0:
-        return "marginal"
-    return "fail"
+_GRADES = np.array(["ok", "marginal", "fail"])
+
+
+def _grade(margin: np.ndarray, chi: float) -> np.ndarray:
+    """Each margin graded: "ok" below chi, "marginal" below 1, else "fail" (NaN included)."""
+    return _GRADES[np.searchsorted((chi, 1.0), margin, side="right")]
 
 
 @dataclass(frozen=True)
@@ -233,6 +233,35 @@ class ValidityReport:
         return dict(vars(self))
 
 
+def _validity(bath: BathSpec, delta, n: int) -> dict:
+    """The fields of validate_approximations but notes, for an array of deltas.
+
+    Each value is an array of delta's shape; raises as validate_approximations.
+    """
+    delta = np.asarray(delta, dtype=float)
+    if (delta <= 0).any():
+        raise InvalidParameterError(f"delta must be positive, got {float(delta[delta <= 0][0])}")
+    if n < 2:
+        raise InvalidParameterError(f"need n >= 2, got n={n}")
+    dt = correlation_time(bath)
+    markov_margin = np.full(delta.shape, bath.g * dt)
+    secular_margin = bath.g * np.sqrt(dt / delta)
+    rest_gap = 1.0 - delta
+    # infinite where the retained pair reaches the rest of the spectrum
+    beta_star = np.divide(math.log(n), rest_gap, out=np.full(delta.shape, math.inf), where=rest_gap > 0)
+    return {
+        "delta_t": np.full(delta.shape, dt),
+        "markov_margin": markov_margin,
+        "markov_ok": markov_margin < 1.0,
+        "markov_status": _grade(markov_margin, CHI_MARKOV),
+        "secular_margin": secular_margin,
+        "secular_ok": secular_margin < 1.0,
+        "secular_status": _grade(secular_margin, CHI_SECULAR),
+        "two_level_ok": bath.beta > beta_star,
+        "beta_star": beta_star,
+    }
+
+
 def validate_approximations(bath: BathSpec, delta: float, n: int) -> ValidityReport:
     """Evaluate g*delta_t, g*sqrt(delta_t/delta), and the two-level bound.
 
@@ -242,38 +271,12 @@ def validate_approximations(bath: BathSpec, delta: float, n: int) -> ValidityRep
     gap 1 - delta separating the retained pair from the rest. Reports
     failed margins; raises only for delta <= 0 or n < 2.
     """
-    if delta <= 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got n={n}")
-    dt = correlation_time(bath)
-    markov_margin = bath.g * dt
-    secular_margin = bath.g * math.sqrt(dt / delta)
-    markov_status = _grade(markov_margin, CHI_MARKOV)
-    secular_status = _grade(secular_margin, CHI_SECULAR)
-    rest_gap = 1.0 - delta
-    if rest_gap > 0:
-        beta_star = math.log(n) / rest_gap
-        two_level_ok = bath.beta > beta_star
-    else:
-        beta_star = math.inf
-        two_level_ok = False
+    report = {key: value.item() for key, value in _validity(bath, delta, n).items()}
     notes = []
-    if markov_status != "ok":
-        notes.append(f"memoryless-bath margin {markov_margin:.3g} is {markov_status}")
-    if secular_status != "ok":
-        notes.append(f"coarse-graining margin {secular_margin:.3g} is {secular_status}")
-    if not two_level_ok:
-        notes.append(f"two-level truncation needs beta > {beta_star:.3g}")
-    return ValidityReport(
-        delta_t=dt,
-        markov_margin=markov_margin,
-        markov_ok=markov_margin < 1.0,
-        markov_status=markov_status,
-        secular_margin=secular_margin,
-        secular_ok=secular_margin < 1.0,
-        secular_status=secular_status,
-        two_level_ok=two_level_ok,
-        beta_star=beta_star,
-        notes="; ".join(notes),
-    )
+    if report["markov_status"] != "ok":
+        notes.append(f"memoryless-bath margin {report['markov_margin']:.3g} is {report['markov_status']}")
+    if report["secular_status"] != "ok":
+        notes.append(f"coarse-graining margin {report['secular_margin']:.3g} is {report['secular_status']}")
+    if not report["two_level_ok"]:
+        notes.append(f"two-level truncation needs beta > {report['beta_star']:.3g}")
+    return ValidityReport(**report, notes="; ".join(notes))

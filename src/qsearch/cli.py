@@ -56,7 +56,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValidityError as exc:
-        print(f"validity: {exc}", file=sys.stderr)
+        print(f"validity: {exc}; pass --force to override", file=sys.stderr)
         return EXIT_VALIDITY
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical: {exc}", file=sys.stderr)

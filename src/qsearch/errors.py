@@ -26,7 +26,11 @@ class ContractViolationError(QSearchError):
 
 
 class ValidityError(QSearchError):
-    """A run's validity report fails (>= 1) the margin that its path relies on."""
+    """A run's validity report fails (>= 1) the margin that its path relies on.
+
+    The message names the margin; run and sweep take force=True, and the
+    command line --force, to proceed anyway.
+    """
 
 
 class ConfigError(QSearchError, ValueError):

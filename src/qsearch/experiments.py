@@ -11,15 +11,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bath import BathSpec, correlation_finite_T, correlation_zero_T, validate_approximations
+from .bath import BathSpec, _validity, correlation_finite_T, correlation_zero_T, validate_approximations
 from .errors import ConfigError, InvalidParameterError, ValidityError
 from .model import (
     DENSE_LIMIT,
@@ -35,22 +36,26 @@ from .model import (
 from .redfield import (
     SecularRates,
     _decay_times,
+    _transfer_rates,
     assemble_redfield,
     damping_rate,
     integrate_master,
     secular_populations,
-    secular_rates,
     solution_population,
     steady_state,
 )
 from .spectral import (
     TwoLevelSystem,
+    _pair_coefficients,
+    _Pairs,
+    _reduce_pairs,
+    _s_overlaps,
     coupling_coefficients,
     eigendecompose,
     reduce_two_level,
     secular_spectrum,
 )
-from .unitary import evolve_closed, reduced_peak, regime_classify, success_probability_reduced
+from .unitary import _reduced_peaks, evolve_closed, reduced_peak, regime_classify, success_probability_reduced
 from .version import __version__
 
 MODES = ("unitary", "redfield", "secular", "correlation", "sweep", "validate", "spectrum")
@@ -331,27 +336,47 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def _write_csv(path: str, cfg_hash: str, header: Sequence[str], rows, formats=None) -> None:
-    """Comment block, header, then each row tuple in one printf format per column ("%.12g")."""
-    line = ",".join(formats or ["%.12g"] * len(header)) + "\n"
+def _numeric_lines(*columns) -> Iterator[str]:
+    """One CSV line per row of the columns, each cell in "%.12g"."""
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
+    return (line % row for row in zip(*columns))
+
+
+def _write_csv(path: str, cfg_hash: str, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Comment block, header, then the table's lines."""
     with open(path, "w") as f:
         f.write(f"# config {cfg_hash}\n")
         f.write(f"# version {__version__}\n")
         f.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         f.write(",".join(header) + "\n")
-        f.writelines(line % row for row in rows)
+        f.writelines(lines)
+
+
+def _finite(doc):
+    """doc with each NaN or infinite float, at any depth of dicts and lists, replaced by None."""
+    if isinstance(doc, dict):
+        return {key: _finite(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(value) for value in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    return doc
 
 
 def _write_json(path: str, cfg_hash: str, payload: dict) -> None:
+    """The summary as strict JSON (RFC 8259): a NaN or infinite float is written as null."""
     doc = {"config_hash": cfg_hash, "version": __version__}
     doc.update(payload)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float; a finite document is encoded once, unwalked
+        text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
-# what a mode returns: its CSV table (header, rows[, formats]) or None, the
-# suffix of its JSON file or None, and its summary, which that file holds
+# what a mode returns: its CSV table (header, lines) or None, the suffix of
+# its JSON file or None, and its summary, which that file holds
 _Output = Tuple[Optional[tuple], Optional[str], dict]
 
 
@@ -366,25 +391,25 @@ def _hamiltonian(sys_cfg: SystemConfig) -> SearchHamiltonian:
     return build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
 
 
+def _sigma_arg(sys_cfg: SystemConfig) -> Optional[float]:
+    """The sigma the reduction takes: None for a disorder-free plain system."""
+    return sys_cfg.sigma if (sys_cfg.sigma > 0 or sys_cfg.gamma_policy == "shifted") else None
+
+
 def _two_level(sys_cfg: SystemConfig, eps_w: float) -> TwoLevelSystem:
     """Complete-graph two-level reduction at the marked-site energy eps_w."""
-    sigma_arg = sys_cfg.sigma if (sys_cfg.sigma > 0 or sys_cfg.gamma_policy == "shifted") else None
-    return reduce_two_level(sys_cfg.n, eps_w, sigma=sigma_arg, policy=sys_cfg.gamma_policy)
+    return reduce_two_level(sys_cfg.n, eps_w, sigma=_sigma_arg(sys_cfg), policy=sys_cfg.gamma_policy)
+
+
+def _pairs(sys_cfg: SystemConfig, eps_ws) -> _Pairs:
+    """Complete-graph two-level reductions at the marked-site energies eps_ws, as one stack."""
+    return _reduce_pairs(sys_cfg.n, np.asarray(eps_ws, dtype=float), _sigma_arg(sys_cfg), sys_cfg.gamma_policy)
 
 
 def _reduced_system(sys_cfg: SystemConfig) -> Tuple[TwoLevelSystem, float]:
     """Two-level reduction of the configured system at its eps_w, drawn alone; returns (tl, eps_w)."""
     eps_w = uniform_site(sys_cfg.w, sys_cfg.sigma, sys_cfg.seed)
     return _two_level(sys_cfg, eps_w), eps_w
-
-
-def _projected_initial_state(tl: TwoLevelSystem) -> Tuple[np.ndarray, float]:
-    """Uniform state projected onto the retained pair; returns (rho0, defect)."""
-    s1, s2 = tl.s_overlap(1), tl.s_overlap(2)
-    weight = s1 * s1 + s2 * s2
-    psi = np.array([s1, s2]) / math.sqrt(weight)
-    rho0 = np.outer(psi, psi).astype(complex)
-    return rho0, 1.0 - weight
 
 
 def _times(grid: GridConfig, t_max) -> np.ndarray:
@@ -434,51 +459,54 @@ def _run_unitary(cfg: ExperimentConfig, force: bool) -> _Output:
             t_expected=t_peak / p_peak, method="reduced",
         )
     summary.update(eps_w=eps_w, delta=delta)
-    return (["t", "p_w"], zip(times, p_w)), "summary", summary
+    return (["t", "p_w"], _numeric_lines(times, p_w)), "summary", summary
 
 
 def _relax(
-    tls: Sequence[TwoLevelSystem],
-    eps_ws: Sequence[float],
-    bath: BathSpec,
-    grid: GridConfig,
-    force: bool,
-    secular: bool,
-) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], List[dict]]:
-    """Relax the projected uniform state of each reduced pair in tls and fit t_rel.
+    pairs: _Pairs, bath: BathSpec, grid: GridConfig, force: bool, secular: bool
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], dict]:
+    """Relax the projected uniform state of each reduced pair of a stack and fit t_rel.
 
-    The pairs are one stack along a leading points axis. The secular path
-    propagates their populations on transfer rates (default window
-    6 t_rel, zero coherence): one rate call and one population array for
-    the whole stack. The tensor path integrates the full two-level Redfield
-    tensor of its one pair (default window 6/gamma). Unless forced, the
-    first pair whose validity report fails its path's margin (secular:
-    coarse graining; tensor: memoryless bath) raises ValidityError before
-    anything is propagated. eps_ws are reported in the summaries only.
-    Returns (times, columns, summaries): times and the columns p_w, rho11,
-    rho22, re_rho12 and im_rho12 have one row per pair, and each summary
-    holds its pair's scalar results and report, with t_rel_fit None and the
-    reason in fit_note when no decay time can be fitted.
+    The secular path propagates the stack's populations on transfer rates
+    (default window 6 t_rel, zero coherence): one rate call and one
+    population array from the arrays of its pairs' delta, Lambda_12,
+    rho11(0) and validity margins. The tensor path integrates the full
+    two-level Redfield tensor of its one pair (default window 6/gamma).
+    Unless forced, the first pair whose margin fails its path's bound
+    (secular: coarse graining; tensor: memoryless bath) raises
+    ValidityError before anything is propagated.
+    Returns (times, columns, fields): times and the columns p_w, rho11,
+    rho22, re_rho12 and im_rho12 have one row per pair, and fields holds
+    each per-pair result as an array along the stack (fit_note and regime
+    as lists): p_suc, p_w_steady, t_rel_fit (NaN where fit_note gives the
+    reason no decay time was fitted, "" elsewhere), t_rel_formula,
+    projection_defect, validity (the arrays of bath._validity) and, on the
+    secular path, rates (a SecularRates of arrays), on the tensor path
+    gamma_damping, regime and truncation_bound.
     """
-    coeffs = [coupling_coefficients(tl, retained=2) for tl in tls]
-    starts = [_projected_initial_state(tl) for tl in tls]
-    # squared by Python's float pow, pair by pair: numpy squares by x*x,
-    # which differs from pow in the last bit for about 1 value in 1200
-    a1sq = np.array([[tl.a1**2] for tl in tls])
-    a2sq = np.array([[tl.a2**2] for tl in tls])
-    # the refusal reads the reports that the summaries hold, so the two agree
-    reports = [validate_approximations(bath, tl.delta, tl.n) for tl in tls]
-    broken = next((r for r in reports if not (r.secular_ok if secular else r.markov_ok)), None)
-    if broken is not None and not force:
+    validity = _validity(bath, pairs.delta, pairs.n)
+    ok = validity["secular_ok" if secular else "markov_ok"]
+    if not (force or ok.all()):
+        first = int(np.argmin(ok))
         what, margin = (
-            ("coarse-graining margin g*sqrt(delta_t/delta)", broken.secular_margin) if secular
-            else ("bath memory margin g*delta_t", broken.markov_margin)
+            ("coarse-graining margin g*sqrt(delta_t/delta)", validity["secular_margin"][first]) if secular
+            else ("bath memory margin g*delta_t", validity["markov_margin"][first])
         )
-        raise ValidityError(f"{what} = {margin:.3g} >= 1; pass force=True to override")
+        raise ValidityError(f"{what} = {margin:.3g} >= 1")
+    # the uniform state projected onto each retained pair
+    s = _s_overlaps(pairs.n, pairs.overlaps)
+    weight = s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1]
+    psi = s / np.sqrt(weight)[:, None]
+    fields = {"projection_defect": 1.0 - weight, "validity": validity}
     if secular:
-        rates = secular_rates(coeffs, bath, np.array([[tl.delta] for tl in tls]))
+        # squared by Python's float pow, pair by pair: numpy squares by x*x,
+        # which differs from pow in the last bit for about 1 value in 1200
+        wsq = np.array([[a1**2, a2**2] for a1, a2 in pairs.overlaps[:, :2].tolist()])
+        a1sq, a2sq = wsq[:, :1], wsq[:, 1:]
+        lam12 = _pair_coefficients(pairs.n, pairs.overlaps)[2][:, 0, 1]
+        rates = _transfer_rates(lam12[:, None], bath, pairs.delta[:, None])
         times = _times(grid, 6.0 * rates.t_rel[:, 0])
-        rho11 = secular_populations(rates, times, np.array([[np.real(rho0[0, 0])] for rho0, _ in starts]))
+        rho11 = secular_populations(rates, times, (psi[:, 0] * psi[:, 0])[:, None])
         rho22 = 1.0 - rho11
         zeros = np.broadcast_to(0.0, times.shape)
         p_w = a1sq * rho11
@@ -486,18 +514,19 @@ def _relax(
         columns = (p_w, rho11, rho22, zeros, zeros)
         p_suc = rates.p_suc[:, 0]
         p_w_steady = (a1sq * rates.p_suc + a2sq * (1.0 - rates.p_suc))[:, 0]
-        per_pair = zip(*(x[:, 0].tolist() for x in vars(rates).values()))
-        records = [SecularRates(*row).to_dict() for row in per_pair]
-        extras = [{"rates": record, "t_rel_formula": record["t_rel"]} for record in records]
+        fields.update(
+            rates=SecularRates(*(x[:, 0] for x in vars(rates).values())), t_rel_formula=rates.t_rel[:, 0]
+        )
     else:
         # the tensor path relaxes one pair: every seed of a sigma = 0 value is the same point
-        (tl,), (c,), ((rho0, _),) = tls, coeffs, starts
+        (tl,) = map(pairs.pair, range(len(pairs)))
+        c = coupling_coefficients(tl, retained=2)
         tensor = assemble_redfield(c, tl, bath)
         gamma = damping_rate(c, bath, tl.delta)
         if gamma == 0.0:  # g > 0 whose square underflows
             raise InvalidParameterError(f"the damping rate at g = {bath.g} is zero; nothing relaxes")
         times = _times(grid, 6.0 / gamma)[None]
-        traj = integrate_master(tensor, rho0, times[0])
+        traj = integrate_master(tensor, np.outer(psi[0], psi[0]).astype(complex), times[0])
         series = solution_population(traj, tl)
         rhos = traj.rhos
         columns = tuple(col[None] for col in (
@@ -507,44 +536,42 @@ def _relax(
         p_suc = np.array([_gibbs_p_suc(bath.beta, tl.delta)])
         wrow = np.array([tl.a1, tl.a2])
         p_w_steady = np.array([np.real(wrow @ steady_state(tensor) @ wrow)])
-        extras = [{
-            "gamma_damping": gamma,
-            "regime": "underdamped" if gamma < tl.delta else "overdamped",
-            "t_rel_formula": 1.0 / (2.0 * gamma),
-            "truncation_bound": series.truncation_bound,
-        }]
+        fields.update(
+            gamma_damping=np.array([gamma]),
+            regime=["underdamped" if gamma < tl.delta else "overdamped"],
+            t_rel_formula=np.array([1.0 / (2.0 * gamma)]),
+            truncation_bound=np.array([series.truncation_bound]),
+        )
     fits, notes = _decay_times(times, columns[0], p_w_steady)
-    summaries = []
-    for tl, eps_w, (_, defect), extra, p, steady, t_rel_fit, note, report in zip(
-        tls, eps_ws, starts, extras, p_suc.tolist(), p_w_steady.tolist(), fits.tolist(), notes, reports
-    ):
-        summaries.append(dict(
-            extra,
-            delta=tl.delta,
-            eps_w=eps_w,
-            p_suc=p,
-            p_w_steady=steady,
-            t_rel_fit=None if note else t_rel_fit,
-            fit_note=note,
-            projection_defect=defect,
-            validity=report.to_dict(),
-        ))
-    return times, columns, summaries
+    fields.update(p_suc=p_suc, p_w_steady=p_w_steady, t_rel_fit=fits, fit_note=notes)
+    return times, columns, fields
 
 
 def _run_relaxation(cfg: ExperimentConfig, force: bool) -> _Output:
-    tl, eps_w = _reduced_system(cfg.system)
-    times, columns, (summary,) = _relax(
-        [tl], [eps_w], cfg.bath, cfg.grid, force, secular=cfg.mode == "secular"
+    sys_cfg = cfg.system
+    eps_w = uniform_site(sys_cfg.w, sys_cfg.sigma, sys_cfg.seed)
+    pairs = _pairs(sys_cfg, [eps_w])
+    times, columns, fields = _relax(pairs, cfg.bath, cfg.grid, force, secular=cfg.mode == "secular")
+    rates = fields.pop("rates", None)
+    del fields["validity"]  # the summary holds the pair's whole report, notes included
+    summary = {key: value[0] if isinstance(value, list) else value[0].item() for key, value in fields.items()}
+    if rates is not None:
+        summary["rates"] = {key: value[0].item() for key, value in vars(rates).items()}
+    delta = pairs.delta[0].item()
+    summary.update(
+        delta=delta,
+        eps_w=eps_w,
+        t_rel_fit=None if summary["fit_note"] else summary["t_rel_fit"],
+        validity=validate_approximations(cfg.bath, delta, sys_cfg.n).to_dict(),
     )
     header = ["t", "p_w", "rho11", "rho22", "re_rho12", "im_rho12"]
-    return (header, zip(times[0], *(col[0] for col in columns))), "summary", summary
+    return (header, _numeric_lines(times[0], *(col[0] for col in columns))), "summary", summary
 
 
 def _run_correlation(cfg: ExperimentConfig, force: bool) -> _Output:
     times = np.linspace(0.0, cfg.grid.t_max, cfg.grid.points)
     f_vals = (correlation_zero_T if cfg.bath.is_zero_temperature else correlation_finite_T)(times, cfg.bath)
-    table = (["t", "re_f", "im_f", "abs_f"], zip(times, np.real(f_vals), np.imag(f_vals), np.abs(f_vals)))
+    table = (["t", "re_f", "im_f", "abs_f"], _numeric_lines(times, np.real(f_vals), np.imag(f_vals), np.abs(f_vals)))
     summary: dict = {"temperature_mode": cfg.bath.temperature_mode}
     if cfg.system is None:
         return table, None, summary
@@ -619,58 +646,72 @@ def _apply_sweep_value(
     return system, replace(bath, **{parameter: float(value)})
 
 
-def _sweep_points(
-    system: SystemConfig, eps_ws: Sequence[float], bath: BathSpec, grid: GridConfig, force: bool
-) -> List[dict]:
-    """The rows of the points at marked-site energies eps_ws, less their value and seed.
+# the fields of a sweep row besides its value and seed, in the order _sweep_points gives them
+_POINT_KEYS = (
+    "eps_w", "delta", "t_rel_fit", "t_rel_formula", "p_suc", "p_peak",
+    "markov_status", "secular_status", "two_level_ok", "note",
+)
 
-    Disordered points relax as one stack on secular population rates; a
-    disorder-free point relaxes on the full two-level tensor.
+
+def _sweep_points(
+    system: SystemConfig, pairs: _Pairs, bath: BathSpec, grid: GridConfig, force: bool
+) -> List[dict]:
+    """The rows of the points of a stack of system's pairs, less their value and seed.
+
+    Disordered points relax on secular population rates, a disorder-free
+    point on the full two-level tensor.
     """
-    tls = [_two_level(system, eps_w) for eps_w in eps_ws]
-    _, _, summaries = _relax(tls, eps_ws, bath, grid, force, secular=system.sigma > 0)
-    return [
-        {
-            "eps_w": eps_w,
-            "delta": tl.delta,
-            "t_rel_fit": math.nan if summary["t_rel_fit"] is None else summary["t_rel_fit"],
-            "t_rel_formula": summary["t_rel_formula"],
-            "p_suc": summary["p_suc"],
-            "p_peak": reduced_peak(tl)[1],
-            "markov_status": summary["validity"]["markov_status"],
-            "secular_status": summary["validity"]["secular_status"],
-            "two_level_ok": summary["validity"]["two_level_ok"],
-            "note": summary["fit_note"],
-        }
-        for tl, eps_w, summary in zip(tls, eps_ws, summaries)
-    ]
+    _, _, fields = _relax(pairs, bath, grid, force, secular=system.sigma > 0)
+    _, p_peak = _reduced_peaks(pairs.n, pairs.policy, pairs.eps_w, pairs.delta, pairs.overlaps)
+    validity = fields["validity"]
+    columns = (
+        pairs.eps_w, pairs.delta, fields["t_rel_fit"], fields["t_rel_formula"], fields["p_suc"], p_peak,
+        validity["markov_status"], validity["secular_status"], validity["two_level_ok"],
+    )
+    return [dict(zip(_POINT_KEYS, row)) for row in zip(*(c.tolist() for c in columns), fields["fit_note"])]
+
+
+def _seed_points(w: int, sigma: float, seeds: int) -> Tuple[np.ndarray, List[int]]:
+    """The distinct eps_w that seeds 0..seeds-1 draw at site w, and each seed's index into them.
+
+    The distinct values come in the order of the first seed that draws
+    each, told apart by their bits, so that -0.0 and 0.0 stay apart.
+    """
+    index: Dict[str, int] = {}
+    point = [index.setdefault(uniform_site(w, sigma, seed).hex(), len(index)) for seed in range(seeds)]
+    return np.array([float.fromhex(key) for key in index]), point
 
 
 def sweep(cfg: ExperimentConfig, force: bool = False) -> SweepResult:
     """Run all (value, seed) points in order, in the calling thread.
 
-    Within one value a point depends on its seed only through eps_w, so the
-    seeds that draw the same eps_w (every seed of a sigma = 0 value) share
-    one run, and each gets its own copy of the row. A value's distinct
-    points run as stacks of at most _STACK_BLOCK // grid.points points.
-    Rows come out in (value, seed) order.
+    A point depends on its seed only through eps_w, which depends on
+    nothing but the seed, w and sigma; so each seed's eps_w is drawn once
+    per distinct sigma for the whole sweep, not once per value. Within one
+    value, the seeds that draw the same eps_w (every seed of a sigma = 0
+    value) share one run, and each gets its own copy of the row. A value's
+    distinct points run as stacks of at most _STACK_BLOCK // grid.points
+    points, reduced once for consecutive values of one system (a sweep of
+    beta, g or omega_c). Rows come out in (value, seed) order; the table
+    that run writes formats each distinct point's cells once and adds each
+    row's seed (_sweep_lines).
     """
     sw = cfg.sweep
     stack = max(1, _STACK_BLOCK // cfg.grid.points)
+    draws: Dict[float, Tuple[np.ndarray, List[int]]] = {}
+    reduced: Tuple[Optional[SystemConfig], List[_Pairs]] = (None, [])
     rows: List[dict] = []
     per_value = []
     for value in sw.values:
         system, bath = _apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value)
-        # eps_w by its exact bits, so that -0.0 and 0.0 stay apart; fromhex restores it
-        keys = [uniform_site(system.w, system.sigma, seed).hex() for seed in range(sw.seeds)]
-        unique = list(dict.fromkeys(keys))
-        solved: Dict[str, dict] = {}
-        for i in range(0, len(unique), stack):
-            part = unique[i : i + stack]
-            eps_ws = [float.fromhex(key) for key in part]
-            solved.update(zip(part, _sweep_points(system, eps_ws, bath, cfg.grid, force)))
-        rows.extend(dict(solved[key], value=value, seed=seed) for seed, key in enumerate(keys))
-        fits = np.array([r["t_rel_fit"] for r in rows[-sw.seeds:]])
+        if system.sigma not in draws:
+            draws[system.sigma] = _seed_points(system.w, system.sigma, sw.seeds)
+        eps_ws, point = draws[system.sigma]
+        if reduced[0] != system:
+            reduced = (system, [_pairs(system, eps_ws[i : i + stack]) for i in range(0, eps_ws.size, stack)])
+        points = [row for pairs in reduced[1] for row in _sweep_points(system, pairs, bath, cfg.grid, force)]
+        rows.extend(dict(points[k], value=value, seed=seed) for seed, k in enumerate(point))
+        fits = np.array([points[k]["t_rel_fit"] for k in point])
         finite = fits[np.isfinite(fits)]
         if finite.size:
             q25, q50, q75 = np.percentile(finite, [25, 50, 75])
@@ -703,20 +744,38 @@ def sweep(cfg: ExperimentConfig, force: bool = False) -> SweepResult:
     return SweepResult(parameter=sw.parameter, rows=rows, per_value=per_value, fit=fit)
 
 
-_SWEEP_COLUMNS = (
-    "value", "seed", "eps_w", "delta", "t_rel_fit", "t_rel_formula",
-    "p_suc", "p_peak", "markov_status", "secular_status", "two_level_ok", "note",
-)
-# printf format of each column above; the bool two_level_ok is written as true/false
-_SWEEP_FORMATS = ("%.12g", "%d") + ("%.12g",) * 6 + ("%s",) * 4
+_SWEEP_COLUMNS = ("value", "seed") + _POINT_KEYS
+_ROW_POINT = operator.itemgetter(*_POINT_KEYS)
+# the cells after a row's seed; two_level_ok is written as true/false
+_POINT_CELLS = "," + ",".join(("%.12g",) * 6 + ("%s",) * 4) + "\n"
+
+
+def _sweep_lines(rows: Iterable[dict]) -> Iterator[str]:
+    """The CSV line of each sweep row: value, seed, then the point's cells.
+
+    The cells of each distinct point of a value are formatted once, and
+    each row adds only its seed: a sigma = 0 value's rows all come from one
+    formatted point. Rows come in value order, so only one value's points
+    are held.
+    """
+    value = head = None
+    formatted: Dict[tuple, str] = {}
+    for row in rows:
+        if row["value"] != value:
+            value = row["value"]
+            head = "%.12g," % value
+            formatted.clear()
+        point = _ROW_POINT(row)
+        cells = formatted.get(point)
+        if cells is None:
+            cells = formatted[point] = _POINT_CELLS % (*point[:-2], str(point[-2]).lower(), point[-1])
+        yield head + "%d" % row["seed"] + cells
 
 
 def _run_sweep(cfg: ExperimentConfig, force: bool) -> _Output:
     result = sweep(cfg, force=force)
-    rows = (tuple(str(r[c]).lower() if c == "two_level_ok" else r[c] for c in _SWEEP_COLUMNS)
-            for r in result.rows)
     summary = {"parameter": result.parameter, "per_value": result.per_value, "fit": result.fit}
-    return (_SWEEP_COLUMNS, rows, _SWEEP_FORMATS), "summary", summary
+    return (_SWEEP_COLUMNS, _sweep_lines(result.rows)), "summary", summary
 
 
 _RUNNERS = {

@@ -544,10 +544,6 @@ class SecularRates:
     t_rel: Union[float, np.ndarray]
     p_suc: Union[float, np.ndarray]
 
-    def to_dict(self) -> dict:
-        # every field is a scalar or a string, so a shallow copy is the whole record
-        return dict(vars(self))
-
 
 def secular_rates(
     coeffs: Union[CouplingCoefficients, Sequence[CouplingCoefficients]],
@@ -569,6 +565,11 @@ def secular_rates(
     if len(pairs) != delta.size:
         raise InvalidParameterError(f"need one delta per coefficient set, got {delta.size} for {len(pairs)}")
     lam12 = np.array([c.lambda_kl[0, 1] for c in pairs], dtype=float).reshape(delta.shape)
+    return _transfer_rates(lam12, bath, delta)
+
+
+def _transfer_rates(lam12: np.ndarray, bath: BathSpec, delta: np.ndarray) -> SecularRates:
+    """secular_rates of pairs given by their Lambda_12 and delta, arrays of one shape."""
     if (delta <= 0).any():
         raise InvalidParameterError(f"delta must be positive, got {delta[delta <= 0][0]}")
     rates = 2.0 * math.pi * lam12[..., None] * rate_S(np.stack([delta, -delta], axis=-1), bath)

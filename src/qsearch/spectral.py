@@ -352,8 +352,7 @@ class TwoLevelSystem:
         """Exact overlap <lam_k|s> with the uniform state over all n nodes."""
         if k not in (1, 2):
             raise InvalidParameterError(f"level index must be 1 or 2, got {k}")
-        a, b = (self.a1, self.b1) if k == 1 else (self.a2, self.b2)
-        return a / math.sqrt(self.n) + b * math.sqrt(1.0 - 1.0 / self.n)
+        return float(_s_overlaps(self.n, np.array(self.overlaps))[k - 1])
 
     def to_dict(self) -> dict:
         return {
@@ -367,30 +366,120 @@ class TwoLevelSystem:
         }
 
 
-def _eig2(d1: float, d2: float, v: float):
-    """Stable eigenpairs of [[d1, v], [v, d2]], eigenvalues ascending."""
+def _s_overlaps(n: int, overlaps: np.ndarray) -> np.ndarray:
+    """<lam_1|s> and <lam_2|s> from overlaps (..., 4): a_k/sqrt(n) + b_k sqrt(1 - 1/n)."""
+    return overlaps[..., :2] / math.sqrt(n) + overlaps[..., 2:] * math.sqrt(1.0 - 1.0 / n)
+
+
+@dataclass(frozen=True)
+class _Pairs:
+    """The reduced pairs of one (n, sigma, policy) at P marked-site energies.
+
+    Each array has a leading axis of P points; row i holds the fields of
+    reduce_two_level(n, eps_w[i], sigma, policy), bit for bit.
+    """
+
+    n: int
+    sigma: Optional[float]
+    policy: str
+    eps_w: np.ndarray
+    delta: np.ndarray
+    eigenvalues: np.ndarray
+    overlaps: np.ndarray
+    h_red: np.ndarray
+
+    def __len__(self) -> int:
+        return self.eps_w.size
+
+    def pair(self, i: int) -> TwoLevelSystem:
+        return TwoLevelSystem(
+            n=int(self.n),
+            eps_w=float(self.eps_w[i]),
+            sigma=None if self.sigma is None else float(self.sigma),
+            policy=self.policy,
+            delta=float(self.delta[i]),
+            eigenvalues=self.eigenvalues[i],
+            overlaps=tuple(self.overlaps[i].tolist()),
+            h_red=self.h_red[i],
+        )
+
+
+def _positive_pivot(e: np.ndarray) -> np.ndarray:
+    """Negate, in place, each row of e (P, 2) whose entry of larger magnitude is negative (ties: the first)."""
+    a, b = e[:, 0], e[:, 1]
+    flip = np.where(np.abs(a) >= np.abs(b), a, b) < 0
+    return np.negative(e, out=e, where=flip[:, None])
+
+
+def _reduce_pairs(n: int, eps_w: np.ndarray, sigma: Optional[float] = None, policy: str = "plain") -> _Pairs:
+    """reduce_two_level at each marked-site energy of the array eps_w, as one stack.
+
+    Elementwise array operations round as their scalar forms do; the one
+    step whose array form would not, the hypotenuse of each pair's
+    eigenvalue split, is taken pair by pair with math.hypot.
+    """
+    if n < 2:
+        raise InvalidParameterError(f"need n >= 2, got n={n}")
+    if policy not in ("plain", "shifted"):
+        raise InvalidParameterError(f"unknown gamma policy {policy!r}")
+    eps_w = np.asarray(eps_w, dtype=float)
+    if sigma is not None:
+        if sigma < 0:
+            raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
+        if sigma >= 1:
+            raise OutOfRegimeError(f"sigma={sigma} >= 1 is outside the sigma << 1 regime")
+        wide = np.abs(eps_w) > sigma
+        if wide.any():
+            raise InvalidParameterError(
+                f"|eps_w|={abs(float(eps_w[wide][0]))} exceeds the disorder half-width sigma={sigma}"
+            )
+    if policy == "shifted":
+        if sigma is None:
+            raise InvalidParameterError("shifted policy requires sigma")
+        c = 1.0 - sigma
+    else:
+        c = 1.0
+    points = eps_w.size
+    v = -c / math.sqrt(n)
+    d1 = -1.0 + eps_w
+    d2 = -c
+    # eigenpairs of [[d1, v], [v, d2]], eigenvalues ascending
     mean = 0.5 * (d1 + d2)
     half = 0.5 * (d1 - d2)
-    r = math.hypot(half, v)
-    lam1, lam2 = mean - r, mean + r
-    # pick the better-conditioned null-space expression
-    if abs(lam1 - d1) >= abs(lam1 - d2):
-        e1 = np.array([v, lam1 - d1])
-    else:
-        e1 = np.array([lam1 - d2, v])
-    norm = np.linalg.norm(e1)
-    if norm == 0.0:
-        e1 = np.array([1.0, 0.0])
-    else:
-        e1 = e1 / norm
-    i = int(np.argmax(np.abs(e1)))
-    if e1[i] < 0:
-        e1 = -e1
-    e2 = np.array([-e1[1], e1[0]])
-    i = int(np.argmax(np.abs(e2)))
-    if e2[i] < 0:
-        e2 = -e2
-    return lam1, lam2, e1, e2
+    r = np.array([math.hypot(x, v) for x in half.tolist()])
+    eigenvalues = np.empty((points, 2))
+    lam1 = np.subtract(mean, r, out=eigenvalues[:, 0])
+    lam2 = np.add(mean, r, out=eigenvalues[:, 1])
+    # the better-conditioned null-space expression of each pair
+    x1, x2 = lam1 - d1, lam1 - d2
+    first = np.abs(x1) >= np.abs(x2)
+    e1 = np.empty((points, 2))
+    e1[:, 0] = np.where(first, v, x2)
+    e1[:, 1] = np.where(first, x1, v)
+    # each row's norm is the dot product that np.linalg.norm takes, by
+    # matmul's BLAS call per row; a zero row becomes (1, 0)
+    norm = np.sqrt(e1[:, None, :] @ e1[:, :, None])[:, 0]
+    zero = norm[:, 0] == 0.0
+    np.divide(e1, norm, out=e1, where=~zero[:, None])
+    e1[zero] = (1.0, 0.0)
+    _positive_pivot(e1)
+    e2 = np.empty((points, 2))
+    np.negative(e1[:, 1], out=e2[:, 0])
+    e2[:, 1] = e1[:, 0]
+    _positive_pivot(e2)
+    overlaps = np.empty((points, 4))
+    overlaps[:, 0::2] = e1
+    overlaps[:, 1::2] = e2
+    h_red = np.empty((points, 2, 2))
+    h_red[:, 0, 0] = d1
+    h_red[:, 0, 1] = h_red[:, 1, 0] = v
+    h_red[:, 1, 1] = d2
+    for arr in (eigenvalues, h_red):
+        arr.setflags(write=False)
+    return _Pairs(
+        n=n, sigma=sigma, policy=policy, eps_w=eps_w, delta=eigenvalues[:, 1] - eigenvalues[:, 0],
+        eigenvalues=eigenvalues, overlaps=overlaps, h_red=h_red,
+    )
 
 
 def reduce_two_level(
@@ -407,43 +496,7 @@ def reduce_two_level(
     giving gap sqrt((sigma-eps_w)^2 + 4(1-sigma)^2/n); it is diagonalized
     exactly rather than to leading order.
     """
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got n={n}")
-    if policy not in ("plain", "shifted"):
-        raise InvalidParameterError(f"unknown gamma policy {policy!r}")
-    if sigma is not None:
-        if sigma < 0:
-            raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
-        if sigma >= 1:
-            raise OutOfRegimeError(f"sigma={sigma} >= 1 is outside the sigma << 1 regime")
-        if abs(eps_w) > sigma:
-            raise InvalidParameterError(
-                f"|eps_w|={abs(eps_w)} exceeds the disorder half-width sigma={sigma}"
-            )
-    if policy == "shifted":
-        if sigma is None:
-            raise InvalidParameterError("shifted policy requires sigma")
-        c = 1.0 - sigma
-    else:
-        c = 1.0
-    v = -c / math.sqrt(n)
-    d1 = -1.0 + eps_w
-    d2 = -c
-    h_red = np.array([[d1, v], [v, d2]])
-    lam1, lam2, e1, e2 = _eig2(d1, d2, v)
-    h_red.setflags(write=False)
-    eigenvalues = np.array([lam1, lam2])
-    eigenvalues.setflags(write=False)
-    return TwoLevelSystem(
-        n=int(n),
-        eps_w=float(eps_w),
-        sigma=None if sigma is None else float(sigma),
-        policy=policy,
-        delta=float(lam2 - lam1),
-        eigenvalues=eigenvalues,
-        overlaps=(float(e1[0]), float(e2[0]), float(e1[1]), float(e2[1])),
-        h_red=h_red,
-    )
+    return _reduce_pairs(n, np.array([eps_w], dtype=float), sigma, policy).pair(0)
 
 
 @dataclass(frozen=True)
@@ -466,6 +519,27 @@ class CouplingCoefficients:
     o1: float
 
 
+def _pair_coefficients(n: int, overlaps: np.ndarray):
+    """coupling_coefficients of a stack of reduced pairs from their overlaps (P, 4).
+
+    Returns (rows, counts, lambda_kl, o1): rows (P, 2, 2), the counts (2,)
+    that every pair shares, lambda_kl (P, 2, 2) and o1 (P,). The site sums
+    are matmul's per-pair BLAS calls, so each pair rounds as a stack of one.
+    """
+    scale = 1.0 / math.sqrt(n - 1)
+    rows = np.empty((overlaps.shape[0], 2, 2))
+    rows[:, 0] = overlaps[:, :2]
+    np.multiply(overlaps[:, 2:], scale, out=rows[:, 1])
+    counts = np.array([1.0, float(n - 1)])
+    sq = rows**2
+    weighted_sq = counts[:, None] * sq
+    lambda_kl = np.swapaxes(weighted_sq, 1, 2) @ sq
+    o1 = (((rows[:, :, 0] * rows[:, :, 1]) ** 2)[:, None, :] @ counts)[:, 0]
+    for arr in (rows, counts, lambda_kl):
+        arr.setflags(write=False)
+    return rows, counts, lambda_kl, o1
+
+
 def coupling_coefficients(
     source: Union[Spectrum, TwoLevelSystem],
     retained: int,
@@ -481,13 +555,10 @@ def coupling_coefficients(
             raise InvalidParameterError(
                 f"a reduced system provides exactly 2 retained levels, got {retained}"
             )
-        n = source.n
-        scale = 1.0 / math.sqrt(n - 1)
-        rows = np.array([
-            [source.a1, source.a2],
-            [source.b1 * scale, source.b2 * scale],
-        ])
-        counts = np.array([1.0, float(n - 1)])
+        rows, counts, lambda_kl, o1 = _pair_coefficients(source.n, np.array([source.overlaps]))
+        return CouplingCoefficients(
+            n=int(source.n), m=2, rows=rows[0], counts=counts, lambda_kl=lambda_kl[0], o1=float(o1[0]),
+        )
     elif isinstance(source, Spectrum):
         n = source.n
         if retained == n:

@@ -3,9 +3,12 @@
 The disorder-free two-level Pauli-basis Bloch matrix and closed-form
 damped coherence, the coefficient sums and materialized forms that only
 these checks read, the column loop that the vectorised eigenvector
-phase convention and the first-peak search replaced, and the per-series
+phase convention and the first-peak search replaced, the per-series
 np.polyfit form of the relaxation-time fit that the row-wise closed-form
-fit replaced. No mode of the package calls them.
+fit replaced, the per-pair eigensolver, coupling sums and peak formulas
+that the stacked two-level reduction replaced, and the per-point loop of
+sweep rows that the stacked sweep replaced. No mode of the package calls
+them.
 """
 
 from __future__ import annotations
@@ -15,10 +18,22 @@ from typing import Tuple
 
 import numpy as np
 
-from qsearch.bath import BathSpec, rate_S
+from qsearch import experiments
+from qsearch.bath import BathSpec, rate_S, validate_approximations
 from qsearch.errors import InvalidParameterError
-from qsearch.redfield import Trajectory
-from qsearch.spectral import CouplingCoefficients
+from qsearch.model import uniform_site
+from qsearch.redfield import (
+    Trajectory,
+    _decay_times,
+    assemble_redfield,
+    damping_rate,
+    integrate_master,
+    secular_populations,
+    secular_rates,
+    solution_population,
+    steady_state,
+)
+from qsearch.spectral import CouplingCoefficients, TwoLevelSystem
 
 
 def materialized(coeffs: CouplingCoefficients) -> np.ndarray:
@@ -183,3 +198,114 @@ def analytic_rho_x(t, gamma_rate: float, delta: float):
 def analytic_population(t, gamma_rate: float, delta: float):
     """Solution population (1 + rho_x)/2 of the disorder-free reduced system."""
     return 0.5 * (1.0 + analytic_rho_x(t, gamma_rate, delta))
+
+
+def eig2_by_pair(d1: float, d2: float, v: float):
+    """Per-pair eigenpairs of [[d1, v], [v, d2]], eigenvalues ascending.
+
+    Returns (lam1, lam2, e1, e2), each eigenvector signed so that its
+    entry of larger magnitude is positive (ties: the first).
+    """
+    mean = 0.5 * (d1 + d2)
+    half = 0.5 * (d1 - d2)
+    r = math.hypot(half, v)
+    lam1, lam2 = mean - r, mean + r
+    # pick the better-conditioned null-space expression
+    if abs(lam1 - d1) >= abs(lam1 - d2):
+        e1 = np.array([v, lam1 - d1])
+    else:
+        e1 = np.array([lam1 - d2, v])
+    norm = np.linalg.norm(e1)
+    e1 = np.array([1.0, 0.0]) if norm == 0.0 else e1 / norm
+    if e1[int(np.argmax(np.abs(e1)))] < 0:
+        e1 = -e1
+    e2 = np.array([-e1[1], e1[0]])
+    if e2[int(np.argmax(np.abs(e2)))] < 0:
+        e2 = -e2
+    return lam1, lam2, e1, e2
+
+
+def reduce_by_pair(n: int, eps_w: float, sigma, policy: str) -> TwoLevelSystem:
+    """reduce_two_level of one pair by the scalar eigensolver (inputs assumed valid)."""
+    c = 1.0 - sigma if policy == "shifted" else 1.0
+    v = -c / math.sqrt(n)
+    d1, d2 = -1.0 + eps_w, -c
+    lam1, lam2, e1, e2 = eig2_by_pair(d1, d2, v)
+    return TwoLevelSystem(
+        n=int(n), eps_w=float(eps_w), sigma=None if sigma is None else float(sigma), policy=policy,
+        delta=float(lam2 - lam1), eigenvalues=np.array([lam1, lam2]),
+        overlaps=(float(e1[0]), float(e2[0]), float(e1[1]), float(e2[1])), h_red=np.array([[d1, v], [v, d2]]),
+    )
+
+
+def s_overlaps_by_pair(tl) -> Tuple[float, float]:
+    """<lam_1|s> and <lam_2|s> of a reduced pair, in Python floats."""
+    root, rest = math.sqrt(tl.n), math.sqrt(1.0 - 1.0 / tl.n)
+    return tl.a1 / root + tl.b1 * rest, tl.a2 / root + tl.b2 * rest
+
+
+def coupling_by_pair(tl) -> CouplingCoefficients:
+    """Coupling coefficients of a reduced pair by the 2-D forms: Lambda a GEMM, o1 a dot product."""
+    scale = 1.0 / math.sqrt(tl.n - 1)
+    rows = np.array([[tl.a1, tl.a2], [tl.b1 * scale, tl.b2 * scale]])
+    counts = np.array([1.0, float(tl.n - 1)])
+    sq = rows**2
+    return CouplingCoefficients(
+        n=tl.n, m=2, rows=rows, counts=counts, lambda_kl=(counts[:, None] * sq).T @ sq,
+        o1=float(np.dot(counts, (rows[:, 0] * rows[:, 1]) ** 2)),
+    )
+
+
+def reduced_peak_by_pair(tl) -> float:
+    """p_peak of the reduced success probability by its scalar formulas."""
+    if tl.policy == "plain":
+        return 1.0 / (1.0 + tl.n * tl.eps_w**2 / 4.0)
+    s1, s2 = s_overlaps_by_pair(tl)
+    return (abs(tl.a1 * s1) + abs(tl.a2 * s2)) ** 2
+
+
+def sweep_rows_by_point(cfg) -> list:
+    """Per-(value, seed) loop of experiments.sweep's rows, each point on its own.
+
+    Each point draws its eps_w, is reduced, coupled and projected, and
+    gets its peak, by the scalar forms above, and is checked and relaxed
+    alone by the one-pair calls: secular rates at sigma > 0, the two-level
+    tensor at sigma = 0. The fit is the row-wise fit of a stack of one,
+    so that rows compare bit for bit.
+    """
+    sw = cfg.sweep
+    rows = []
+    for value in sw.values:
+        system, bath = experiments._apply_sweep_value(cfg.system, cfg.bath, sw.parameter, value)
+        sigma = system.sigma if (system.sigma > 0 or system.gamma_policy == "shifted") else None
+        for seed in range(sw.seeds):
+            eps_w = uniform_site(system.w, system.sigma, seed)
+            tl = reduce_by_pair(system.n, eps_w, sigma, system.gamma_policy)
+            report = validate_approximations(bath, tl.delta, tl.n)
+            coeffs = coupling_by_pair(tl)
+            s1, s2 = s_overlaps_by_pair(tl)
+            psi = np.array([s1, s2]) / math.sqrt(s1 * s1 + s2 * s2)
+            if system.sigma > 0:
+                rates = secular_rates(coeffs, bath, tl.delta)
+                times = experiments._times(cfg.grid, 6.0 * rates.t_rel)
+                rho11 = secular_populations(rates, times, psi[0] * psi[0])
+                p_w = tl.a1**2 * rho11 + tl.a2**2 * (1.0 - rho11)
+                steady = tl.a1**2 * rates.p_suc + tl.a2**2 * (1.0 - rates.p_suc)
+                t_rel_formula, p_suc = float(rates.t_rel), float(rates.p_suc)
+            else:
+                tensor = assemble_redfield(coeffs, tl, bath)
+                gamma = damping_rate(coeffs, bath, tl.delta)
+                times = experiments._times(cfg.grid, 6.0 / gamma)
+                p_w = solution_population(integrate_master(tensor, np.outer(psi, psi).astype(complex), times), tl).values
+                wrow = np.array([tl.a1, tl.a2])
+                steady = np.real(wrow @ steady_state(tensor) @ wrow)
+                t_rel_formula = 1.0 / (2.0 * gamma)
+                p_suc = 1.0 if math.isinf(bath.beta) else 1.0 / (1.0 + math.exp(-bath.beta * tl.delta))
+            (t_rel_fit,), (note,) = _decay_times(times[None], p_w[None], [steady])
+            rows.append({
+                "eps_w": eps_w, "delta": tl.delta, "t_rel_fit": float(t_rel_fit),
+                "t_rel_formula": t_rel_formula, "p_suc": p_suc, "p_peak": reduced_peak_by_pair(tl),
+                "markov_status": report.markov_status, "secular_status": report.secular_status,
+                "two_level_ok": report.two_level_ok, "note": note, "value": value, "seed": seed,
+            })
+    return rows

@@ -77,6 +77,14 @@ def test_validity_refusal_and_force_override(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
+def test_validity_refusal_names_the_command_line_flag(tmp_path, capsys) -> None:
+    recipe = os.path.join(os.path.dirname(__file__), os.pardir, "recipes", "fig1_beta40.json")
+    assert main(["secular", "--config", recipe, "--out", str(tmp_path)]) == EXIT_VALIDITY
+    err = capsys.readouterr().err
+    assert "validity: coarse-graining margin g*sqrt(delta_t/delta) = 1.2 >= 1" in err
+    assert "--force" in err and "force=True" not in err
+
+
 def _tensor_doc(g: float) -> dict:
     return {
         "mode": "redfield",

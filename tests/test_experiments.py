@@ -28,6 +28,7 @@ from qsearch.experiments import (
     sweep,
 )
 from qsearch.spectral import reduce_two_level
+from reference import sweep_rows_by_point
 
 
 def _unitary_doc(n: int = 64, **system_extra) -> dict:
@@ -502,7 +503,7 @@ def _reference_sweep_rows(cfg, force: bool) -> list:
         for seed in range(sw.seeds):
             point = dataclasses.replace(system, seed=seed)
             eps_w = float(sample_disorder(point.n, point.sigma, "uniform", seed).epsilons[point.w])
-            (row,) = experiments._sweep_points(point, [eps_w], bath, cfg.grid, force)
+            (row,) = experiments._sweep_points(point, experiments._pairs(point, [eps_w]), bath, cfg.grid, force)
             rows.append(dict(row, value=value, seed=seed))
     return rows
 
@@ -519,9 +520,9 @@ def test_sweep_runs_each_distinct_point_once(monkeypatch, sigma, runs) -> None:
     carried = []
     relax = experiments._relax
 
-    def counting(tls, *args, **kwargs):
-        carried.append(len(tls))
-        return relax(tls, *args, **kwargs)
+    def counting(pairs, *args, **kwargs):
+        carried.append(len(pairs))
+        return relax(pairs, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_relax", counting)
     rows = sweep(cfg, force=True).rows
@@ -619,9 +620,9 @@ def test_sigma_sweep_collapses_only_the_disorder_free_value(monkeypatch) -> None
     relaxed = []
     relax = experiments._relax
 
-    def counting(tls, eps_ws, *args, **kwargs):
-        relaxed.append(list(eps_ws))
-        return relax(tls, eps_ws, *args, **kwargs)
+    def counting(pairs, *args, **kwargs):
+        relaxed.append(pairs.eps_w.tolist())
+        return relax(pairs, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_relax", counting)
     rows = sweep(cfg, force=True).rows
@@ -638,9 +639,9 @@ def test_sweep_points_run_on_the_calling_thread(tmp_path, monkeypatch) -> None:
     threads = []
     points = experiments._sweep_points
 
-    def spy(system, eps_ws, *args, **kwargs):
-        threads.extend([threading.get_ident()] * len(eps_ws))
-        return points(system, eps_ws, *args, **kwargs)
+    def spy(system, pairs, *args, **kwargs):
+        threads.extend([threading.get_ident()] * len(pairs))
+        return points(system, pairs, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_sweep_points", spy)
     # the workers keyword is accepted and ignored
@@ -966,14 +967,15 @@ def test_relax_keeps_the_physical_invariants(n, sigma_frac, seed, beta_frac, g_f
     grid = experiments.GridConfig(points=200)
     gibbs = 1.0 / (1.0 + math.exp(-beta * tl.delta))
 
-    _, _, (summary,) = experiments._relax([tl], [eps_w], bath, grid, force=False, secular=True)
-    rates = summary["rates"]
-    assert rates["w12"] / rates["w21"] == pytest.approx(math.exp(beta * tl.delta), rel=1e-10)
-    assert rates["p_suc"] == pytest.approx(gibbs, abs=1e-4)
+    pairs = experiments._pairs(sys_cfg, [eps_w])
+    _, _, fields = experiments._relax(pairs, bath, grid, force=False, secular=True)
+    (w12,), (w21,), (p_suc,) = fields["rates"].w12, fields["rates"].w21, fields["rates"].p_suc
+    assert w12 / w21 == pytest.approx(math.exp(beta * tl.delta), rel=1e-10)
+    assert p_suc == pytest.approx(gibbs, abs=1e-4)
 
     seen: dict = {}
     with _recording("integrate_master", seen), _recording("steady_state", seen):
-        experiments._relax([tl], [eps_w], bath, grid, force=False, secular=False)
+        experiments._relax(pairs, bath, grid, force=False, secular=False)
     rhos = seen["integrate_master"].rhos
     assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() <= 1e-9
     assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() <= 1e-12
@@ -984,24 +986,125 @@ def test_relax_refuses_outside_the_coarse_graining_bound() -> None:
     # a stack is refused at the margin of its first pair that breaks the bound
     eps_ws = [-0.006, 0.005, 0.0]
     tls = [reduce_two_level(10**6, eps, sigma=0.007, policy="plain") for eps in eps_ws]
+    pairs = experiments._pairs(experiments.SystemConfig(n=10**6, sigma=0.007), eps_ws)
     bath = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
     grid = experiments.GridConfig(points=50)
     margins = bath.g * np.sqrt(correlation_time(bath) / np.array([tl.delta for tl in tls]))
     assert margins[0] < 1.0 <= margins[1] < margins[2]
     message = rf"coarse-graining margin g\*sqrt\(delta_t/delta\) = {margins[1]:.3g} >= 1"
     with pytest.raises(ValidityError, match=message):
-        experiments._relax(tls, eps_ws, bath, grid, force=False, secular=True)
-    _, _, summaries = experiments._relax(tls, eps_ws, bath, grid, force=True, secular=True)
-    assert [s["validity"]["secular_ok"] for s in summaries] == [True, False, False]
-    assert all(s["rates"]["w12"] > 0.0 for s in summaries)
+        experiments._relax(pairs, bath, grid, force=False, secular=True)
+    _, _, fields = experiments._relax(pairs, bath, grid, force=True, secular=True)
+    assert fields["validity"]["secular_ok"].tolist() == [True, False, False]
+    assert (fields["rates"].w12 > 0.0).all()
 
 
 def test_relax_refuses_outside_the_memory_bound() -> None:
-    tl = reduce_two_level(256, 0.0, policy="plain")
+    pairs = experiments._pairs(experiments.SystemConfig(n=256), [0.0])
     bath = BathSpec(g=0.1, beta=15.0, omega_c=2.0)
     grid = experiments.GridConfig(points=50)
     with pytest.raises(ValidityError, match=r"bath memory margin g\*delta_t = 1.5 >= 1"):
-        experiments._relax([tl], [0.0], bath, grid, force=False, secular=False)
-    _, columns, (summary,) = experiments._relax([tl], [0.0], bath, grid, force=True, secular=False)
+        experiments._relax(pairs, bath, grid, force=False, secular=False)
+    _, columns, fields = experiments._relax(pairs, bath, grid, force=True, secular=False)
     assert columns[0].shape == (1, 50)
-    assert not summary["validity"]["markov_ok"]
+    assert fields["validity"]["markov_ok"].tolist() == [False]
+
+
+_SWEPT_VALUES = {
+    "n": st.integers(16, 10**6).map(float),
+    "sigma": st.one_of(st.just(0.0), st.floats(1e-3, 0.1)),
+    "beta": st.floats(1.0, 50.0),
+    "g": st.floats(1e-3, 0.05),
+    "omega_c": st.floats(0.5, 5.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parameter=st.sampled_from(SWEEP_PARAMETERS),
+    sigma=st.one_of(st.just(0.0), st.floats(1e-3, 0.1)),
+    policy=st.sampled_from(["plain", "shifted"]),
+    w=st.integers(0, 15),
+    seeds=st.integers(1, 4),
+    points=st.integers(8, 60),
+    t_max=st.one_of(st.none(), st.floats(10.0, 1e5)),
+    data=st.data(),
+)
+def test_sweep_rows_match_the_per_point_loop(parameter, sigma, policy, w, seeds, points, t_max, data) -> None:
+    values = data.draw(st.lists(_SWEPT_VALUES[parameter], min_size=1, max_size=3), label="values")
+    grid = {"points": points} if t_max is None else {"points": points, "t_max": t_max}
+    doc = {
+        "mode": "sweep",
+        "system": {"n": 10**4, "sigma": sigma, "seed": 0, "w": w, "gamma_policy": policy},
+        "bath": {"g": 0.01, "beta": 15.0, "omega_c": 2.0},
+        "grid": grid,
+        "sweep": {"parameter": parameter, "values": values, "seeds": seeds, "fit": False},
+    }
+    cfg = parse_config(doc)
+    rows = sweep(cfg, force=True).rows
+    expected = sweep_rows_by_point(cfg)
+    assert json.dumps(rows, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("policy", ["plain", "shifted"])
+def test_a_large_stack_matches_the_per_point_loop(policy) -> None:
+    # numpy squares by x*x where Python's pow can differ in the last bit (about 1
+    # value in 1300): thousands of pairs make a stray array square show
+    doc = _small_sweep_doc([1e4], fit=False)
+    doc["system"]["gamma_policy"] = policy
+    doc["sweep"].update(parameter="n", seeds=2000)
+    doc["grid"] = {"points": 8}
+    cfg = parse_config(doc)
+    rows = [json.dumps(row, sort_keys=True) for row in sweep(cfg, force=True).rows]
+    expected = [json.dumps(row, sort_keys=True) for row in sweep_rows_by_point(cfg)]
+    # the differing seeds, not a diff of two 2000-row documents
+    assert len(rows) == len(expected) and [i for i, (a, b) in enumerate(zip(rows, expected)) if a != b] == []
+
+
+def test_a_sweep_draws_each_seed_once_per_sigma(monkeypatch) -> None:
+    pcg64 = np.random.PCG64
+    built = []
+
+    def counting(seed):
+        built.append(seed)
+        return pcg64(seed)
+
+    monkeypatch.setattr(model.np.random, "PCG64", counting)
+    doc = _small_sweep_doc([1e3, 1e4, 1e5, 1e6, 1e7], fit=False)
+    doc["sweep"].update(parameter="n", seeds=32)
+    doc["grid"] = {"points": 50}
+    rows = sweep(parse_config(doc), force=True).rows
+    # eps_w depends on the seed, w and sigma alone: one stream per seed, not per (value, seed)
+    assert len(rows) == 160 and built == list(range(32))
+    # a sigma sweep draws once per (sigma, seed) with sigma > 0, a repeated sigma included
+    built.clear()
+    doc["sweep"].update(parameter="sigma", values=[0.0, 0.01, 0.02, 0.01, 0.0], seeds=4)
+    rows = sweep(parse_config(doc), force=True).rows
+    assert len(rows) == 20 and built == list(range(4)) * 2
+
+
+def test_summaries_are_strict_json(tmp_path) -> None:
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    # no seed of the third value fits a decay time within the window
+    nan_sweep = {
+        "mode": "sweep",
+        "system": {"n": 1000, "sigma": 0.005, "seed": 0, "gamma_policy": "shifted"},
+        "bath": {"g": 0.005, "beta": "inf"},
+        "grid": {"points": 50, "t_max": 1},
+        "sweep": {"parameter": "n", "values": [1e3, 1e4, 1e5], "seeds": 8},
+    }
+    with pytest.warns(UserWarning, match="fit omitted"):
+        files, _ = run(parse_config(nan_sweep), out_dir=str(tmp_path))
+    with open(files[1]) as f:
+        summary = json.load(f, parse_constant=refuse)
+    assert summary["per_value"][2] == {
+        "iqr_t_rel_fit": None, "median_t_rel_fit": None, "points": 0, "value": 1e5,
+    }
+    # at n = 2 the retained pair reaches the rest of the spectrum: beta_star is infinite
+    validate = {"mode": "validate", "system": {"n": 2}, "bath": {"g": 0.01}}
+    files, summary = run(parse_config(validate), out_dir=str(tmp_path))
+    assert summary["validity"]["beta_star"] == math.inf
+    with open(files[0]) as f:
+        assert json.load(f, parse_constant=refuse)["validity"]["beta_star"] is None

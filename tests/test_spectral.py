@@ -4,11 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsearch.errors import ContractViolationError, InvalidParameterError, OutOfRegimeError
 from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian, sample_disorder
-from qsearch.spectral import _fix_phases, coupling_coefficients, eigendecompose, reduce_two_level
-from reference import fix_phases_by_column, materialized, quartic_o2_o3
+from qsearch.spectral import _fix_phases, _reduce_pairs, coupling_coefficients, eigendecompose, reduce_two_level
+from reference import (
+    coupling_by_pair,
+    fix_phases_by_column,
+    materialized,
+    quartic_o2_o3,
+    reduce_by_pair,
+    s_overlaps_by_pair,
+)
 
 
 def test_eigendecompose_reduced_pair_analytic() -> None:
@@ -244,3 +253,32 @@ def test_s_overlap_completeness() -> None:
     assert s1**2 + s2**2 == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidParameterError):
         tl.s_overlap(3)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 10**12),
+    sigma=st.floats(0.0, 1.0, exclude_max=True),
+    fractions=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1.0])), min_size=1, max_size=8),
+    policy=st.sampled_from(["plain", "shifted"]),
+    with_sigma=st.booleans(),
+)
+def test_stacked_reduction_is_each_pair_s_reduction_bit_for_bit(n, sigma, fractions, policy, with_sigma) -> None:
+    eps_w = [f * sigma for f in fractions]  # in [-sigma, sigma], with +-0.0 when sigma = 0
+    sigma_arg = sigma if (with_sigma or policy == "shifted") else None
+    pairs = _reduce_pairs(n, np.array(eps_w), sigma_arg, policy)
+    for i, e in enumerate(eps_w):
+        tl, scalar = reduce_two_level(n, e, sigma_arg, policy), reduce_by_pair(n, e, sigma_arg, policy)
+        row = (pairs.delta[i], pairs.eigenvalues[i], pairs.overlaps[i], pairs.h_red[i])
+        for fields in (row, (scalar.delta, scalar.eigenvalues, scalar.overlaps, scalar.h_red)):
+            assert [_bits(x) for x in fields] == [_bits(x) for x in (tl.delta, tl.eigenvalues, tl.overlaps, tl.h_red)]
+        # and the coupling sums and uniform-state overlaps of the pair, as the scalar forms give them
+        ours, by_pair = coupling_coefficients(tl, 2), coupling_by_pair(tl)
+        assert [_bits(getattr(ours, f)) for f in ("rows", "counts", "lambda_kl", "o1")] == [
+            _bits(getattr(by_pair, f)) for f in ("rows", "counts", "lambda_kl", "o1")
+        ]
+        assert _bits([tl.s_overlap(1), tl.s_overlap(2)]) == _bits(s_overlaps_by_pair(tl))
