@@ -671,11 +671,35 @@ def _sweep_points(
     return [dict(zip(_POINT_KEYS, row)) for row in zip(*(c.tolist() for c in columns), fields["fit_note"])]
 
 
+def _quartiles(values: np.ndarray) -> Tuple[float, float, float]:
+    """np.percentile(values, [25, 50, 75]) of nonempty values, bit for bit, without its dispatch.
+
+    The values are partitioned at the indices np.percentile partitions at,
+    so that equal values of different bits (0.0 and -0.0) land where they
+    land there. Then numpy's linear rule: at index i = (n - 1) q, between
+    a = v[floor(i)] and b = v[floor(i) + 1] at t = i - floor(i), it takes
+    a + (b - a) t, or b - (b - a) (1 - t) when t >= 1/2. A single value v
+    gives v - 0.0 = v.
+    """
+    if values.size == 1:
+        return (float(values[0]),) * 3
+    index = [(values.size - 1) * q for q in (0.25, 0.5, 0.75)]
+    below = [int(i) for i in index]
+    ranked = np.partition(values, sorted({0, -1, *below, *(b + 1 for b in below)})).tolist()
+    out = []
+    for i, k in zip(index, below):
+        t = i - k
+        a, b = ranked[k], ranked[k + 1]
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return out[0], out[1], out[2]
+
+
 def _seed_points(w: int, sigma: float, seeds: int) -> Tuple[np.ndarray, List[int]]:
     """The distinct eps_w that seeds 0..seeds-1 draw at site w, and each seed's index into them.
 
-    The distinct values come in the order of the first seed that draws
-    each, told apart by their bits, so that -0.0 and 0.0 stay apart.
+    Seed k draws from PCG64(k), so a sweep leaves system.seed unused. The
+    distinct values come in the order of the first seed that draws each,
+    told apart by their bits, so that -0.0 and 0.0 stay apart.
     """
     index: Dict[str, int] = {}
     point = [index.setdefault(uniform_site(w, sigma, seed).hex(), len(index)) for seed in range(seeds)]
@@ -687,8 +711,9 @@ def sweep(cfg: ExperimentConfig, force: bool = False) -> SweepResult:
 
     A point depends on its seed only through eps_w, which depends on
     nothing but the seed, w and sigma; so each seed's eps_w is drawn once
-    per distinct sigma for the whole sweep, not once per value. Within one
-    value, the seeds that draw the same eps_w (every seed of a sigma = 0
+    per distinct sigma for the whole sweep, not once per value. Seed k
+    draws from PCG64(k), for k = 0..seeds-1: system.seed is left unused.
+    Within one value, the seeds that draw the same eps_w (every seed of a sigma = 0
     value) share one run, and each gets its own copy of the row. A value's
     distinct points run as stacks of at most _STACK_BLOCK // grid.points
     points, reduced once for consecutive values of one system (a sweep of
@@ -713,10 +738,7 @@ def sweep(cfg: ExperimentConfig, force: bool = False) -> SweepResult:
         rows.extend(dict(points[k], value=value, seed=seed) for seed, k in enumerate(point))
         fits = np.array([points[k]["t_rel_fit"] for k in point])
         finite = fits[np.isfinite(fits)]
-        if finite.size:
-            q25, q50, q75 = np.percentile(finite, [25, 50, 75])
-        else:
-            q25 = q50 = q75 = math.nan
+        q25, q50, q75 = _quartiles(finite) if finite.size else (math.nan,) * 3
         per_value.append({
             "value": value,
             "median_t_rel_fit": float(q50),

@@ -2,9 +2,11 @@
 
 The complete-graph Hamiltonian is a diagonal matrix minus a rank-one term,
 so its spectrum and the overlaps closed dynamics need come from the
-secular equation without building the n x n matrix; each block of roots
-sums its nearby poles exactly and the far ones through a power series
-formed once per block. The reduction
+secular equation without building the n x n matrix. The roots are solved
+on two levels, as one stack: each sub-block of roots sums its nearest
+poles exactly, the rest of its block's window through a power series
+formed once per sub-block, and the poles beyond through the block's
+series formed once per block. The reduction
 projects the problem onto the marked node |w> and the uniform
 superposition |s_wbar> over the remaining nodes. Coupling
 coefficients derived from either the exact spectrum or the reduced pair
@@ -28,9 +30,16 @@ _HERMITICITY_TOL = 1e-10
 
 _EPS = np.finfo(float).eps
 # roots per secular solver block, and poles on each side of the block's own
-# that it sums exactly (at least 1); the rest enter by a far-field series
+# in its window (at least 1); the poles beyond enter by a far-field series
 _SECULAR_ROWS = 128
 _SECULAR_NEAR = 128
+# roots per sub-block, and poles on each side of the sub-block's own that it
+# sums exactly (at least 1); the rest of its block's window enters by a
+# second series
+_SUB_ROWS = 16
+_SUB_NEAR = 32
+# powers of the series variables formed at a time, per root
+_POWER_ROWS = 16
 _SECULAR_MAX_ITER = 100
 
 
@@ -101,32 +110,52 @@ class SecularSpectrum:
 
 
 def _series_terms(q: float) -> int:
-    """Fewest terms that truncate both far-field series below eps/8 at ratio q < 1.
+    """Fewest terms that truncate both far-field series below eps/8 at ratio q < 1/2.
 
     A far pole at distance d from c adds (1/d^2) sum_k (k+1) t^k to psi',
     with t = (mu - c)/d and |t| <= q. Its tail from the P-th power is at
     most q^P ((P+1)(1-q) + q)/(1-q)^2 against a value of at least
     1/(1+q)^2; that bounds the relative tail of psi too.
     """
-    terms = 1
-    while q**terms * ((terms + 1) * (1.0 - q) + q) * ((1.0 + q) / (1.0 - q)) ** 2 > _EPS / 8:
-        terms += 1
-    return terms
+    terms = np.arange(1, 65)
+    tail = q**terms * ((terms + 1) * (1.0 - q) + q) * ((1.0 + q) / (1.0 - q)) ** 2
+    return int(terms[np.argmax(tail <= _EPS / 8)])
+
+
+def _series_coef(y: np.ndarray, side: np.ndarray, rho, terms: int) -> np.ndarray:
+    """Far-field coefficients from the scaled poles y (..., P) and their weights side (..., P, 2).
+
+    Column c of side holds the weights of side c (below, above) and zeros
+    elsewhere. The moments M_k = sum_j side_jc y_j^(k+1), k = 0..terms, give
+    coef (..., terms, 4): the columns of (x^k) @ coef are psi_lo, psi_hi,
+    psi'_lo and psi'_hi of those poles at x = (mu - c)/rho.
+    """
+    powers = np.empty((terms + 1,) + y.shape)  # y^(k+1), a row at a time (np.vander's is slower)
+    powers[0] = y
+    for i in range(terms):
+        np.multiply(powers[i], y, out=powers[i + 1])
+    moments = np.moveaxis(powers, 0, -2) @ side
+    rho = np.asarray(rho, dtype=float)[..., None, None]
+    coef = np.empty(moments.shape[:-2] + (terms, 4))
+    coef[..., :2] = moments[..., :-1, :] / rho
+    coef[..., 2:] = moments[..., 1:, :] * (np.arange(1, terms + 1)[:, None] / (rho * rho))
+    return coef
 
 
 def _far_field(poles, weights, start: int, stop: int):
-    """The poles summed exactly for roots start..stop-1, and a series for the rest.
+    """The poles of the window of roots start..stop-1, and a series for the rest.
 
     Roots start..stop-1 lie in [poles[start-1], poles[stop-1]], of centre c
     and half-width h. Poles nlo..nhi-1, the block's own and _SECULAR_NEAR
-    on each side, are summed exactly. Those below nlo and from nhi on are
+    on each side, form its window. Those below nlo and from nhi on are
     at least rho from c; with y_j = rho/(poles_j - c), their moments
     M_k = sum_j weights_j y_j^(k+1) give, at x = (mu - c)/rho,
     psi = (1/rho) sum_k M_k x^k and psi' = (1/rho^2) sum_k (k+1) M_(k+1) x^k,
     one pair per side (Greengard & Rokhlin 1987). The series converge as
-    (h/rho)^k; the ground root's block, and one with h/rho >= 1/2, keeps
-    every pole near. Returns (nlo, nhi, c, rho, coef): the columns of
-    (x^k) @ coef are the far parts of psi_lo, psi_hi, psi'_lo, psi'_hi.
+    (h/rho)^k; the ground root's block, and one with h/rho >= 1/2, takes
+    every pole into its window. Returns (nlo, nhi, c, rho, coef): the
+    columns of (x^k) @ coef are the far parts of psi_lo, psi_hi, psi'_lo,
+    psi'_hi.
     """
     k = poles.size
     nlo, nhi = max(start - _SECULAR_NEAR, 0), min(stop + _SECULAR_NEAR, k)
@@ -137,37 +166,67 @@ def _far_field(poles, weights, start: int, stop: int):
     q = 0.5 * (poles[stop - 1] - poles[start - 1]) / rho
     if q >= 0.5:
         return 0, k, 0.0, 1.0, np.zeros((0, 4))
-    terms = _series_terms(q)
     y = rho / (np.concatenate([poles[:nlo], poles[nhi:]]) - c)
     side = np.zeros((y.size, 2))
     side[:nlo, 0] = weights[:nlo]
     side[nlo:, 1] = weights[nhi:]
-    powers = np.empty((terms + 1, y.size))  # y^(k+1), a row at a time (np.vander's is slower)
-    powers[0] = y
-    for i in range(terms):
-        np.multiply(powers[i], y, out=powers[i + 1])
-    moments = powers @ side
-    coef = np.empty((terms, 4))
-    coef[:, :2] = moments[:-1] / rho
-    coef[:, 2:] = moments[1:] * (np.arange(1, terms + 1)[:, None] / (rho * rho))
-    return nlo, nhi, c, rho, coef
+    return nlo, nhi, c, rho, _series_coef(y, side, rho, _series_terms(q))
 
 
-def _secular_block(poles, weights, gamma: float, start: int, stop: int):
-    """Roots start..stop-1 of 1 = gamma * sum_j weights_j / (poles_j - mu).
+def _sub_fields(poles, weights, nlo: int, nhi: int, s0: np.ndarray, s1: np.ndarray):
+    """The second series of the sub-blocks s0..s1-1 of one block, whose window is nlo..nhi-1.
 
-    Root r lies in (poles[r-1], poles[r]), root 0 below poles[0]. Each is
+    Sub-block i sums poles s0_i - _SUB_NEAR .. s0_i + _SUB_ROWS + _SUB_NEAR - 1
+    of the window exactly (see _secular_stack). The rest of the window
+    enters by a series about the centre c_i of its roots, formed as in
+    _far_field with rho_i the distance from c_i to the nearest of those
+    poles. A sub-block with h_i/rho_i >= 1/2 is a fallback: it is left to
+    the solve that sums every pole. Returns (c, rho, coef, fallback), coef
+    (sub-blocks, terms, 4) with as many terms as the block's slowest other
+    sub-block needs.
+    """
+    lo = np.maximum(s0 - _SUB_NEAR, nlo)
+    hi = np.minimum(s0 + _SUB_ROWS + _SUB_NEAR, nhi)
+    c = 0.5 * (poles[s0 - 1] + poles[s1 - 1])
+    below = np.where(lo > nlo, c - poles[lo - 1], math.inf)
+    above = np.where(hi < nhi, poles[np.minimum(hi, poles.size - 1)] - c, math.inf)
+    rho = np.minimum(below, above)
+    q = 0.5 * (poles[s1 - 1] - poles[s0 - 1]) / rho
+    fallback = q >= 0.5
+    rho[np.isinf(rho)] = 1.0
+    index = np.arange(nlo, nhi)
+    lower = index < lo[:, None]
+    far = (lower | (index >= hi[:, None])) & ~fallback[:, None]
+    y = np.divide(rho[:, None], poles[nlo:nhi] - c[:, None], out=np.zeros(far.shape), where=far)
+    side = np.zeros(far.shape + (2,))
+    side[..., 0] = np.where(far & lower, weights[nlo:nhi], 0.0)
+    side[..., 1] = np.where(far & ~lower, weights[nlo:nhi], 0.0)
+    terms = _series_terms(float(q[~fallback].max())) if far.any() else 0
+    return c, rho, _series_coef(y, side, rho, terms), fallback
+
+
+def _secular_stack(poles, weights, gamma: float, rows, cols, sqrt_w, below: int, strip: int, series):
+    """Roots rows of 1 = gamma * sum_j weights_j / (poles_j - mu), as one stack.
+
+    rows (S, R) holds the root indices of S sub-blocks; root r lies in
+    (poles[r-1], poles[r]), root 0 below poles[0]. Sub-block s sums the
+    poles cols[s] exactly, at square-root weights sqrt_w[s] (0 pads a
+    window): the first `below` lie below each of its roots, the next
+    `strip` on either side, the rest above. The other poles come from the
+    series in series: each a tuple (c, rho, coef) of (S,), (S,) and
+    (S, 4, T) arrays whose product coef @ (x^t), at x = (mu - c)/rho, adds
+    the far parts of psi_lo, psi_hi, psi'_lo and psi'_hi. Each root is
     returned as (origin, tau, norm2): the nearer pole's index, the offset
     mu - poles[origin] and sum_j weights_j / (poles_j - mu)^2. Every
-    difference poles_j - mu of a near pole (see _far_field) is formed as
-    (poles_j - poles[origin]) - tau, without cancellation (LAPACK dlaed4);
-    the far poles add their series. The step solves a model that keeps the
-    two bracketing poles exact and fits the remaining terms on each side
-    by one pole with matching value and slope (Bunch, Nielsen & Sorensen
-    1978); a step that leaves the bracket is replaced by bisection.
+    difference poles_j - mu of an exact pole is formed as
+    (poles_j - poles[origin]) - tau, without cancellation (LAPACK dlaed4).
+    The step solves a model that keeps the two bracketing poles exact and
+    fits the remaining terms on each side by one pole with matching value
+    and slope (Bunch, Nielsen & Sorensen 1978); a step that leaves the
+    bracket is replaced by bisection. Every row is iterated until the last
+    converges; a converged row keeps its values.
     """
-    nlo, nhi, centre, rho, coef = _far_field(poles, weights, start, stop)
-    lower = np.arange(start, stop) - 1  # pole below each root; -1 for the ground root
+    lower = rows - 1
     ground = lower < 0
     lo_pole = np.maximum(lower, 0)
     hi_pole = lower + 1
@@ -177,41 +236,61 @@ def _secular_block(poles, weights, gamma: float, start: int, stop: int):
     tau = np.where(ground, -half, half)
     lo = np.where(ground, -2.0 * half, 0.0)
     hi = np.where(ground, 0.0, 2.0 * half)
-    norm2 = np.empty(stop - start)
-    # near poles before start lie below every root of the block, from stop on above
-    near = poles[nlo:nhi]
-    strip = np.arange(start, stop)
-    # terms are carried as r_j = sqrt(weights_j) / (poles_j - mu), so that
-    # psi = sum_j weights_j / (poles_j - mu) = r . sqrt(weights) and psi' = r . r
-    sqrt_w = np.sqrt(weights[nlo:nhi])
-    s0, s1 = start - nlo, stop - nlo
-    w_lo, w_strip, w_hi = sqrt_w[:s0], sqrt_w[s0:s1], sqrt_w[s1:]
-    work = np.empty((stop - start, nhi - nlo))
-    active = np.arange(stop - start)
+    norm2 = np.zeros(rows.shape)
+    near = poles[cols][:, None, :]
+    sqrt_col = sqrt_w[:, :, None]
+    sqrt_w = sqrt_w[:, None, :]
+    split = below + strip
+    width = cols.shape[1]
+    # the columns go in groups of at most strip: below, the strip, above
+    groups = [(a, min(a + strip, below), 0) for a in range(0, below, strip)]
+    groups += [(below, split, None)] + [(a, min(a + strip, width), 1) for a in range(split, width, strip)]
+    work = np.empty(rows.shape + (strip,))
+    strip_hi = np.empty(rows.shape + (strip,))
+    table = np.empty((_POWER_ROWS,) + rows.shape)
+    active = np.ones(rows.shape, dtype=bool)
     for it in range(_SECULAR_MAX_ITER):
-        a = active
-        rows = np.arange(a.size)
-        delta = np.subtract(near, poles[origin[a], None], out=work[: a.size])
-        delta -= tau[a, None]
-        d_lo = delta[rows, lo_pole[a] - nlo]
-        d_hi = delta[rows, hi_pole[a] - nlo]
-        r = np.divide(sqrt_w, delta, out=delta)
-        r_lo, r_hi = r[:, :s0], r[:, s1:]
-        below = strip < lower[a, None] + 1
-        strip_lo = np.where(below, r[:, s0:s1], 0.0)
-        strip_hi = np.where(below, 0.0, r[:, s0:s1])
-        x = ((poles[origin[a]] - centre) + tau[a]) / rho
-        far = np.vander(x, coef.shape[0], increasing=True) @ coef
-        psi_lo = r_lo @ w_lo + strip_lo @ w_strip + far[:, 0]
-        psi_hi = r_hi @ w_hi + strip_hi @ w_strip + far[:, 1]
-        dpsi_lo = np.einsum("ij,ij->i", r_lo, r_lo) + np.einsum("ij,ij->i", strip_lo, strip_lo)
-        dpsi_hi = np.einsum("ij,ij->i", r_hi, r_hi) + np.einsum("ij,ij->i", strip_hi, strip_hi)
-        dpsi_lo += far[:, 2]
-        dpsi_hi += far[:, 3]
+        base = poles[origin]
+        d_lo = (poles[lo_pole] - base) - tau
+        d_hi = (poles[hi_pole] - base) - tau
+        # terms are carried as r_j = sqrt(weights_j) / (poles_j - mu), so that
+        # psi = sum_j weights_j / (poles_j - mu) = r . sqrt(weights) and
+        # psi' = r . r, one pair per side; in the strip r_j < 0 below mu
+        psi = np.zeros((2,) + rows.shape)
+        dpsi = np.zeros((2,) + rows.shape)
+        for a, b, side in groups:
+            r = np.subtract(near[..., a:b], base[..., None], out=work[..., : b - a])
+            r -= tau[..., None]
+            np.divide(sqrt_w[..., a:b], r, out=r)
+            if side is None:
+                np.maximum(r, 0.0, out=strip_hi)
+                np.minimum(r, 0.0, out=r)
+                psi[1] += (strip_hi @ sqrt_col[:, a:b])[..., 0]
+                dpsi[1] += np.einsum("srj,srj->sr", strip_hi, strip_hi)
+                side = 0
+            psi[side] += (r @ sqrt_col[:, a:b])[..., 0]
+            dpsi[side] += np.einsum("srj,srj->sr", r, r)
+        psi_lo, psi_hi = psi
+        dpsi_lo, dpsi_hi = dpsi
+        for centre, rho, coef in series:
+            x = ((base - centre[:, None]) + tau) / rho[:, None]
+            power = np.ones(rows.shape)
+            far = np.zeros(coef.shape[:2] + rows.shape[1:])
+            for t in range(0, coef.shape[2], _POWER_ROWS):
+                piece = table[: min(_POWER_ROWS, coef.shape[2] - t)]
+                piece[0] = power
+                for i in range(1, piece.shape[0]):
+                    np.multiply(piece[i - 1], x, out=piece[i])
+                far += coef[:, :, t : t + piece.shape[0]] @ piece.transpose(1, 0, 2)
+                power = piece[-1] * x
+            psi_lo += far[:, 0]
+            psi_hi += far[:, 1]
+            dpsi_lo += far[:, 2]
+            dpsi_hi += far[:, 3]
         g = 1.0 - gamma * (psi_lo + psi_hi)
-        tau_a = tau[a]
-        lo_a = np.where(g > 0, tau_a, lo[a])
-        hi_a = np.where(g < 0, tau_a, hi[a])
+        tau_a = tau
+        lo_a = np.where(g > 0, tau_a, lo)
+        hi_a = np.where(g < 0, tau_a, hi)
         if it == 0:
             # a root in the upper half of its gap is measured from the upper pole
             up = ~ground & (g > 0)
@@ -220,7 +299,7 @@ def _secular_block(poles, weights, gamma: float, start: int, stop: int):
             lo_a = np.where(up, -half, lo_a)
             hi_a = np.where(up, 0.0, hi_a)
         with np.errstate(divide="ignore", invalid="ignore"):
-            c = g + gamma * (np.where(ground[a], 0.0, d_lo * dpsi_lo) + d_hi * dpsi_hi)
+            c = g + gamma * (np.where(ground, 0.0, d_lo * dpsi_lo) + d_hi * dpsi_hi)
             p = -gamma * d_lo * d_lo * dpsi_lo
             q = -gamma * d_hi * d_hi * dpsi_hi
             # c + p/(d_lo - eta) + q/(d_hi - eta) = 0 as a quadratic in eta
@@ -230,7 +309,7 @@ def _secular_block(poles, weights, gamma: float, start: int, stop: int):
             big = -0.5 * (qb + np.copysign(root, qb))
             eta = qc / big
             eta = np.where((eta > d_lo) & (eta < d_hi), eta, big / c)
-            eta = np.where(ground[a], d_hi * g / c, eta)
+            eta = np.where(ground, d_hi * g / c, eta)
         step = tau_a + eta
         step = np.where((step > lo_a) & (step < hi_a), step, 0.5 * (lo_a + hi_a))
         # rounding bound on g: the summed terms plus the representation of tau
@@ -244,15 +323,80 @@ def _secular_block(poles, weights, gamma: float, start: int, stop: int):
             | (hi_a - lo_a <= 2.0 * _EPS * np.maximum(np.abs(lo_a), np.abs(hi_a)))
         )
         # a converged step moves tau by ulps, so the norm at this iterate stands
-        norm2[a] = dpsi_lo + dpsi_hi
-        tau[a] = np.where(settled, tau_a, step)
-        lo[a], hi[a] = lo_a, hi_a
-        active = a[~done]
-        if active.size == 0:
+        norm2 = np.where(active, dpsi_lo + dpsi_hi, norm2)
+        tau = np.where(active, np.where(settled, tau_a, step), tau)
+        lo = np.where(active, lo_a, lo)
+        hi = np.where(active, hi_a, hi)
+        active &= ~done
+        if not active.any():
             return origin, tau, norm2
     raise np.linalg.LinAlgError(
-        f"secular iteration left {active.size} roots unconverged after {_SECULAR_MAX_ITER} steps"
+        f"secular iteration left {int(active.sum())} roots unconverged after {_SECULAR_MAX_ITER} steps"
     )
+
+
+def _stacked(series) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (c, rho, coef) series of many sub-blocks, coef (S, 4, T) zero-padded to the most terms."""
+    c, rho, coefs = zip(*series)
+    coef = np.zeros((sum(x.shape[0] for x in coefs), 4, max(x.shape[1] for x in coefs)))
+    start = 0
+    for x in coefs:
+        coef[start : start + x.shape[0], :, : x.shape[1]] = x.transpose(0, 2, 1)
+        start += x.shape[0]
+    return np.concatenate(c), np.concatenate(rho), coef
+
+
+def _secular_roots(poles, weights, gamma: float):
+    """Every root of the secular equation, as (origin, tau, norm2) arrays of _secular_stack.
+
+    The ground pair sums every pole: root 1 lies in the wide gap between
+    the marked pole and the band, where a far-field series would not
+    converge fast. The other roots come in blocks of _SECULAR_ROWS, each
+    with its window and far-field series (_far_field), split into
+    sub-blocks of _SUB_ROWS with their second series (_sub_fields). All
+    sub-blocks iterate as one stack. A block whose far-field series would
+    converge too slowly (its window widened to every pole), and a fallback
+    sub-block, join the ground pair in the stacks that sum every pole,
+    _SUB_ROWS roots at a time.
+    """
+    k = poles.size
+    bounds = [0, *range(min(2, k), k, _SECULAR_ROWS), k]
+    exact, rows, cols, inside, block, sub = [], [], [], [], [], []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        nlo, nhi, c, rho, coef = _far_field(poles, weights, start, stop)
+        if start == 0 or nhi - nlo > 2 * _SECULAR_NEAR + _SECULAR_ROWS:
+            # the ground pair, or a block whose series would converge too slowly
+            exact.append(np.arange(start, stop))
+            continue
+        s0 = np.arange(start, stop, _SUB_ROWS)
+        s1 = np.minimum(s0 + _SUB_ROWS, stop)
+        c_s, rho_s, coef_s, fallback = _sub_fields(poles, weights, nlo, nhi, s0, s1)
+        exact.extend(np.arange(a, b) for a, b in zip(s0[fallback], s1[fallback]))
+        s0, s1 = s0[~fallback], s1[~fallback]
+        # a short sub-block repeats its last root
+        rows.append(np.minimum(s0[:, None] + np.arange(_SUB_ROWS), s1[:, None] - 1))
+        index = s0[:, None] + np.arange(-_SUB_NEAR, _SUB_ROWS + _SUB_NEAR)
+        inside.append((index >= nlo) & (index < nhi))
+        cols.append(np.clip(index, nlo, nhi - 1))
+        block.append((np.full(s0.size, c), np.full(s0.size, rho), np.broadcast_to(coef, s0.shape + coef.shape)))
+        sub.append((c_s[~fallback], rho_s[~fallback], coef_s[~fallback]))
+    origin = np.empty(k, dtype=np.intp)
+    tau = np.empty(k)
+    norm2 = np.empty(k)
+    exact = np.concatenate(exact)
+    every = np.arange(k)[None, :]
+    for i in range(0, exact.size, _SUB_ROWS):
+        r = exact[None, i : i + _SUB_ROWS]
+        out = _secular_stack(poles, weights, gamma, r, every, np.sqrt(weights)[None, :], 0, k, ())
+        origin[r], tau[r], norm2[r] = out
+    rows = np.concatenate(rows) if rows else np.zeros((0, _SUB_ROWS), dtype=np.intp)
+    if rows.size:
+        cols = np.concatenate(cols)
+        sqrt_w = np.where(np.concatenate(inside), np.sqrt(weights)[cols], 0.0)
+        series = (_stacked(block), _stacked(sub))
+        out = _secular_stack(poles, weights, gamma, rows, cols, sqrt_w, _SUB_NEAR, _SUB_ROWS, series)
+        origin[rows], tau[rows], norm2[rows] = out
+    return origin, tau, norm2
 
 
 def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
@@ -266,10 +410,11 @@ def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
     finite. The other levels are lam = mu + gamma over the roots mu of the
     secular equation; their eigenvectors are u_j = 1/(a_j - mu), which gives
     <w|lam> = 1/((a_w - mu)||u||) and <lam|s> = 1/(gamma sqrt(n) ||u||).
-    Roots are solved _SECULAR_ROWS at a time after the ground pair, which
-    is solved on its own. Each iteration sums the poles
-    near the block exactly and the rest by their far-field series
-    (_far_field), so the work arrays are a block of roots by its near
+    The ground pair sums every pole. The other roots iterate as one stack
+    of sub-blocks of _SUB_ROWS roots (_secular_roots): each sums its
+    2 _SUB_NEAR + _SUB_ROWS nearest poles exactly, the rest of its block's
+    window by its own series and the poles beyond by its block's
+    (_far_field), so the work arrays are n roots by 2 _SUB_NEAR + _SUB_ROWS
     poles, never n x n.
     """
     if h.graph.kind != "complete":
@@ -291,19 +436,11 @@ def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
     k = poles.size
     group = np.cumsum(first) - 1  # pole of each ranked entry
     w_pole = poles[group[np.flatnonzero(order == h.w)[0]]]
-    roots = np.empty(k)
-    w_overlaps = np.empty(k)
-    norms = np.empty(k)
-    # the ground pair is a block of its own: root 1 lies in the wide gap
-    # between the marked pole and the band, where the far-field series
-    # would not converge fast, so a block holding it sums all n poles
-    bounds = [0, *range(min(2, k), k, _SECULAR_ROWS), k]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        origin, tau, norm2 = _secular_block(poles, weights, gamma, start, stop)
-        base = poles[origin]
-        norms[start:stop] = np.sqrt(norm2)
-        w_overlaps[start:stop] = 1.0 / (((w_pole - base) - tau) * norms[start:stop])
-        roots[start:stop] = (base + tau) + gamma
+    origin, tau, norm2 = _secular_roots(poles, weights, gamma)
+    base = poles[origin]
+    norms = np.sqrt(norm2)
+    w_overlaps = 1.0 / (((w_pole - base) - tau) * norms)
+    roots = (base + tau) + gamma
     s_overlaps = 1.0 / (gamma * math.sqrt(n) * norms)
     eigenvalues = np.sort(np.concatenate([roots, np.repeat(poles + gamma, counts - 1)]))
     for arr in (eigenvalues, roots, w_overlaps, s_overlaps):

@@ -18,7 +18,7 @@ from .errors import InvalidParameterError
 from .model import SearchHamiltonian
 from .spectral import Spectrum, TwoLevelSystem, _s_overlaps, eigendecompose, secular_spectrum
 
-# elements per (times x levels) phase array in evolve_closed
+# elements per block of phase arrays in evolve_closed
 _PHASE_BLOCK = 1 << 18
 # on a uniform grid, times between exactly evaluated phases
 _PHASE_RESTART = 64
@@ -84,34 +84,50 @@ def _closed_modes(h: SearchHamiltonian, spectrum: Optional[Spectrum]) -> Tuple[n
     return spectrum.eigenvalues, spectrum.eigenvectors[h.w, :] * proj
 
 
+def _phase_product(levels: np.ndarray, weights: np.ndarray, anchors: np.ndarray, dt: float) -> np.ndarray:
+    """A(t_a + j dt) for each anchor t_a and j < _PHASE_RESTART, as one complex product P @ Q.
+
+    Entry (a, j) of P @ Q is A(t_a + j dt): P = exp(-i t_a levels_k) is
+    evaluated exactly, and column j of Q is weights_k exp(-i levels_k dt)^j,
+    advanced by one multiplication per j, far cheaper than a complex exp;
+    the phase error stays within a few _PHASE_RESTART ulps. The levels are
+    taken in chunks, so that the two factors hold at most _PHASE_BLOCK
+    elements together. Returns the amplitudes in time order.
+    """
+    out = np.zeros((anchors.size, _PHASE_RESTART), dtype=complex)
+    cols = min(levels.size, max(1, _PHASE_BLOCK // (anchors.size + _PHASE_RESTART)))
+    phase = np.empty((anchors.size, cols), dtype=complex)
+    powers = np.empty((_PHASE_RESTART, cols), dtype=complex)
+    for c in range(0, levels.size, cols):
+        chunk = levels[c : c + cols]
+        p, q = phase[:, : chunk.size], powers[:, : chunk.size]
+        np.exp(np.multiply.outer(anchors, -1j * chunk, out=p), out=p)
+        advance = np.exp(-1j * dt * chunk)
+        q[0] = weights[c : c + cols]
+        for j in range(1, _PHASE_RESTART):
+            np.multiply(q[j - 1], advance, out=q[j])
+        out += p @ q.T
+    return out.ravel()
+
+
 def _amplitudes(levels: np.ndarray, weights: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """A(t) = sum_k weights_k exp(-i levels_k t) at each time.
 
-    On a uniform grid the phases are exact at every _PHASE_RESTART-th time
-    and advanced in between by one multiplication with exp(-i levels dt),
-    far cheaper than a complex exp; the phase error stays within a few
-    _PHASE_RESTART ulps. Other grids take one exp per phase.
+    A uniform grid of more than _PHASE_RESTART times is anchored at every
+    _PHASE_RESTART-th time and taken as one complex GEMM (_phase_product).
+    Shorter and other grids take one exp per phase, in blocks of at most
+    _PHASE_BLOCK phases.
     """
     m = ts.size
     dt = (ts[-1] - ts[0]) / (m - 1) if m > 1 else 0.0
     drift = np.abs(ts - (ts[0] + dt * np.arange(m))).max()
-    if m <= _PHASE_RESTART or drift > 4.0 * _EPS * np.abs(ts).max():
-        out = np.empty(m, dtype=complex)
-        rows = max(1, _PHASE_BLOCK // levels.size)
-        for i in range(0, m, rows):
-            out[i : i + rows] = np.exp(-1j * np.outer(ts[i : i + rows], levels)) @ weights
-        return out
-    anchors = ts[::_PHASE_RESTART]
-    out = np.zeros(anchors.size * _PHASE_RESTART, dtype=complex)
-    cols = max(1, _PHASE_BLOCK // anchors.size)
-    for c in range(0, levels.size, cols):
-        phase = np.exp(-1j * np.outer(anchors, levels[c : c + cols]))
-        advance = np.exp(-1j * dt * levels[c : c + cols])
-        for j in range(_PHASE_RESTART):
-            if j:
-                phase *= advance
-            out[j::_PHASE_RESTART] += phase @ weights[c : c + cols]
-    return out[:m]
+    if m > _PHASE_RESTART and drift <= 4.0 * _EPS * np.abs(ts).max():
+        return _phase_product(levels, weights, ts[::_PHASE_RESTART], dt)[:m]
+    out = np.empty(m, dtype=complex)
+    rows = max(1, _PHASE_BLOCK // levels.size)
+    for i in range(0, m, rows):
+        out[i : i + rows] = np.exp(-1j * np.outer(ts[i : i + rows], levels)) @ weights
+    return out
 
 
 def evolve_closed(h: SearchHamiltonian, times, spectrum: Optional[Spectrum] = None) -> ClosedRunResult:

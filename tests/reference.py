@@ -6,9 +6,10 @@ these checks read, the column loop that the vectorised eigenvector
 phase convention and the first-peak search replaced, the per-series
 np.polyfit form of the relaxation-time fit that the row-wise closed-form
 fit replaced, the per-pair eigensolver, coupling sums and peak formulas
-that the stacked two-level reduction replaced, and the per-point loop of
-sweep rows that the stacked sweep replaced. No mode of the package calls
-them.
+that the stacked two-level reduction replaced, the per-point loop of
+sweep rows that the stacked sweep replaced, and the per-time exponential
+sum that the closed amplitude's complex product replaced. No mode of the
+package calls them.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ def first_peak_index_by_loop(values: np.ndarray) -> int:
         if values[i] >= values[i - 1] and values[i] >= values[i + 1] and values[i] >= 0.5 * best:
             return i
     return int(np.argmax(values))
+
+
+def amplitudes_by_time(levels: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
+    """A(t) = sum_k weights_k exp(-i levels_k t), one exact exponential sum per time."""
+    return np.array([np.exp(-1j * np.outer([t], levels)) @ weights for t in times])[:, 0]
 
 
 def decay_time_by_polyfit(times, values, target: float) -> Tuple[float, str]:

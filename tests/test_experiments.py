@@ -27,6 +27,7 @@ from qsearch.experiments import (
     run,
     sweep,
 )
+from qsearch.experiments import _quartiles
 from qsearch.spectral import reduce_two_level
 from reference import sweep_rows_by_point
 
@@ -1108,3 +1109,36 @@ def test_summaries_are_strict_json(tmp_path) -> None:
     assert summary["validity"]["beta_star"] == math.inf
     with open(files[0]) as f:
         assert json.load(f, parse_constant=refuse)["validity"]["beta_star"] is None
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5e-300]), _FINITE, _FINITE.map(abs)),
+        min_size=1,
+        max_size=200,
+    ),
+    repeat=st.integers(1, 3),
+)
+def test_quartiles_are_numpy_percentiles_bit_for_bit(values, repeat) -> None:
+    # ties by repetition, signed zeros and subnormals among them
+    finite = np.array(values * repeat)
+    expected = np.percentile(finite, [25, 50, 75])
+    assert [float(x).hex() for x in _quartiles(finite)] == [float(x).hex() for x in expected]
+
+
+def test_a_sweep_leaves_the_system_seed_unused(tmp_path, csv_body) -> None:
+    # seed k of a sweep draws eps_w from PCG64(k), whatever system.seed holds
+    bodies = []
+    for seed in (0, 54):
+        doc = _small_sweep_doc([1e3, 1e4, 1e5], fit=False)
+        doc["system"].update(sigma=0.01, seed=seed)
+        doc["sweep"].update(parameter="n", seeds=4)
+        doc["grid"] = {"points": 50}
+        doc["output"] = {"stem": f"seed{seed}"}
+        files, _ = run(parse_config(doc), out_dir=str(tmp_path), force=True)
+        bodies.append(csv_body(files[0]))
+    assert bodies[0] == bodies[1] and bodies[0].count(b"\n") == 13

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ def _far_blocks(monkeypatch) -> list:
     return terms
 
 
+def _sub_blocks(monkeypatch) -> list:
+    """Records, per solver block, its sub-blocks' series terms and how many fell back."""
+    blocks = []
+    sub_fields = spectral._sub_fields
+
+    def recorded(*args):
+        out = sub_fields(*args)
+        blocks.append((out[2].shape[1], int(out[3].sum())))
+        return out
+
+    monkeypatch.setattr(spectral, "_sub_fields", recorded)
+    return blocks
+
+
 def _check_against_eigh(h) -> None:
     n = h.n
     values, vectors = np.linalg.eigh(h.dense())
@@ -122,6 +137,75 @@ def test_far_field_series_matches_dense_eigh_at_default_blocks(monkeypatch) -> N
     terms = _far_blocks(monkeypatch)
     _check_against_eigh(_hamiltonian(1024, 0.02, 5, "shifted", "none"))
     assert terms[0] == 0 and sum(t > 0 for t in terms) >= 4
+
+
+@pytest.mark.parametrize("ties", TIES)
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 256),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.floats(0.0, 0.5, exclude_max=True),
+    policy=st.sampled_from(("plain", "shifted")),
+)
+def test_sub_block_series_matches_dense_eigh(ties, n, seed, sigma, policy) -> None:
+    # blocks of 8 roots with 8 window poles a side, sub-blocks of 2 roots
+    # with 2 exact poles a side, and powers 3 at a time: both series run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SECULAR_ROWS", 8)
+        mp.setattr(spectral, "_SECULAR_NEAR", 8)
+        mp.setattr(spectral, "_SUB_ROWS", 2)
+        mp.setattr(spectral, "_SUB_NEAR", 2)
+        mp.setattr(spectral, "_POWER_ROWS", 3)
+        _check_against_eigh(_hamiltonian(n, sigma, seed, policy, ties))
+
+
+def test_sub_block_series_runs_at_default_blocks(monkeypatch) -> None:
+    blocks = _sub_blocks(monkeypatch)
+    _check_against_eigh(_hamiltonian(1024, 0.02, 5, "shifted", "none"))
+    assert len(blocks) >= 7 and all(terms > 0 for terms, _ in blocks)
+
+
+@pytest.mark.parametrize(
+    "gap, sub_fallbacks, block_terms",
+    [
+        # the sub-block holding root 300 spans 95 spacings with 32 exact poles a
+        # side (h/rho ~ 0.6); its block spans 206 with 128 a side (h/rho ~ 0.45)
+        (80, [0, 0, 1, 0, 0, 0, 0, 0], [0, 39, 39, 55, 39, 39, 39, 39, 39]),
+        # a wider gap leaves the block's series too slow too (h/rho ~ 0.6): the
+        # whole block sums every pole, and none of its sub-blocks is formed
+        (300, [0, 0, 0, 0, 0, 0, 0], [0, 39, 39, 0, 39, 39, 39, 39, 39]),
+    ],
+)
+def test_blocks_whose_series_would_converge_slowly_fall_back(gap, sub_fallbacks, block_terms, monkeypatch) -> None:
+    # evenly spaced entries with one gap between poles 299 and 300
+    n, sigma = 1024, 0.05
+    eps = np.arange(n, dtype=float)
+    eps[300:] += gap - 1.0
+    eps = sigma * (2.0 * eps / eps[-1] - 1.0)
+    field = DisorderField(epsilons=eps, sigma=sigma, seed=0, distribution="uniform")
+    gamma = gamma_policy(n, sigma, "shifted")
+    h = build_search_hamiltonian(build_complete_graph(n), w=0, gamma=gamma, disorder=field)
+    blocks = _sub_blocks(monkeypatch)
+    terms = _far_blocks(monkeypatch)
+    secular_spectrum(h)
+    assert [fallback for _, fallback in blocks] == sub_fallbacks
+    assert terms == block_terms
+    _check_against_eigh(h)
+
+
+def test_secular_stack_memory_is_linear_in_n() -> None:
+    n = 4096
+    h = _hamiltonian(n, 0.02, 5, "shifted", "none")
+    secular_spectrum(h)
+    tracemalloc.start()
+    try:
+        secular_spectrum(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # four stacks of roots x (_SUB_ROWS + 2 _SUB_NEAR) doubles, 10.5 MB;
+    # 7.5 MB measured, where an n x n array would take 134 MB
+    assert peak <= 4 * 8 * n * (spectral._SUB_ROWS + 2 * spectral._SUB_NEAR)
 
 
 def test_secular_blocks_do_not_change_results(monkeypatch) -> None:

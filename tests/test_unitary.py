@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,17 +9,20 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsearch.unitary as unitary
 from qsearch.errors import InvalidParameterError
-from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian
+from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian, sample_disorder
 from qsearch.spectral import reduce_two_level
 from qsearch.unitary import (
+    _amplitudes,
+    _closed_modes,
     _first_peak,
     evolve_closed,
     reduced_peak,
     regime_classify,
     success_probability_reduced,
 )
-from reference import first_peak_index_by_loop
+from reference import amplitudes_by_time, first_peak_index_by_loop
 
 
 def _clean_hamiltonian(n: int, eps_w: float = 0.0):
@@ -208,3 +212,63 @@ def test_evolve_closed_rejects_bad_grids() -> None:
         evolve_closed(h, [])
     with pytest.raises(InvalidParameterError):
         evolve_closed(h, [0.0, math.inf])
+
+
+def _disordered_modes(n: int):
+    """Levels and amplitude weights of a disordered complete graph, with its gap."""
+    field = sample_disorder(n, 0.02, seed=11)
+    h = build_search_hamiltonian(build_complete_graph(n), w=0, gamma=1.0 / n, disorder=field)
+    levels, weights = _closed_modes(h, None)
+    return levels, weights, float(levels[1] - levels[0])
+
+
+@pytest.mark.parametrize("points", [65, 127, 2000, 4001])
+def test_phase_product_matches_the_exponential_sum(points, monkeypatch) -> None:
+    levels, weights, gap = _disordered_modes(512)
+    times = np.linspace(0.0, 3.0 * math.pi / gap, points)
+    taken = []
+    product = unitary._phase_product
+
+    def recorded(*args):
+        taken.append(args[2].size)
+        return product(*args)
+
+    monkeypatch.setattr(unitary, "_phase_product", recorded)
+    got = np.abs(_amplitudes(levels, weights, times)) ** 2
+    assert taken == [math.ceil(points / unitary._PHASE_RESTART)]  # the anchors
+    assert np.max(np.abs(got - np.abs(amplitudes_by_time(levels, weights, times)) ** 2)) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", ["short", "restart", "scattered", "one"])
+def test_short_and_nonuniform_grids_take_the_exponential_path(grid, monkeypatch) -> None:
+    def refuse(*_args):
+        raise AssertionError("phase product used")
+
+    monkeypatch.setattr(unitary, "_phase_product", refuse)
+    levels, weights, gap = _disordered_modes(128)
+    stop = 3.0 * math.pi / gap
+    times = {
+        "short": np.linspace(0.0, stop, 40),
+        "restart": np.linspace(0.0, stop, unitary._PHASE_RESTART),
+        "scattered": np.sort(np.random.default_rng(2).uniform(0.0, stop, 500)),
+        "one": np.array([0.5 * stop]),
+    }[grid]
+    got = np.abs(_amplitudes(levels, weights, times)) ** 2
+    assert np.max(np.abs(got - np.abs(amplitudes_by_time(levels, weights, times)) ** 2)) <= 1e-13
+
+
+def test_phase_product_memory_is_bounded_by_the_phase_block() -> None:
+    # 2^16 times at 4096 levels: one (times x levels) array would take 4 GiB
+    rng = np.random.default_rng(4)
+    levels = np.sort(rng.uniform(-1.0, 0.0, 4096))
+    weights = rng.normal(size=4096) / 4096
+    times = np.linspace(0.0, 200.0, 1 << 16)
+    tracemalloc.start()
+    try:
+        _amplitudes(levels, weights, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one phase block, the output and one product of its size, and 1 MiB
+    # for the weights' powers and the rest; 6.3 MB measured
+    assert peak <= 16 * (unitary._PHASE_BLOCK + 2 * times.size) + (1 << 20)
