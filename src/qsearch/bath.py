@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,35 +208,18 @@ def _grade(margin: np.ndarray, chi: float) -> np.ndarray:
     return _GRADES[np.searchsorted((chi, 1.0), margin, side="right")]
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """Margins for the weak-coupling, coarse-graining, and two-level checks.
+def validate_approximations(bath: BathSpec, delta, n: int) -> dict:
+    """Evaluate g*delta_t, g*sqrt(delta_t/delta), and the two-level bound at each delta.
 
-    A margin is the ratio of the coupling to its bound; the booleans are
-    True below 1, with statuses grading "ok" (below the configured
-    threshold), "marginal", or "fail".
-    """
-
-    delta_t: float
-    markov_margin: float
-    markov_ok: bool
-    markov_status: str
-    secular_margin: float
-    secular_ok: bool
-    secular_status: str
-    two_level_ok: bool
-    beta_star: float
-    notes: str = field(default="")
-
-    def to_dict(self) -> dict:
-        # every field is a scalar or a string, so a shallow copy is the whole record
-        return dict(vars(self))
-
-
-def _validity(bath: BathSpec, delta, n: int) -> dict:
-    """The fields of validate_approximations but notes, for an array of deltas.
-
-    Each value is an array of delta's shape; raises as validate_approximations.
+    The memoryless-bath condition needs g << 1/delta_t; the
+    population-coherence decoupling needs g << sqrt(delta/delta_t); the
+    two-level truncation needs beta above log(n) divided by the spectral
+    gap 1 - delta separating the retained pair from the rest. A margin is
+    the ratio of the coupling to its bound; the booleans are True below 1,
+    with statuses grading "ok" (below the configured threshold),
+    "marginal", or "fail". Returns the fields of validity_row but notes,
+    each an array of delta's shape. Reports failed margins; raises only for
+    delta <= 0 or n < 2.
     """
     delta = np.asarray(delta, dtype=float)
     if (delta <= 0).any():
@@ -262,21 +245,15 @@ def _validity(bath: BathSpec, delta, n: int) -> dict:
     }
 
 
-def validate_approximations(bath: BathSpec, delta: float, n: int) -> ValidityReport:
-    """Evaluate g*delta_t, g*sqrt(delta_t/delta), and the two-level bound.
-
-    The memoryless-bath condition needs g << 1/delta_t; the
-    population-coherence decoupling needs g << sqrt(delta/delta_t); the
-    two-level truncation needs beta above log(n) divided by the spectral
-    gap 1 - delta separating the retained pair from the rest. Reports
-    failed margins; raises only for delta <= 0 or n < 2.
-    """
-    report = {key: value.item() for key, value in _validity(bath, delta, n).items()}
+def validity_row(validity: dict, i: int) -> dict:
+    """Entry i of validate_approximations' arrays as Python scalars, then notes naming each failed check."""
+    row = {key: value[i].item() for key, value in validity.items()}
     notes = []
-    if report["markov_status"] != "ok":
-        notes.append(f"memoryless-bath margin {report['markov_margin']:.3g} is {report['markov_status']}")
-    if report["secular_status"] != "ok":
-        notes.append(f"coarse-graining margin {report['secular_margin']:.3g} is {report['secular_status']}")
-    if not report["two_level_ok"]:
-        notes.append(f"two-level truncation needs beta > {report['beta_star']:.3g}")
-    return ValidityReport(**report, notes="; ".join(notes))
+    if row["markov_status"] != "ok":
+        notes.append(f"memoryless-bath margin {row['markov_margin']:.3g} is {row['markov_status']}")
+    if row["secular_status"] != "ok":
+        notes.append(f"coarse-graining margin {row['secular_margin']:.3g} is {row['secular_status']}")
+    if not row["two_level_ok"]:
+        notes.append(f"two-level truncation needs beta > {row['beta_star']:.3g}")
+    row["notes"] = "; ".join(notes)
+    return row

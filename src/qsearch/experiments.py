@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bath import BathSpec, _validity, correlation_finite_T, correlation_zero_T, validate_approximations
+from .bath import BathSpec, correlation_finite_T, correlation_zero_T, validate_approximations, validity_row
 from .errors import ConfigError, InvalidParameterError, ValidityError
 from .model import (
     DENSE_LIMIT,
@@ -45,17 +45,16 @@ from .redfield import (
     steady_state,
 )
 from .spectral import (
+    CouplingCoefficients,
     TwoLevelSystem,
     _pair_coefficients,
-    _Pairs,
-    _reduce_pairs,
     _s_overlaps,
-    coupling_coefficients,
+    _squares,
     eigendecompose,
     reduce_two_level,
     secular_spectrum,
 )
-from .unitary import _reduced_peaks, evolve_closed, reduced_peak, regime_classify, success_probability_reduced
+from .unitary import _reduced_peaks, evolve_closed, regime_classify, success_probability_reduced
 from .version import __version__
 
 MODES = ("unitary", "redfield", "secular", "correlation", "sweep", "validate", "spectrum")
@@ -391,25 +390,16 @@ def _hamiltonian(sys_cfg: SystemConfig) -> SearchHamiltonian:
     return build_search_hamiltonian(graph, sys_cfg.w, gamma, disorder)
 
 
-def _sigma_arg(sys_cfg: SystemConfig) -> Optional[float]:
-    """The sigma the reduction takes: None for a disorder-free plain system."""
-    return sys_cfg.sigma if (sys_cfg.sigma > 0 or sys_cfg.gamma_policy == "shifted") else None
+def _pairs(sys_cfg: SystemConfig, eps_ws=None) -> TwoLevelSystem:
+    """Complete-graph two-level reductions at the marked-site energies eps_ws, as one stack.
 
-
-def _two_level(sys_cfg: SystemConfig, eps_w: float) -> TwoLevelSystem:
-    """Complete-graph two-level reduction at the marked-site energy eps_w."""
-    return reduce_two_level(sys_cfg.n, eps_w, sigma=_sigma_arg(sys_cfg), policy=sys_cfg.gamma_policy)
-
-
-def _pairs(sys_cfg: SystemConfig, eps_ws) -> _Pairs:
-    """Complete-graph two-level reductions at the marked-site energies eps_ws, as one stack."""
-    return _reduce_pairs(sys_cfg.n, np.asarray(eps_ws, dtype=float), _sigma_arg(sys_cfg), sys_cfg.gamma_policy)
-
-
-def _reduced_system(sys_cfg: SystemConfig) -> Tuple[TwoLevelSystem, float]:
-    """Two-level reduction of the configured system at its eps_w, drawn alone; returns (tl, eps_w)."""
-    eps_w = uniform_site(sys_cfg.w, sys_cfg.sigma, sys_cfg.seed)
-    return _two_level(sys_cfg, eps_w), eps_w
+    By default the stack of one at the configured site's eps_w, drawn
+    alone. A disorder-free plain system is reduced without sigma.
+    """
+    if eps_ws is None:
+        eps_ws = [uniform_site(sys_cfg.w, sys_cfg.sigma, sys_cfg.seed)]
+    sigma = sys_cfg.sigma if (sys_cfg.sigma > 0 or sys_cfg.gamma_policy == "shifted") else None
+    return reduce_two_level(sys_cfg.n, eps_ws, sigma, sys_cfg.gamma_policy)
 
 
 def _times(grid: GridConfig, t_max) -> np.ndarray:
@@ -443,8 +433,8 @@ def _run_unitary(cfg: ExperimentConfig, force: bool) -> _Output:
         summary = {}
     else:
         spectrum = None
-        tl, eps_w = _reduced_system(sys_cfg)
-        delta = tl.delta
+        tl = _pairs(sys_cfg)
+        delta, eps_w = tl.delta[0].item(), tl.eps_w[0].item()
         summary = {"regime": regime_classify(sys_cfg.n, sys_cfg.sigma)}
     times = _times(cfg.grid, 3.0 * math.pi / delta)
     if h is not None:
@@ -452,8 +442,8 @@ def _run_unitary(cfg: ExperimentConfig, force: bool) -> _Output:
         p_w = result.p_w
         summary.update(result.summary(), method="exact")
     else:
-        p_w = success_probability_reduced(tl, times)
-        t_peak, p_peak = reduced_peak(tl)
+        p_w = success_probability_reduced(tl, times)[0]
+        t_peak, p_peak = (x[0].item() for x in _reduced_peaks(tl))
         summary.update(
             t_peak=t_peak, p_peak=p_peak, repetitions=1.0 / p_peak,
             t_expected=t_peak / p_peak, method="reduced",
@@ -463,7 +453,7 @@ def _run_unitary(cfg: ExperimentConfig, force: bool) -> _Output:
 
 
 def _relax(
-    pairs: _Pairs, bath: BathSpec, grid: GridConfig, force: bool, secular: bool
+    pairs: TwoLevelSystem, bath: BathSpec, grid: GridConfig, force: bool, secular: bool
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], dict]:
     """Relax the projected uniform state of each reduced pair of a stack and fit t_rel.
 
@@ -471,20 +461,22 @@ def _relax(
     (default window 6 t_rel, zero coherence): one rate call and one
     population array from the arrays of its pairs' delta, Lambda_12,
     rho11(0) and validity margins. The tensor path integrates the full
-    two-level Redfield tensor of its one pair (default window 6/gamma).
-    Unless forced, the first pair whose margin fails its path's bound
-    (secular: coarse graining; tensor: memoryless bath) raises
-    ValidityError before anything is propagated.
+    two-level Redfield tensor of a stack of one pair (default window
+    6/gamma), from that pair's row of coupling coefficients, eigenvalues
+    and <w|k>. The validity report of every pair is built first: unless
+    forced, the first pair whose margin fails its path's bound (secular:
+    coarse graining; tensor: memoryless bath) raises ValidityError before
+    anything is propagated.
     Returns (times, columns, fields): times and the columns p_w, rho11,
     rho22, re_rho12 and im_rho12 have one row per pair, and fields holds
     each per-pair result as an array along the stack (fit_note and regime
     as lists): p_suc, p_w_steady, t_rel_fit (NaN where fit_note gives the
     reason no decay time was fitted, "" elsewhere), t_rel_formula,
-    projection_defect, validity (the arrays of bath._validity) and, on the
-    secular path, rates (a SecularRates of arrays), on the tensor path
-    gamma_damping, regime and truncation_bound.
+    projection_defect, validity (the arrays of validate_approximations)
+    and, on the secular path, rates (a SecularRates of arrays), on the
+    tensor path gamma_damping, regime and truncation_bound.
     """
-    validity = _validity(bath, pairs.delta, pairs.n)
+    validity = validate_approximations(bath, pairs.delta, pairs.n)
     ok = validity["secular_ok" if secular else "markov_ok"]
     if not (force or ok.all()):
         first = int(np.argmin(ok))
@@ -497,14 +489,12 @@ def _relax(
     s = _s_overlaps(pairs.n, pairs.overlaps)
     weight = s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1]
     psi = s / np.sqrt(weight)[:, None]
+    rows, counts, lambda_kl, o1 = _pair_coefficients(pairs.n, pairs.overlaps)
     fields = {"projection_defect": 1.0 - weight, "validity": validity}
     if secular:
-        # squared by Python's float pow, pair by pair: numpy squares by x*x,
-        # which differs from pow in the last bit for about 1 value in 1200
-        wsq = np.array([[a1**2, a2**2] for a1, a2 in pairs.overlaps[:, :2].tolist()])
+        wsq = _squares(pairs.overlaps[:, :2])
         a1sq, a2sq = wsq[:, :1], wsq[:, 1:]
-        lam12 = _pair_coefficients(pairs.n, pairs.overlaps)[2][:, 0, 1]
-        rates = _transfer_rates(lam12[:, None], bath, pairs.delta[:, None])
+        rates = _transfer_rates(lambda_kl[:, 0, 1, None], bath, pairs.delta[:, None])
         times = _times(grid, 6.0 * rates.t_rel[:, 0])
         rho11 = secular_populations(rates, times, (psi[:, 0] * psi[:, 0])[:, None])
         rho22 = 1.0 - rho11
@@ -519,28 +509,27 @@ def _relax(
         )
     else:
         # the tensor path relaxes one pair: every seed of a sigma = 0 value is the same point
-        (tl,) = map(pairs.pair, range(len(pairs)))
-        c = coupling_coefficients(tl, retained=2)
-        tensor = assemble_redfield(c, tl, bath)
-        gamma = damping_rate(c, bath, tl.delta)
+        (delta,) = pairs.delta.tolist()
+        c = CouplingCoefficients(pairs.n, 2, rows[0], counts, lambda_kl[0], o1[0].item())
+        tensor = assemble_redfield(c, pairs.eigenvalues[0], bath)
+        gamma = damping_rate(c, bath, delta)
         if gamma == 0.0:  # g > 0 whose square underflows
             raise InvalidParameterError(f"the damping rate at g = {bath.g} is zero; nothing relaxes")
         times = _times(grid, 6.0 / gamma)[None]
         traj = integrate_master(tensor, np.outer(psi[0], psi[0]).astype(complex), times[0])
-        series = solution_population(traj, tl)
+        wrow = pairs.overlaps[0, :2]
         rhos = traj.rhos
         columns = tuple(col[None] for col in (
-            series.values, np.real(rhos[:, 0, 0]), np.real(rhos[:, 1, 1]),
+            solution_population(traj, wrow).values, np.real(rhos[:, 0, 0]), np.real(rhos[:, 1, 1]),
             np.real(rhos[:, 0, 1]), np.imag(rhos[:, 0, 1]),
         ))
-        p_suc = np.array([_gibbs_p_suc(bath.beta, tl.delta)])
-        wrow = np.array([tl.a1, tl.a2])
+        p_suc = np.array([_gibbs_p_suc(bath.beta, delta)])
         p_w_steady = np.array([np.real(wrow @ steady_state(tensor) @ wrow)])
         fields.update(
             gamma_damping=np.array([gamma]),
-            regime=["underdamped" if gamma < tl.delta else "overdamped"],
+            regime=["underdamped" if gamma < delta else "overdamped"],
             t_rel_formula=np.array([1.0 / (2.0 * gamma)]),
-            truncation_bound=np.array([series.truncation_bound]),
+            truncation_bound=np.array([pairs.truncation_bound]),
         )
     fits, notes = _decay_times(times, columns[0], p_w_steady)
     fields.update(p_suc=p_suc, p_w_steady=p_w_steady, t_rel_fit=fits, fit_note=notes)
@@ -548,21 +537,23 @@ def _relax(
 
 
 def _run_relaxation(cfg: ExperimentConfig, force: bool) -> _Output:
-    sys_cfg = cfg.system
-    eps_w = uniform_site(sys_cfg.w, sys_cfg.sigma, sys_cfg.seed)
-    pairs = _pairs(sys_cfg, [eps_w])
+    """A redfield or secular run of the configured pair, as a stack of one.
+
+    Its summary's validity is the report _relax built before it
+    propagated, with the pair's notes.
+    """
+    pairs = _pairs(cfg.system)
     times, columns, fields = _relax(pairs, cfg.bath, cfg.grid, force, secular=cfg.mode == "secular")
     rates = fields.pop("rates", None)
-    del fields["validity"]  # the summary holds the pair's whole report, notes included
+    validity = fields.pop("validity")
     summary = {key: value[0] if isinstance(value, list) else value[0].item() for key, value in fields.items()}
     if rates is not None:
         summary["rates"] = {key: value[0].item() for key, value in vars(rates).items()}
-    delta = pairs.delta[0].item()
     summary.update(
-        delta=delta,
-        eps_w=eps_w,
+        delta=pairs.delta[0].item(),
+        eps_w=pairs.eps_w[0].item(),
         t_rel_fit=None if summary["fit_note"] else summary["t_rel_fit"],
-        validity=validate_approximations(cfg.bath, delta, sys_cfg.n).to_dict(),
+        validity=validity_row(validity, 0),
     )
     header = ["t", "p_w", "rho11", "rho22", "re_rho12", "im_rho12"]
     return (header, _numeric_lines(times[0], *(col[0] for col in columns))), "summary", summary
@@ -575,15 +566,15 @@ def _run_correlation(cfg: ExperimentConfig, force: bool) -> _Output:
     summary: dict = {"temperature_mode": cfg.bath.temperature_mode}
     if cfg.system is None:
         return table, None, summary
-    tl, _ = _reduced_system(cfg.system)
-    summary["validity"] = validate_approximations(cfg.bath, tl.delta, cfg.system.n).to_dict()
+    tl = _pairs(cfg.system)
+    summary["validity"] = validity_row(validate_approximations(cfg.bath, tl.delta, tl.n), 0)
     return table, "validity", summary
 
 
 def _run_validate(cfg: ExperimentConfig, force: bool) -> _Output:
-    tl, eps_w = _reduced_system(cfg.system)
-    report = validate_approximations(cfg.bath, tl.delta, cfg.system.n)
-    return None, "validity", {"delta": tl.delta, "eps_w": eps_w, "validity": report.to_dict()}
+    tl = _pairs(cfg.system)
+    validity = validity_row(validate_approximations(cfg.bath, tl.delta, tl.n), 0)
+    return None, "validity", {"delta": tl.delta[0].item(), "eps_w": tl.eps_w[0].item(), "validity": validity}
 
 
 def _run_spectrum(cfg: ExperimentConfig, force: bool) -> _Output:
@@ -593,7 +584,11 @@ def _run_spectrum(cfg: ExperimentConfig, force: bool) -> _Output:
     if sys_cfg.kind == "complete":
         spectrum = secular_spectrum(h)
         ground_w = spectrum.w_overlaps[0]
-        summary = {"reduced": _two_level(sys_cfg, eps_w).to_dict()}
+        tl = _pairs(sys_cfg, [eps_w])
+        summary = {"reduced": {
+            "n": tl.n, "eps_w": eps_w, "sigma": tl.sigma, "policy": tl.policy, "delta": tl.delta[0].item(),
+            "eigenvalues": tl.eigenvalues[0].tolist(), "overlaps": tl.overlaps[0].tolist(),
+        }}
     else:
         # the two-level reduction belongs to the complete graph and is left out
         spectrum = eigendecompose(h)
@@ -654,7 +649,7 @@ _POINT_KEYS = (
 
 
 def _sweep_points(
-    system: SystemConfig, pairs: _Pairs, bath: BathSpec, grid: GridConfig, force: bool
+    system: SystemConfig, pairs: TwoLevelSystem, bath: BathSpec, grid: GridConfig, force: bool
 ) -> List[dict]:
     """The rows of the points of a stack of system's pairs, less their value and seed.
 
@@ -662,7 +657,7 @@ def _sweep_points(
     point on the full two-level tensor.
     """
     _, _, fields = _relax(pairs, bath, grid, force, secular=system.sigma > 0)
-    _, p_peak = _reduced_peaks(pairs.n, pairs.policy, pairs.eps_w, pairs.delta, pairs.overlaps)
+    _, p_peak = _reduced_peaks(pairs)
     validity = fields["validity"]
     columns = (
         pairs.eps_w, pairs.delta, fields["t_rel_fit"], fields["t_rel_formula"], fields["p_suc"], p_peak,
@@ -716,15 +711,16 @@ def sweep(cfg: ExperimentConfig, force: bool = False) -> SweepResult:
     Within one value, the seeds that draw the same eps_w (every seed of a sigma = 0
     value) share one run, and each gets its own copy of the row. A value's
     distinct points run as stacks of at most _STACK_BLOCK // grid.points
-    points, reduced once for consecutive values of one system (a sweep of
-    beta, g or omega_c). Rows come out in (value, seed) order; the table
+    points, each one TwoLevelSystem from one reduce_two_level call, made
+    once for consecutive values of one system (a sweep of beta, g or
+    omega_c). Rows come out in (value, seed) order; the table
     that run writes formats each distinct point's cells once and adds each
     row's seed (_sweep_lines).
     """
     sw = cfg.sweep
     stack = max(1, _STACK_BLOCK // cfg.grid.points)
     draws: Dict[float, Tuple[np.ndarray, List[int]]] = {}
-    reduced: Tuple[Optional[SystemConfig], List[_Pairs]] = (None, [])
+    reduced: Tuple[Optional[SystemConfig], List[TwoLevelSystem]] = (None, [])
     rows: List[dict] = []
     per_value = []
     for value in sw.values:

@@ -97,7 +97,6 @@ class DisorderField:
     epsilons: np.ndarray
     sigma: float
     seed: int
-    distribution: str
 
     @property
     def n(self) -> int:
@@ -170,37 +169,24 @@ def sample_disorder(
     distribution: str = "uniform",
     seed: int = 0,
 ) -> DisorderField:
-    """Draw n i.i.d. mean-zero on-site energies.
+    """Draw n i.i.d. mean-zero on-site energies, flat on [-sigma, sigma].
 
-    distribution "uniform" is flat on [-sigma, sigma]; "gaussian-truncated"
-    is N(0, sigma^2) with draws beyond 3 sigma redrawn. The stream is
-    PCG64(seed), which is part of the reproducibility contract.
-
-    A "uniform" field is drawn site by site, so its first k sites are bitwise
-    the k-site field of the same sigma and seed, and uniform_site draws any
-    one site alone. "gaussian-truncated" has no such prefix rule: its
-    redraws come after the whole field is filled.
+    distribution "uniform" is the one supported. The stream is PCG64(seed),
+    which is part of the reproducibility contract. The field is drawn site
+    by site, so its first k sites are bitwise the k-site field of the same
+    sigma and seed, and uniform_site draws any one site alone.
     """
     if sigma < 0:
         raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
     if n < 1:
         raise InvalidParameterError(f"need n >= 1 sites, got n={n}")
-    if distribution not in ("uniform", "gaussian-truncated"):
+    if distribution != "uniform":
         raise InvalidParameterError(f"unknown disorder distribution {distribution!r}")
     if sigma == 0.0:
-        eps = np.zeros(n)
-        return DisorderField(epsilons=eps, sigma=0.0, seed=int(seed), distribution=distribution)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if distribution == "uniform":
-        eps = rng.uniform(-sigma, sigma, size=n)
-    else:
-        eps = rng.normal(0.0, sigma, size=n)
-        bad = np.abs(eps) > 3.0 * sigma
-        while np.any(bad):
-            eps[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-            bad = np.abs(eps) > 3.0 * sigma
+        return DisorderField(epsilons=np.zeros(n), sigma=0.0, seed=int(seed))
+    eps = np.random.Generator(np.random.PCG64(seed)).uniform(-sigma, sigma, size=n)
     eps.setflags(write=False)
-    return DisorderField(epsilons=eps, sigma=float(sigma), seed=int(seed), distribution=distribution)
+    return DisorderField(epsilons=eps, sigma=float(sigma), seed=int(seed))
 
 
 def uniform_site(w: int, sigma: float, seed: int) -> float:

@@ -33,14 +33,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .bath import BathSpec, rate_S
 from .errors import ContractViolationError, InvalidParameterError
 from .model import require_memory
-from .spectral import CouplingCoefficients, Spectrum, TwoLevelSystem
+from .spectral import CouplingCoefficients, Spectrum
 
 # peak memory of assemble_redfield + integrate_master on a uniform grid, in m^4
 # doubles: R and the Taylor polynomial's five m^4 buffers plus a row eighth
@@ -214,10 +214,8 @@ class Trajectory:
         return self.rhos.shape[1]
 
 
-def _eigenvalues_of(source: Union[Spectrum, TwoLevelSystem, np.ndarray], m: int) -> np.ndarray:
-    if isinstance(source, TwoLevelSystem):
-        levels = np.asarray(source.eigenvalues, dtype=float)
-    elif isinstance(source, Spectrum):
+def _eigenvalues_of(source: Union[Spectrum, np.ndarray], m: int) -> np.ndarray:
+    if isinstance(source, Spectrum):
         levels = np.asarray(source.eigenvalues[:m], dtype=float)
     else:
         levels = np.asarray(source, dtype=float)
@@ -230,10 +228,13 @@ def _eigenvalues_of(source: Union[Spectrum, TwoLevelSystem, np.ndarray], m: int)
 
 def assemble_redfield(
     coeffs: CouplingCoefficients,
-    source: Union[Spectrum, TwoLevelSystem, np.ndarray],
+    source: Union[Spectrum, np.ndarray],
     bath: BathSpec,
 ) -> RedfieldTensor:
     """Assemble the relaxation tensor for the retained levels.
+
+    source gives their energies: a Spectrum's lowest m, or an array of m
+    (a reduced pair's row of eigenvalues).
 
     Site couplings are identical across nodes, so every element is a
     weighted quartic sum over the distinct coefficient rows. Raises
@@ -533,43 +534,22 @@ def damping_rate(coeffs: CouplingCoefficients, bath: BathSpec, delta: float) -> 
 
 @dataclass(frozen=True)
 class SecularRates:
-    """Population-transfer rates between the retained pair of levels.
+    """Population-transfer rates of a stack of retained pairs, each field an array along the stack."""
 
-    Each field is a float (a numpy scalar) for one pair, or an array with
-    one entry per pair of a stack.
-    """
-
-    w12: Union[float, np.ndarray]
-    w21: Union[float, np.ndarray]
-    t_rel: Union[float, np.ndarray]
-    p_suc: Union[float, np.ndarray]
-
-
-def secular_rates(
-    coeffs: Union[CouplingCoefficients, Sequence[CouplingCoefficients]],
-    bath: BathSpec,
-    delta,
-) -> SecularRates:
-    """Downward/upward rates 2*pi*Lambda_12*S(+-delta) and their summary.
-
-    w12 feeds the ground state, w21 depletes it; their ratio is the
-    thermal detailed-balance factor e^(beta delta), making the fixed
-    point p_suc = 1/(1 + e^(-beta delta)).
-
-    A sequence of P coefficient sets with an array of their P deltas is
-    one stack: one rate_S call on every +-delta, and fields of delta's
-    shape.
-    """
-    delta = np.asarray(delta, dtype=float)
-    pairs = [coeffs] if isinstance(coeffs, CouplingCoefficients) else coeffs
-    if len(pairs) != delta.size:
-        raise InvalidParameterError(f"need one delta per coefficient set, got {delta.size} for {len(pairs)}")
-    lam12 = np.array([c.lambda_kl[0, 1] for c in pairs], dtype=float).reshape(delta.shape)
-    return _transfer_rates(lam12, bath, delta)
+    w12: np.ndarray
+    w21: np.ndarray
+    t_rel: np.ndarray
+    p_suc: np.ndarray
 
 
 def _transfer_rates(lam12: np.ndarray, bath: BathSpec, delta: np.ndarray) -> SecularRates:
-    """secular_rates of pairs given by their Lambda_12 and delta, arrays of one shape."""
+    """Downward/upward rates 2*pi*Lambda_12*S(+-delta) of pairs given by arrays of one shape.
+
+    w12 feeds the ground state, w21 depletes it; their ratio is the
+    thermal detailed-balance factor e^(beta delta), making the fixed
+    point p_suc = 1/(1 + e^(-beta delta)). One rate_S call takes every
+    +-delta; the fields have delta's shape.
+    """
     if (delta <= 0).any():
         raise InvalidParameterError(f"delta must be positive, got {delta[delta <= 0][0]}")
     rates = 2.0 * math.pi * lam12[..., None] * rate_S(np.stack([delta, -delta], axis=-1), bath)
@@ -577,8 +557,7 @@ def _transfer_rates(lam12: np.ndarray, bath: BathSpec, delta: np.ndarray) -> Sec
     total = w12 + w21
     if (total <= 0).any():
         raise InvalidParameterError("total transfer rate is zero; no relaxation")
-    # [()] makes the fields of one pair numpy scalars (floats) and leaves a stack's arrays
-    return SecularRates(w12=w12[()], w21=w21[()], t_rel=(1.0 / total)[()], p_suc=(w12 / total)[()])
+    return SecularRates(w12=w12, w21=w21, t_rel=1.0 / total, p_suc=w12 / total)
 
 
 def secular_populations(rates: SecularRates, t, rho11_0):
@@ -599,39 +578,26 @@ def secular_populations(rates: SecularRates, t, rho11_0):
 
 @dataclass(frozen=True)
 class PopulationSeries:
-    """Solution population with the truncation error bound of the reduction."""
+    """Solution population on the trajectory's time grid."""
 
     times: np.ndarray
     values: np.ndarray
-    truncation_bound: float
 
 
-def solution_population(
-    traj: Trajectory,
-    source: Union[TwoLevelSystem, np.ndarray],
-) -> PopulationSeries:
+def solution_population(traj: Trajectory, wrow) -> PopulationSeries:
     """Marked-node population w . rho(t) . w from the retained levels.
 
-    The levels outside the trajectory are ignored; the induced error
-    bound is reported, never silently dropped: 1/(sigma sqrt(n)) for a
-    disordered reduction, 2/n otherwise, and 0 when the trajectory spans
-    the full space.
+    wrow holds <w|k> of each retained level k. The levels outside the
+    trajectory are ignored: a reduced pair's bound on what they miss is
+    its TwoLevelSystem.truncation_bound.
     """
-    if isinstance(source, TwoLevelSystem):
-        wrow = np.array([source.a1, source.a2])
-        if source.sigma and source.sigma > 0:
-            bound = 1.0 / (source.sigma * math.sqrt(source.n))
-        else:
-            bound = 2.0 / source.n
-    else:
-        wrow = np.asarray(source, dtype=float)
-        bound = 0.0
+    wrow = np.asarray(wrow, dtype=float)
     if wrow.shape != (traj.m,):
         raise InvalidParameterError(
             f"overlap row has shape {wrow.shape}, expected ({traj.m},)"
         )
     values = np.real(np.einsum("tab,a,b->t", traj.rhos, wrow, wrow))
-    return PopulationSeries(times=traj.times, values=values, truncation_bound=bound)
+    return PopulationSeries(times=traj.times, values=values)
 
 
 def _sign_changes(series: np.ndarray) -> np.ndarray:

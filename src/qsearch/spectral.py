@@ -8,9 +8,9 @@ poles exactly, the rest of its block's window through a power series
 formed once per sub-block, and the poles beyond through the block's
 series formed once per block. The reduction
 projects the problem onto the marked node |w> and the uniform
-superposition |s_wbar> over the remaining nodes. Coupling
-coefficients derived from either the exact spectrum or the reduced pair
-feed the open-system modules. Large reduced systems are handled without
+superposition |s_wbar> over the remaining nodes, at a stack of marked-site
+energies. Coupling coefficients derived from either the exact spectrum or
+the reduced pairs feed the open-system modules. Large reduced systems are handled without
 ever materializing per-site arrays: the unmarked sites share one row of
 coefficients, stored once with a multiplicity.
 """
@@ -454,66 +454,13 @@ def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
 
 @dataclass(frozen=True)
 class TwoLevelSystem:
-    """Reduced pair of levels in the {|w>, |s_wbar>} subspace.
+    """Reduced pairs of levels in the {|w>, |s_wbar>} subspace, one per marked-site energy.
 
+    One (n, sigma, policy) at P marked-site energies: each array has a
+    leading axis of P points, and a single pair is a stack of one. Row i
+    holds eps_w, the splitting delta, the ascending eigenvalues (2,),
     overlaps = (<w|lam1>, <w|lam2>, <s_wbar|lam1>, <s_wbar|lam2>), with the
-    same phase convention as eigendecompose.
-    """
-
-    n: int
-    eps_w: float
-    sigma: Optional[float]
-    policy: str
-    delta: float
-    eigenvalues: np.ndarray
-    overlaps: Tuple[float, float, float, float]
-    h_red: np.ndarray
-
-    @property
-    def a1(self) -> float:
-        return self.overlaps[0]
-
-    @property
-    def a2(self) -> float:
-        return self.overlaps[1]
-
-    @property
-    def b1(self) -> float:
-        return self.overlaps[2]
-
-    @property
-    def b2(self) -> float:
-        return self.overlaps[3]
-
-    def s_overlap(self, k: int) -> float:
-        """Exact overlap <lam_k|s> with the uniform state over all n nodes."""
-        if k not in (1, 2):
-            raise InvalidParameterError(f"level index must be 1 or 2, got {k}")
-        return float(_s_overlaps(self.n, np.array(self.overlaps))[k - 1])
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "eps_w": self.eps_w,
-            "sigma": self.sigma,
-            "policy": self.policy,
-            "delta": self.delta,
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "overlaps": [float(x) for x in self.overlaps],
-        }
-
-
-def _s_overlaps(n: int, overlaps: np.ndarray) -> np.ndarray:
-    """<lam_1|s> and <lam_2|s> from overlaps (..., 4): a_k/sqrt(n) + b_k sqrt(1 - 1/n)."""
-    return overlaps[..., :2] / math.sqrt(n) + overlaps[..., 2:] * math.sqrt(1.0 - 1.0 / n)
-
-
-@dataclass(frozen=True)
-class _Pairs:
-    """The reduced pairs of one (n, sigma, policy) at P marked-site energies.
-
-    Each array has a leading axis of P points; row i holds the fields of
-    reduce_two_level(n, eps_w[i], sigma, policy), bit for bit.
+    same phase convention as eigendecompose, and the 2x2 matrix h_red.
     """
 
     n: int
@@ -525,20 +472,26 @@ class _Pairs:
     overlaps: np.ndarray
     h_red: np.ndarray
 
-    def __len__(self) -> int:
-        return self.eps_w.size
+    @property
+    def truncation_bound(self) -> float:
+        """Bound on what the two retained levels miss of p_w: 1/(sigma sqrt(n)) with disorder, else 2/n."""
+        if self.sigma:
+            return 1.0 / (self.sigma * math.sqrt(self.n))
+        return 2.0 / self.n
 
-    def pair(self, i: int) -> TwoLevelSystem:
-        return TwoLevelSystem(
-            n=int(self.n),
-            eps_w=float(self.eps_w[i]),
-            sigma=None if self.sigma is None else float(self.sigma),
-            policy=self.policy,
-            delta=float(self.delta[i]),
-            eigenvalues=self.eigenvalues[i],
-            overlaps=tuple(self.overlaps[i].tolist()),
-            h_red=self.h_red[i],
-        )
+
+def _s_overlaps(n: int, overlaps: np.ndarray) -> np.ndarray:
+    """<lam_1|s> and <lam_2|s> from overlaps (..., 4): a_k/sqrt(n) + b_k sqrt(1 - 1/n)."""
+    return overlaps[..., :2] / math.sqrt(n) + overlaps[..., 2:] * math.sqrt(1.0 - 1.0 / n)
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x**2 by Python's float pow, element by element.
+
+    numpy squares an array by x*x, which differs from pow in the last bit
+    for about 1 value in 1200; a numpy scalar squares as Python does.
+    """
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _positive_pivot(e: np.ndarray) -> np.ndarray:
@@ -548,18 +501,25 @@ def _positive_pivot(e: np.ndarray) -> np.ndarray:
     return np.negative(e, out=e, where=flip[:, None])
 
 
-def _reduce_pairs(n: int, eps_w: np.ndarray, sigma: Optional[float] = None, policy: str = "plain") -> _Pairs:
-    """reduce_two_level at each marked-site energy of the array eps_w, as one stack.
+def reduce_two_level(n: int, eps_w, sigma: Optional[float] = None, policy: str = "plain") -> TwoLevelSystem:
+    """Reduced 2x2 problems of the complete graph at each marked-site energy of the 1-d array eps_w.
 
-    Elementwise array operations round as their scalar forms do; the one
-    step whose array form would not, the hypotenuse of each pair's
-    eigenvalue split, is taken pair by pair with math.hypot.
+    plain policy: h_red = [[-1+eps_w, -1/sqrt(n)], [-1/sqrt(n), -1]], whose
+    gap is exactly sqrt(eps_w^2 + 4/n). shifted policy replaces the
+    off-diagonal and second diagonal by the (1-sigma)-scaled hopping,
+    giving gap sqrt((sigma-eps_w)^2 + 4(1-sigma)^2/n); it is diagonalized
+    exactly rather than to leading order. The pairs are solved as one
+    stack; elementwise array operations round as their scalar forms do,
+    and the one step whose array form would not, the hypotenuse of each
+    pair's eigenvalue split, is taken pair by pair with math.hypot.
     """
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got n={n}")
     if policy not in ("plain", "shifted"):
         raise InvalidParameterError(f"unknown gamma policy {policy!r}")
     eps_w = np.asarray(eps_w, dtype=float)
+    if eps_w.ndim != 1:
+        raise InvalidParameterError(f"eps_w must be a 1-d array of marked-site energies, got shape {eps_w.shape}")
     if sigma is not None:
         if sigma < 0:
             raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
@@ -611,29 +571,13 @@ def _reduce_pairs(n: int, eps_w: np.ndarray, sigma: Optional[float] = None, poli
     h_red[:, 0, 0] = d1
     h_red[:, 0, 1] = h_red[:, 1, 0] = v
     h_red[:, 1, 1] = d2
-    for arr in (eigenvalues, h_red):
+    delta = eigenvalues[:, 1] - eigenvalues[:, 0]
+    for arr in (delta, eigenvalues, overlaps, h_red):
         arr.setflags(write=False)
-    return _Pairs(
-        n=n, sigma=sigma, policy=policy, eps_w=eps_w, delta=eigenvalues[:, 1] - eigenvalues[:, 0],
+    return TwoLevelSystem(
+        n=n, sigma=sigma, policy=policy, eps_w=eps_w, delta=delta,
         eigenvalues=eigenvalues, overlaps=overlaps, h_red=h_red,
     )
-
-
-def reduce_two_level(
-    n: int,
-    eps_w: float,
-    sigma: Optional[float] = None,
-    policy: str = "plain",
-) -> TwoLevelSystem:
-    """Reduced 2x2 problem for the complete graph with disorder only at w.
-
-    plain policy: h_red = [[-1+eps_w, -1/sqrt(n)], [-1/sqrt(n), -1]], whose
-    gap is exactly sqrt(eps_w^2 + 4/n). shifted policy replaces the
-    off-diagonal and second diagonal by the (1-sigma)-scaled hopping,
-    giving gap sqrt((sigma-eps_w)^2 + 4(1-sigma)^2/n); it is diagonalized
-    exactly rather than to leading order.
-    """
-    return _reduce_pairs(n, np.array([eps_w], dtype=float), sigma, policy).pair(0)
 
 
 @dataclass(frozen=True)
@@ -657,11 +601,14 @@ class CouplingCoefficients:
 
 
 def _pair_coefficients(n: int, overlaps: np.ndarray):
-    """coupling_coefficients of a stack of reduced pairs from their overlaps (P, 4).
+    """The coupling coefficients of a stack of reduced pairs from their overlaps (P, 4).
 
-    Returns (rows, counts, lambda_kl, o1): rows (P, 2, 2), the counts (2,)
-    that every pair shares, lambda_kl (P, 2, 2) and o1 (P,). The site sums
-    are matmul's per-pair BLAS calls, so each pair rounds as a stack of one.
+    The marked node carries (a1, a2) and each of the n-1 remaining nodes
+    (b1, b2)/sqrt(n-1). Returns (rows, counts, lambda_kl, o1): rows
+    (P, 2, 2), the counts (2,) that every pair shares, lambda_kl (P, 2, 2)
+    and o1 (P,); row i of each with counts are the fields of pair i's
+    CouplingCoefficients. The site sums are matmul's per-pair BLAS calls,
+    so each pair rounds as a stack of one.
     """
     scale = 1.0 / math.sqrt(n - 1)
     rows = np.empty((overlaps.shape[0], 2, 2))
@@ -677,40 +624,20 @@ def _pair_coefficients(n: int, overlaps: np.ndarray):
     return rows, counts, lambda_kl, o1
 
 
-def coupling_coefficients(
-    source: Union[Spectrum, TwoLevelSystem],
-    retained: int,
-) -> CouplingCoefficients:
-    """Coefficients of the retained levels over the n sites.
+def coupling_coefficients(source: Spectrum, retained: int) -> CouplingCoefficients:
+    """Coefficients of the retained levels of a Spectrum over its n sites.
 
-    From a TwoLevelSystem, retained must be 2: the marked node carries
-    (a1, a2) and each of the n-1 remaining nodes carries (b1, b2)/sqrt(n-1).
-    From a Spectrum, retained may be 2 (two lowest levels) or n (all).
+    retained may be 2 (the two lowest levels) or n (all). A reduced pair's
+    coefficients come from _pair_coefficients.
     """
-    if isinstance(source, TwoLevelSystem):
-        if retained != 2:
-            raise InvalidParameterError(
-                f"a reduced system provides exactly 2 retained levels, got {retained}"
-            )
-        rows, counts, lambda_kl, o1 = _pair_coefficients(source.n, np.array([source.overlaps]))
-        return CouplingCoefficients(
-            n=int(source.n), m=2, rows=rows[0], counts=counts, lambda_kl=lambda_kl[0], o1=float(o1[0]),
-        )
-    elif isinstance(source, Spectrum):
-        n = source.n
-        if retained == n:
-            rows = np.asarray(source.eigenvectors, dtype=float)
-        elif retained == 2:
-            rows = np.asarray(source.eigenvectors[:, :2], dtype=float)
-        else:
-            raise InvalidParameterError(
-                f"retained must be 2 or n={n}, got {retained}"
-            )
-        counts = np.ones(n)
+    n = source.n
+    if retained == n:
+        rows = np.asarray(source.eigenvectors, dtype=float)
+    elif retained == 2:
+        rows = np.asarray(source.eigenvectors[:, :2], dtype=float)
     else:
-        raise InvalidParameterError(
-            f"source must be a Spectrum or TwoLevelSystem, got {type(source).__name__}"
-        )
+        raise InvalidParameterError(f"retained must be 2 or n={n}, got {retained}")
+    counts = np.ones(n)
     sq = rows**2
     weighted_sq = counts[:, None] * sq
     lambda_kl = weighted_sq.T @ sq

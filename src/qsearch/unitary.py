@@ -3,20 +3,20 @@
 Exact spectral propagation of the uniform initial state (through the
 secular solver on complete graphs, dense eigh otherwise) with its first
 peak and repetitions, the reduced two-level success probability and its
-peak, and the weak/strong disorder classification.
+peak for each pair of a stack, and the weak/strong disorder classification.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .model import SearchHamiltonian
-from .spectral import Spectrum, TwoLevelSystem, _s_overlaps, eigendecompose, secular_spectrum
+from .spectral import Spectrum, TwoLevelSystem, _s_overlaps, _squares, eigendecompose, secular_spectrum
 
 # elements per block of phase arrays in evolve_closed
 _PHASE_BLOCK = 1 << 18
@@ -156,13 +156,8 @@ def evolve_closed(h: SearchHamiltonian, times, spectrum: Optional[Spectrum] = No
     )
 
 
-def _reduced_amplitude_weights(tl: TwoLevelSystem) -> Tuple[float, float]:
-    """Weights alpha_k = <w|lam_k><lam_k|s> of the two-frequency amplitude."""
-    return tl.a1 * tl.s_overlap(1), tl.a2 * tl.s_overlap(2)
-
-
-def success_probability_reduced(tl: TwoLevelSystem, t) -> Union[float, np.ndarray]:
-    """Solution population of the reduced model at time(s) t.
+def success_probability_reduced(tl: TwoLevelSystem, t) -> np.ndarray:
+    """Solution population of each reduced pair at time(s) t: an array of shape (P,) + t's.
 
     plain policy: sin^2(delta t/2) / (1 + n eps_w^2/4), the leading-order
     closed form (its t=0 value is 0, dropping the 1/n initial overlap).
@@ -172,39 +167,25 @@ def success_probability_reduced(tl: TwoLevelSystem, t) -> Union[float, np.ndarra
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise InvalidParameterError("time must be nonnegative")
+    # each pair's values along t's axes
+    column = (slice(None),) + (None,) * t_arr.ndim
     if tl.policy == "plain":
-        damp = 1.0 / (1.0 + tl.n * tl.eps_w**2 / 4.0)
-        out = damp * np.sin(0.5 * tl.delta * t_arr) ** 2
-    else:
-        alpha1, alpha2 = _reduced_amplitude_weights(tl)
-        amp = alpha1 * np.exp(-1j * tl.eigenvalues[0] * t_arr) + alpha2 * np.exp(
-            -1j * tl.eigenvalues[1] * t_arr
-        )
-        out = np.abs(amp) ** 2
-    return float(out) if np.isscalar(t) else out
+        _, damp = _reduced_peaks(tl)
+        return damp[column] * np.sin(0.5 * tl.delta[column] * t_arr) ** 2
+    alpha = (tl.overlaps[:, :2] * _s_overlaps(tl.n, tl.overlaps)).T
+    phase = (-1j * tl.eigenvalues).T
+    amp = alpha[0][column] * np.exp(phase[0][column] * t_arr) + alpha[1][column] * np.exp(phase[1][column] * t_arr)
+    return np.abs(amp) ** 2
 
 
-def _reduced_peaks(n: int, policy: str, eps_w: np.ndarray, delta: np.ndarray, overlaps: np.ndarray):
-    """reduced_peak of each pair of a stack, as arrays (t_peak, p_peak).
-
-    The squares are Python's float pow, pair by pair: numpy squares by
-    x*x, which differs from pow in the last bit for about 1 value in 1300.
-    """
-    if policy == "plain":
-        sq = np.array([x**2 for x in eps_w.tolist()])
-        return math.pi / delta, 1.0 / (1.0 + float(n) * sq / 4.0)
-    alpha = overlaps[:, :2] * _s_overlaps(n, overlaps)
-    p_peak = np.array([x**2 for x in (np.abs(alpha[:, 0]) + np.abs(alpha[:, 1])).tolist()])
-    t_peak = np.where(alpha[:, 0] * alpha[:, 1] <= 0, math.pi / delta, 2.0 * math.pi / delta)
+def _reduced_peaks(tl: TwoLevelSystem) -> Tuple[np.ndarray, np.ndarray]:
+    """(t_peak, p_peak) of each pair's reduced success probability, as arrays."""
+    if tl.policy == "plain":
+        return math.pi / tl.delta, 1.0 / (1.0 + float(tl.n) * _squares(tl.eps_w) / 4.0)
+    alpha = tl.overlaps[:, :2] * _s_overlaps(tl.n, tl.overlaps)
+    p_peak = _squares(np.abs(alpha[:, 0]) + np.abs(alpha[:, 1]))
+    t_peak = np.where(alpha[:, 0] * alpha[:, 1] <= 0, math.pi / tl.delta, 2.0 * math.pi / tl.delta)
     return t_peak, p_peak
-
-
-def reduced_peak(tl: TwoLevelSystem) -> Tuple[float, float]:
-    """(t_peak, p_peak) of the reduced success probability."""
-    t_peak, p_peak = _reduced_peaks(
-        tl.n, tl.policy, np.array([tl.eps_w]), np.array([tl.delta]), np.array([tl.overlaps])
-    )
-    return float(t_peak[0]), float(p_peak[0])
 
 
 def regime_classify(n: int, sigma: float) -> str:

@@ -5,17 +5,20 @@ damped coherence, the coefficient sums and materialized forms that only
 these checks read, the column loop that the vectorised eigenvector
 phase convention and the first-peak search replaced, the per-series
 np.polyfit form of the relaxation-time fit that the row-wise closed-form
-fit replaced, the per-pair eigensolver, coupling sums and peak formulas
-that the stacked two-level reduction replaced, the per-point loop of
-sweep rows that the stacked sweep replaced, and the per-time exponential
-sum that the closed amplitude's complex product replaced. No mode of the
-package calls them.
+fit replaced, the per-pair eigensolver, coupling sums, peak formulas and
+transfer rates in Python floats that the stacked two-level reduction
+replaced, the per-point loop of sweep rows that the stacked sweep
+replaced, and the per-time exponential sum that the closed amplitude's
+complex product replaced. No mode of the package calls them.
+pair_coefficients is the one adapter: the CouplingCoefficients of one
+pair of a TwoLevelSystem, as the tensor path forms them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,12 +32,16 @@ from qsearch.redfield import (
     assemble_redfield,
     damping_rate,
     integrate_master,
-    secular_populations,
-    secular_rates,
     solution_population,
     steady_state,
 )
-from qsearch.spectral import CouplingCoefficients, TwoLevelSystem
+from qsearch.spectral import CouplingCoefficients, TwoLevelSystem, _pair_coefficients
+
+
+def pair_coefficients(tl: TwoLevelSystem, i: int = 0) -> CouplingCoefficients:
+    """CouplingCoefficients of pair i of a stack, from its row of _pair_coefficients."""
+    rows, counts, lambda_kl, o1 = _pair_coefficients(tl.n, tl.overlaps)
+    return CouplingCoefficients(n=tl.n, m=2, rows=rows[i], counts=counts, lambda_kl=lambda_kl[i], o1=float(o1[i]))
 
 
 def materialized(coeffs: CouplingCoefficients) -> np.ndarray:
@@ -231,16 +238,37 @@ def eig2_by_pair(d1: float, d2: float, v: float):
     return lam1, lam2, e1, e2
 
 
-def reduce_by_pair(n: int, eps_w: float, sigma, policy: str) -> TwoLevelSystem:
-    """reduce_two_level of one pair by the scalar eigensolver (inputs assumed valid)."""
+@dataclass(frozen=True)
+class ScalarPair:
+    """One reduced pair in Python floats: a row of a TwoLevelSystem, with overlaps (a1, a2, b1, b2)."""
+
+    n: int
+    eps_w: float
+    sigma: Optional[float]
+    policy: str
+    delta: float
+    eigenvalues: np.ndarray
+    a1: float
+    a2: float
+    b1: float
+    b2: float
+    h_red: np.ndarray
+
+    @property
+    def overlaps(self) -> Tuple[float, float, float, float]:
+        return self.a1, self.a2, self.b1, self.b2
+
+
+def reduce_by_pair(n: int, eps_w: float, sigma, policy: str) -> ScalarPair:
+    """One pair of reduce_two_level by the scalar eigensolver (inputs assumed valid)."""
     c = 1.0 - sigma if policy == "shifted" else 1.0
     v = -c / math.sqrt(n)
     d1, d2 = -1.0 + eps_w, -c
     lam1, lam2, e1, e2 = eig2_by_pair(d1, d2, v)
-    return TwoLevelSystem(
+    return ScalarPair(
         n=int(n), eps_w=float(eps_w), sigma=None if sigma is None else float(sigma), policy=policy,
         delta=float(lam2 - lam1), eigenvalues=np.array([lam1, lam2]),
-        overlaps=(float(e1[0]), float(e2[0]), float(e1[1]), float(e2[1])), h_red=np.array([[d1, v], [v, d2]]),
+        a1=float(e1[0]), a2=float(e2[0]), b1=float(e1[1]), b2=float(e2[1]), h_red=np.array([[d1, v], [v, d2]]),
     )
 
 
@@ -275,9 +303,10 @@ def sweep_rows_by_point(cfg) -> list:
 
     Each point draws its eps_w, is reduced, coupled and projected, and
     gets its peak, by the scalar forms above, and is checked and relaxed
-    alone by the one-pair calls: secular rates at sigma > 0, the two-level
-    tensor at sigma = 0. The fit is the row-wise fit of a stack of one,
-    so that rows compare bit for bit.
+    alone: by its own transfer rates 2 pi Lambda_12 S(+-delta) at
+    sigma > 0, by the one-pair tensor calls at sigma = 0. The validity
+    report and the fit are those of a stack of one, so that rows compare
+    bit for bit.
     """
     sw = cfg.sweep
     rows = []
@@ -287,23 +316,24 @@ def sweep_rows_by_point(cfg) -> list:
         for seed in range(sw.seeds):
             eps_w = uniform_site(system.w, system.sigma, seed)
             tl = reduce_by_pair(system.n, eps_w, sigma, system.gamma_policy)
-            report = validate_approximations(bath, tl.delta, tl.n)
+            report = validate_approximations(bath, np.array([tl.delta]), tl.n)
             coeffs = coupling_by_pair(tl)
             s1, s2 = s_overlaps_by_pair(tl)
             psi = np.array([s1, s2]) / math.sqrt(s1 * s1 + s2 * s2)
+            wrow = np.array([tl.a1, tl.a2])
             if system.sigma > 0:
-                rates = secular_rates(coeffs, bath, tl.delta)
-                times = experiments._times(cfg.grid, 6.0 * rates.t_rel)
-                rho11 = secular_populations(rates, times, psi[0] * psi[0])
+                w12, w21 = 2.0 * math.pi * coeffs.lambda_kl[0, 1] * rate_S(np.array([tl.delta, -tl.delta]), bath)
+                t_rel_formula, p_suc = float(1.0 / (w12 + w21)), float(w12 / (w12 + w21))
+                times = experiments._times(cfg.grid, 6.0 * t_rel_formula)
+                rho11 = p_suc + (psi[0] * psi[0] - p_suc) * np.exp(-times / t_rel_formula)
                 p_w = tl.a1**2 * rho11 + tl.a2**2 * (1.0 - rho11)
-                steady = tl.a1**2 * rates.p_suc + tl.a2**2 * (1.0 - rates.p_suc)
-                t_rel_formula, p_suc = float(rates.t_rel), float(rates.p_suc)
+                steady = tl.a1**2 * p_suc + tl.a2**2 * (1.0 - p_suc)
             else:
-                tensor = assemble_redfield(coeffs, tl, bath)
+                tensor = assemble_redfield(coeffs, tl.eigenvalues, bath)
                 gamma = damping_rate(coeffs, bath, tl.delta)
                 times = experiments._times(cfg.grid, 6.0 / gamma)
-                p_w = solution_population(integrate_master(tensor, np.outer(psi, psi).astype(complex), times), tl).values
-                wrow = np.array([tl.a1, tl.a2])
+                traj = integrate_master(tensor, np.outer(psi, psi).astype(complex), times)
+                p_w = solution_population(traj, wrow).values
                 steady = np.real(wrow @ steady_state(tensor) @ wrow)
                 t_rel_formula = 1.0 / (2.0 * gamma)
                 p_suc = 1.0 if math.isinf(bath.beta) else 1.0 / (1.0 + math.exp(-bath.beta * tl.delta))
@@ -311,7 +341,7 @@ def sweep_rows_by_point(cfg) -> list:
             rows.append({
                 "eps_w": eps_w, "delta": tl.delta, "t_rel_fit": float(t_rel_fit),
                 "t_rel_formula": t_rel_formula, "p_suc": p_suc, "p_peak": reduced_peak_by_pair(tl),
-                "markov_status": report.markov_status, "secular_status": report.secular_status,
-                "two_level_ok": report.two_level_ok, "note": note, "value": value, "seed": seed,
+                "markov_status": str(report["markov_status"][0]), "secular_status": str(report["secular_status"][0]),
+                "two_level_ok": bool(report["two_level_ok"][0]), "note": note, "value": value, "seed": seed,
             })
     return rows

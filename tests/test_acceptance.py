@@ -18,21 +18,22 @@ from qsearch.bath import (
     correlation_quadrature,
     correlation_zero_T,
     validate_approximations,
+    validity_row,
 )
 from qsearch.experiments import parse_config, run, sweep
 from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian
 from qsearch.redfield import (
+    _transfer_rates,
     assemble_redfield,
     damping_rate,
     integrate_master,
     secular_populations,
-    secular_rates,
     solution_population,
     steady_state,
 )
-from qsearch.spectral import coupling_coefficients, eigendecompose, reduce_two_level
+from qsearch.spectral import _s_overlaps, eigendecompose, reduce_two_level
 from qsearch.unitary import evolve_closed
-from reference import analytic_rho_x
+from reference import analytic_rho_x, pair_coefficients
 
 RECIPES = __file__.rsplit("/", 2)[0] + "/recipes"
 
@@ -40,7 +41,7 @@ RECIPES = __file__.rsplit("/", 2)[0] + "/recipes"
 def _single_site_hamiltonian(n: int, eps_w: float):
     eps = np.zeros(n)
     eps[0] = eps_w
-    field = DisorderField(epsilons=eps, sigma=abs(eps_w), seed=0, distribution="uniform")
+    field = DisorderField(epsilons=eps, sigma=abs(eps_w), seed=0)
     return build_search_hamiltonian(build_complete_graph(n), w=0, gamma=1.0 / n, disorder=field)
 
 
@@ -96,8 +97,8 @@ def perturbation_oracle():
             h = _single_site_hamiltonian(n, eps_w)
             gap_exact = eigendecompose(h).gap
             gap_formula = math.sqrt(eps_w**2 + 4.0 / n)
-            tl = reduce_two_level(n, eps_w, policy="plain")
-            times = np.linspace(0.0, 3.0 * math.pi / tl.delta, 6000)
+            (delta,) = reduce_two_level(n, [eps_w], policy="plain").delta
+            times = np.linspace(0.0, 3.0 * math.pi / delta, 6000)
             peak_exact = evolve_closed(h, times).p_peak
             peak_formula = 1.0 / (1.0 + n * eps_w**2 / 4.0)
             out[(n, eps_w)] = (gap_exact, gap_formula, peak_exact, peak_formula)
@@ -133,19 +134,20 @@ def test_criterion_02_peak_oracle(perturbation_oracle, n: int, eps_w: float) -> 
 
 def test_criterion_03_damped_trajectory_oracle() -> None:
     start = time.monotonic()
-    tl = reduce_two_level(10**4, 0.0, policy="plain")
-    coeffs = coupling_coefficients(tl, 2)
+    tl = reduce_two_level(10**4, [0.0], policy="plain")
+    coeffs = pair_coefficients(tl)
     bath = BathSpec(g=0.02, beta=math.inf, omega_c=2.0)
-    gamma = damping_rate(coeffs, bath, tl.delta)
-    tensor = assemble_redfield(coeffs, tl, bath)
+    (delta,) = tl.delta
+    gamma = damping_rate(coeffs, bath, delta)
+    tensor = assemble_redfield(coeffs, tl.eigenvalues[0], bath)
     rho0 = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
     times = np.linspace(0.0, 5.0 / gamma, 4000)
     traj = integrate_master(tensor, rho0, times)
-    p_w = solution_population(traj, tl).values
-    analytic = 0.5 * (1.0 + analytic_rho_x(times, gamma, tl.delta))
+    wrow = tl.overlaps[0, :2]
+    p_w = solution_population(traj, wrow).values
+    analytic = 0.5 * (1.0 + analytic_rho_x(times, gamma, delta))
     traj_dev = float(np.max(np.abs(p_w - analytic)))
     ss = steady_state(tensor)
-    wrow = np.array([tl.a1, tl.a2])
     steady_dev = abs(float(np.real(wrow @ ss @ wrow)) - 0.5)
     elapsed = time.monotonic() - start
     print(
@@ -164,14 +166,14 @@ def test_criterion_04_gibbs_fixed_point() -> None:
     for _ in range(10):
         beta_delta = rng.uniform(0.1, 5.0)
         n = int(rng.integers(64, 4096))
-        tl = reduce_two_level(n, 0.0, policy="plain")
-        bath = BathSpec(g=0.05, beta=beta_delta / tl.delta, omega_c=2.0)
-        coeffs = coupling_coefficients(tl, 2)
+        tl = reduce_two_level(n, [0.0], policy="plain")
+        bath = BathSpec(g=0.05, beta=beta_delta / tl.delta[0], omega_c=2.0)
+        coeffs = pair_coefficients(tl)
         gibbs = 1.0 / (1.0 + math.exp(-beta_delta))
-        tensor = assemble_redfield(coeffs, tl, bath)
+        tensor = assemble_redfield(coeffs, tl.eigenvalues[0], bath)
         ss = steady_state(tensor)
         worst_full = max(worst_full, abs(float(np.real(ss[0, 0])) - gibbs))
-        rates = secular_rates(coeffs, bath, tl.delta)
+        rates = _transfer_rates(np.asarray(coeffs.lambda_kl[0, 1]), bath, tl.delta[0])
         worst_secular = max(worst_secular, abs(rates.p_suc - gibbs))
         worst_balance = max(
             worst_balance,
@@ -282,14 +284,14 @@ def test_criterion_07_bath_correlation_agreement() -> None:
 
 def test_criterion_08_secular_full_window_agreement() -> None:
     start = time.monotonic()
-    tl = reduce_two_level(10**4, -0.03, sigma=0.05, policy="shifted")
-    coeffs = coupling_coefficients(tl, 2)
+    tl = reduce_two_level(10**4, [-0.03], sigma=0.05, policy="shifted")
+    coeffs = pair_coefficients(tl)
     bath = BathSpec(g=0.01, beta=15.0, omega_c=2.0)
-    report = validate_approximations(bath, tl.delta, 10**4)
-    assert report.markov_status != "fail" and report.secular_status != "fail"
-    tensor = assemble_redfield(coeffs, tl, bath)
-    rates = secular_rates(coeffs, bath, tl.delta)
-    delta = tl.delta
+    report = validity_row(validate_approximations(bath, tl.delta, 10**4), 0)
+    assert report["markov_status"] != "fail" and report["secular_status"] != "fail"
+    tensor = assemble_redfield(coeffs, tl.eigenvalues[0], bath)
+    rates = _transfer_rates(np.asarray(coeffs.lambda_kl[0, 1]), bath, tl.delta[0])
+    delta = tl.delta[0]
     width = 5.0 / delta
     t_lo = 3.0 / delta
     t_hi = 6.0 * rates.t_rel
@@ -298,13 +300,14 @@ def test_criterion_08_secular_full_window_agreement() -> None:
     npts = 64
     grids = [np.linspace(a, a + width, npts, endpoint=False) for a in starts]
     t_all = np.concatenate(grids)
-    vec = np.array([tl.s_overlap(1), tl.s_overlap(2)])
+    vec = _s_overlaps(tl.n, tl.overlaps)[0]
     vec /= np.linalg.norm(vec)
     rho0 = np.outer(vec, vec).astype(complex)
     traj = integrate_master(tensor, rho0, t_all)
-    p_full = solution_population(traj, tl).values
+    a1, a2 = tl.overlaps[0, :2]
+    p_full = solution_population(traj, [a1, a2]).values
     rho11 = secular_populations(rates, t_all, float(np.real(rho0[0, 0])))
-    p_secular = tl.a1**2 * rho11 + tl.a2**2 * (1.0 - rho11)
+    p_secular = a1**2 * rho11 + a2**2 * (1.0 - rho11)
     devs = np.array(
         [
             abs(
@@ -325,15 +328,15 @@ def test_criterion_08_secular_full_window_agreement() -> None:
 
 def test_criterion_09_validity_margins() -> None:
     start = time.monotonic()
-    report = validate_approximations(
-        BathSpec(g=0.02, beta=15.0, omega_c=2.0), delta=0.011, n=10**6
+    report = validity_row(
+        validate_approximations(BathSpec(g=0.02, beta=15.0, omega_c=2.0), delta=[0.011], n=10**6), 0
     )
-    markov_dev = abs(report.markov_margin - 0.3) / 0.3
-    secular_dev = abs(report.secular_margin - 0.74) / 0.74
+    markov_dev = abs(report["markov_margin"] - 0.3) / 0.3
+    secular_dev = abs(report["secular_margin"] - 0.74) / 0.74
     elapsed = time.monotonic() - start
     print(
-        f"criterion 9: markov margin={report.markov_margin:.6f} (0.3 within 1%), "
-        f"secular margin={report.secular_margin:.6f} (0.74 within 1%), "
+        f"criterion 9: markov margin={report['markov_margin']:.6f} (0.3 within 1%), "
+        f"secular margin={report['secular_margin']:.6f} (0.74 within 1%), "
         f"elapsed={elapsed:.3f}s (<1s)"
     )
     assert markov_dev <= 0.01

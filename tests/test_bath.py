@@ -17,11 +17,17 @@ from qsearch.bath import (
     rate_S,
     spectral_density,
     validate_approximations,
+    validity_row,
 )
 from qsearch.errors import InvalidParameterError, OutOfRegimeError
 
 FINITE = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
 ZERO = BathSpec(g=0.02, beta=math.inf, omega_c=2.0)
+
+
+def _report(bath: BathSpec, delta: float, n: int) -> dict:
+    """The validity report of one pair, as a run writes it."""
+    return validity_row(validate_approximations(bath, [delta], n), 0)
 
 
 def test_spectral_density_values() -> None:
@@ -194,33 +200,33 @@ def test_efold_time_tracks_beta_at_moderate_cutoff() -> None:
 
 
 def test_validity_report_reference_point() -> None:
-    report = validate_approximations(FINITE, delta=0.011, n=10**6)
-    assert report.markov_margin == pytest.approx(0.3, rel=1e-12)
-    assert report.markov_status == "marginal"
-    assert report.secular_margin == pytest.approx(0.7385489, rel=1e-6)
-    assert report.secular_status == "marginal"
-    assert report.beta_star == pytest.approx(13.969171, rel=1e-6)
-    assert report.two_level_ok is True
+    report = _report(FINITE, delta=0.011, n=10**6)
+    assert report["markov_margin"] == pytest.approx(0.3, rel=1e-12)
+    assert report["markov_status"] == "marginal"
+    assert report["secular_margin"] == pytest.approx(0.7385489, rel=1e-6)
+    assert report["secular_status"] == "marginal"
+    assert report["beta_star"] == pytest.approx(13.969171, rel=1e-6)
+    assert report["two_level_ok"] is True
 
 
 def test_validity_report_strong_coupling_fails() -> None:
-    report = validate_approximations(
+    report = _report(
         BathSpec(g=0.5, beta=15.0, omega_c=2.0), delta=0.011, n=10**6
     )
-    assert report.markov_margin == pytest.approx(7.5, rel=1e-12)
-    assert report.markov_status == "fail"
-    assert report.secular_status == "fail"
+    assert report["markov_margin"] == pytest.approx(7.5, rel=1e-12)
+    assert report["markov_status"] == "fail"
+    assert report["secular_status"] == "fail"
 
 
 def test_validity_report_zero_temperature() -> None:
     n = 1000
     delta = 2.0 / math.sqrt(n)
-    report = validate_approximations(BathSpec(g=0.02, beta=math.inf, omega_c=2.0), delta=delta, n=n)
-    assert report.delta_t == 0.5
-    assert report.markov_margin == pytest.approx(0.01, rel=1e-12)
-    assert report.markov_status == "ok"
-    assert report.secular_margin == pytest.approx(0.02 * math.sqrt(0.5 / delta), rel=1e-12)
-    assert report.secular_status == "ok"
+    report = _report(BathSpec(g=0.02, beta=math.inf, omega_c=2.0), delta=delta, n=n)
+    assert report["delta_t"] == 0.5
+    assert report["markov_margin"] == pytest.approx(0.01, rel=1e-12)
+    assert report["markov_status"] == "ok"
+    assert report["secular_margin"] == pytest.approx(0.02 * math.sqrt(0.5 / delta), rel=1e-12)
+    assert report["secular_status"] == "ok"
 
 
 def test_bath_spec_validation() -> None:

@@ -172,9 +172,10 @@ def test_two_level_redfield_path_loads_no_scipy() -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, numpy as np, qsearch as q\n"
-        "tl = q.spectral.reduce_two_level(10**4, 0.0)\n"
-        "co = q.spectral.coupling_coefficients(tl, 2)\n"
-        "te = q.redfield.assemble_redfield(co, tl, q.bath.BathSpec(g=0.02, beta=15.0))\n"
+        "tl = q.spectral.reduce_two_level(10**4, [0.0])\n"
+        "rows, counts, lam, o1 = q.spectral._pair_coefficients(tl.n, tl.overlaps)\n"
+        "co = q.spectral.CouplingCoefficients(tl.n, 2, rows[0], counts, lam[0], float(o1[0]))\n"
+        "te = q.redfield.assemble_redfield(co, tl.eigenvalues[0], q.bath.BathSpec(g=0.02, beta=15.0))\n"
         "q.redfield.integrate_master(te, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 1e5, 400))\n"
         "q.redfield.steady_state(te)\n"
         "q.redfield.integrate_master(te, np.eye(2, dtype=complex) / 2, np.array([1.0, 2.0, 2.0, 7.5]))\n"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsearch import experiments, model
-from qsearch.bath import CHI_MARKOV, CHI_SECULAR, BathSpec, correlation_time, validate_approximations
+from qsearch.bath import CHI_MARKOV, CHI_SECULAR, BathSpec, correlation_time, validate_approximations, validity_row
 from qsearch.cli import EXIT_CONFIG
 from qsearch.cli import main as cli_main
 from qsearch.errors import ConfigError, InvalidParameterError, ValidityError
@@ -28,7 +28,7 @@ from qsearch.experiments import (
     sweep,
 )
 from qsearch.experiments import _quartiles
-from qsearch.spectral import reduce_two_level
+from qsearch.spectral import _s_overlaps, reduce_two_level
 from reference import sweep_rows_by_point
 
 
@@ -358,8 +358,7 @@ def test_secular_mode_and_sweep_start_from_the_projected_state(tmp_path, monkeyp
     doc["sweep"] = {"parameter": "n", "values": [doc["system"]["n"]], "seeds": 1, "fit": False}
     sweep(parse_config(doc))
     cfg = parse_config(_secular_doc())
-    tl, _ = experiments._reduced_system(cfg.system)
-    s1, s2 = tl.s_overlap(1), tl.s_overlap(2)
+    s1, s2 = _s_overlaps(cfg.system.n, experiments._pairs(cfg.system).overlaps)[0]
     projected = s1 * s1 / (s1 * s1 + s2 * s2)
     assert abs(projected - 1.0 / cfg.system.n) > 1e-3
     assert received == [pytest.approx(projected, rel=1e-12)] * 2
@@ -391,6 +390,24 @@ def test_run_validate_writes_report(tmp_path) -> None:
     with open(files[0]) as f:
         payload = json.load(f)
     assert payload["validity"]["two_level_ok"] is True
+
+
+def test_relaxing_runs_write_the_validate_mode_s_validity(tmp_path) -> None:
+    # one report: each relaxing run writes the one it checked before it
+    # propagated, and it reads as the validate mode's, notes and key order included
+    doc = {
+        "system": {"n": 10**4, "sigma": 0.05, "seed": 0, "gamma_policy": "shifted"},
+        "bath": {"g": 0.5, "beta": 15.0, "omega_c": 2.0},
+        "grid": {"t_max": 1e4, "points": 50},
+    }
+    texts = []
+    for mode in ("validate", "redfield", "secular"):
+        files, summary = run(parse_config(dict(doc, mode=mode)), out_dir=str(tmp_path), force=True)
+        with open(files[-1]) as f:
+            written = json.load(f)["validity"]
+        texts.append((json.dumps(written), json.dumps(summary["validity"])))
+    assert "memoryless-bath margin 7.5 is fail" in json.loads(texts[0][0])["notes"]
+    assert texts[1] == texts[0] and texts[2] == texts[0]
 
 
 def test_run_spectrum_small_system(tmp_path) -> None:
@@ -522,7 +539,7 @@ def test_sweep_runs_each_distinct_point_once(monkeypatch, sigma, runs) -> None:
     relax = experiments._relax
 
     def counting(pairs, *args, **kwargs):
-        carried.append(len(pairs))
+        carried.append(pairs.eps_w.size)
         return relax(pairs, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_relax", counting)
@@ -641,7 +658,7 @@ def test_sweep_points_run_on_the_calling_thread(tmp_path, monkeypatch) -> None:
     points = experiments._sweep_points
 
     def spy(system, pairs, *args, **kwargs):
-        threads.extend([threading.get_ident()] * len(pairs))
+        threads.extend([threading.get_ident()] * pairs.eps_w.size)
         return points(system, pairs, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_sweep_points", spy)
@@ -958,20 +975,20 @@ def test_relax_keeps_the_physical_invariants(n, sigma_frac, seed, beta_frac, g_f
     sys_cfg = experiments.SystemConfig(
         n=n, sigma=sigma_frac / math.sqrt(n), seed=seed, gamma_policy="shifted"
     )
-    tl, eps_w = experiments._reduced_system(sys_cfg)
+    pairs = experiments._pairs(sys_cfg)
+    (delta,) = pairs.delta
     # inside the validity region: two-level bound, memoryless bath, coarse graining
-    beta = beta_frac * math.log(n) / (1.0 - tl.delta)
-    g = g_frac * min(CHI_MARKOV / beta, CHI_SECULAR * math.sqrt(tl.delta / beta))
+    beta = beta_frac * math.log(n) / (1.0 - delta)
+    g = g_frac * min(CHI_MARKOV / beta, CHI_SECULAR * math.sqrt(delta / beta))
     bath = BathSpec(g=g, beta=beta, omega_c=omega_c)
-    report = validate_approximations(bath, tl.delta, n)
-    assert (report.markov_status, report.secular_status, report.two_level_ok) == ("ok", "ok", True)
+    report = validity_row(validate_approximations(bath, pairs.delta, n), 0)
+    assert (report["markov_status"], report["secular_status"], report["two_level_ok"]) == ("ok", "ok", True)
     grid = experiments.GridConfig(points=200)
-    gibbs = 1.0 / (1.0 + math.exp(-beta * tl.delta))
+    gibbs = 1.0 / (1.0 + math.exp(-beta * delta))
 
-    pairs = experiments._pairs(sys_cfg, [eps_w])
     _, _, fields = experiments._relax(pairs, bath, grid, force=False, secular=True)
     (w12,), (w21,), (p_suc,) = fields["rates"].w12, fields["rates"].w21, fields["rates"].p_suc
-    assert w12 / w21 == pytest.approx(math.exp(beta * tl.delta), rel=1e-10)
+    assert w12 / w21 == pytest.approx(math.exp(beta * delta), rel=1e-10)
     assert p_suc == pytest.approx(gibbs, abs=1e-4)
 
     seen: dict = {}
@@ -986,11 +1003,11 @@ def test_relax_keeps_the_physical_invariants(n, sigma_frac, seed, beta_frac, g_f
 def test_relax_refuses_outside_the_coarse_graining_bound() -> None:
     # a stack is refused at the margin of its first pair that breaks the bound
     eps_ws = [-0.006, 0.005, 0.0]
-    tls = [reduce_two_level(10**6, eps, sigma=0.007, policy="plain") for eps in eps_ws]
+    deltas = [reduce_two_level(10**6, [eps], sigma=0.007, policy="plain").delta[0] for eps in eps_ws]
     pairs = experiments._pairs(experiments.SystemConfig(n=10**6, sigma=0.007), eps_ws)
     bath = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
     grid = experiments.GridConfig(points=50)
-    margins = bath.g * np.sqrt(correlation_time(bath) / np.array([tl.delta for tl in tls]))
+    margins = bath.g * np.sqrt(correlation_time(bath) / np.array(deltas))
     assert margins[0] < 1.0 <= margins[1] < margins[2]
     message = rf"coarse-graining margin g\*sqrt\(delta_t/delta\) = {margins[1]:.3g} >= 1"
     with pytest.raises(ValidityError, match=message):

@@ -121,12 +121,6 @@ def test_disorder_uniform_std_matches_moment() -> None:
     assert abs(field.epsilons.mean()) < 3.0 * expected / math.sqrt(10**5)
 
 
-def test_disorder_gaussian_truncated_stays_within_three_sigma() -> None:
-    field = sample_disorder(20000, 0.1, "gaussian-truncated", seed=5)
-    assert np.all(np.abs(field.epsilons) <= 0.3)
-    assert abs(field.epsilons.std() / 0.1 - 1.0) < 0.05
-
-
 def test_disorder_rejects_negative_sigma_and_unknown_distribution() -> None:
     with pytest.raises(InvalidParameterError):
         sample_disorder(8, -0.1, "uniform", seed=0)
@@ -188,7 +182,7 @@ def test_dense_build_peaks_at_one_matrix() -> None:
 def test_hamiltonian_single_site_disorder_entry() -> None:
     eps = np.zeros(64)
     eps[3] = 0.5
-    field = DisorderField(epsilons=eps, sigma=0.5, seed=0, distribution="uniform")
+    field = DisorderField(epsilons=eps, sigma=0.5, seed=0)
     h = build_search_hamiltonian(
         build_complete_graph(64), w=3, gamma=1.0 / 64, disorder=field
     ).dense()

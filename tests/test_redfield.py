@@ -19,19 +19,21 @@ from qsearch.errors import (
 )
 from qsearch.redfield import (
     RedfieldTensor,
+    SecularRates,
+    _transfer_rates,
     assemble_redfield,
     damping_rate,
     integrate_master,
     secular_populations,
-    secular_rates,
     solution_population,
     steady_state,
 )
-from qsearch.spectral import coupling_coefficients, eigendecompose, reduce_two_level
+from qsearch.spectral import CouplingCoefficients, coupling_coefficients, eigendecompose, reduce_two_level
 from reference import (
     analytic_population,
     analytic_rho_x,
     decay_time_by_polyfit,
+    pair_coefficients,
     pauli_two_level_matrix,
     traces,
 )
@@ -40,13 +42,18 @@ ZERO_T = BathSpec(g=0.02, beta=math.inf, omega_c=2.0)
 
 
 def _clean_system(n: int):
-    tl = reduce_two_level(n, 0.0, policy="plain")
-    return tl, coupling_coefficients(tl, 2)
+    tl = reduce_two_level(n, [0.0], policy="plain")
+    return tl, pair_coefficients(tl)
+
+
+def _rates(co: CouplingCoefficients, bath: BathSpec, delta) -> SecularRates:
+    """_transfer_rates of one pair, its Lambda_12 and delta as 0-d arrays."""
+    return _transfer_rates(np.asarray(co.lambda_kl[0, 1]), bath, np.asarray(delta, dtype=float))
 
 
 def test_generator_preserves_trace() -> None:
     tl, co = _clean_system(10**4)
-    tensor = assemble_redfield(co, tl, ZERO_T)
+    tensor = assemble_redfield(co, tl.eigenvalues[0], ZERO_T)
     gen = tensor.generator()
     m = 2
     # column sums of the vectorized generator restricted to basis matrices
@@ -59,7 +66,7 @@ def test_generator_preserves_trace() -> None:
 
 def test_evolution_preserves_hermiticity_and_trace() -> None:
     tl, co = _clean_system(256)
-    tensor = assemble_redfield(co, tl, ZERO_T)
+    tensor = assemble_redfield(co, tl.eigenvalues[0], ZERO_T)
     rho0 = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]], dtype=complex)
     times = np.linspace(0.0, 2000.0, 60)
     traj = integrate_master(tensor, rho0, times)
@@ -70,40 +77,41 @@ def test_evolution_preserves_hermiticity_and_trace() -> None:
 
 def test_zero_coupling_reduces_to_phase_evolution() -> None:
     tl, co = _clean_system(256)
-    tensor = assemble_redfield(co, tl, BathSpec(g=0.0, beta=math.inf, omega_c=2.0))
+    tensor = assemble_redfield(co, tl.eigenvalues[0], BathSpec(g=0.0, beta=math.inf, omega_c=2.0))
     assert np.max(np.abs(tensor.r)) == 0.0
     rho0 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
     times = np.linspace(0.0, 50.0, 7)
     traj = integrate_master(tensor, rho0, times)
-    phase = rho0[0, 1] * np.exp(-1j * (tl.eigenvalues[0] - tl.eigenvalues[1]) * times)
+    phase = rho0[0, 1] * np.exp(-1j * (tl.eigenvalues[0, 0] - tl.eigenvalues[0, 1]) * times)
     assert np.max(np.abs(traj.rhos[:, 0, 1] - phase)) < 1e-12
     assert np.max(np.abs(traj.rhos[:, 0, 0] - 0.7)) < 1e-12
 
 
 def test_damping_rate_reference_value() -> None:
     tl, co = _clean_system(10**4)
-    gamma = damping_rate(co, ZERO_T, tl.delta)
+    gamma = damping_rate(co, ZERO_T, tl.delta[0])
     assert gamma == pytest.approx(6.221289e-6, rel=1e-6)
     assert gamma == pytest.approx(
-        math.pi * co.o1 * 2.0 * 0.0004 * tl.delta * math.exp(-tl.delta / 2.0) / 2.0,
+        math.pi * co.o1 * 2.0 * 0.0004 * tl.delta[0] * math.exp(-tl.delta[0] / 2.0) / 2.0,
         rel=1e-12,
     )
 
 
 def test_trajectory_matches_analytic_two_level_curve() -> None:
     tl, co = _clean_system(10**4)
-    gamma = damping_rate(co, ZERO_T, tl.delta)
-    tensor = assemble_redfield(co, tl, ZERO_T)
+    gamma = damping_rate(co, ZERO_T, tl.delta[0])
+    tensor = assemble_redfield(co, tl.eigenvalues[0], ZERO_T)
     rho0 = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
     times = np.linspace(0.0, 5.0 / gamma, 1500)
     traj = integrate_master(tensor, rho0, times)
-    pw = solution_population(traj, tl)
-    analytic = 0.5 * (1.0 + analytic_rho_x(times, gamma, tl.delta))
+    pw = solution_population(traj, tl.overlaps[0, :2])
+    analytic = 0.5 * (1.0 + analytic_rho_x(times, gamma, tl.delta[0]))
     assert np.max(np.abs(pw.values - analytic)) < 1e-10
     ss = steady_state(tensor)
+    a1, a2 = tl.overlaps[0, :2]
     pw_ss = float(
         np.real(
-            tl.a1**2 * ss[0, 0] + tl.a2**2 * ss[1, 1] + 2.0 * tl.a1 * tl.a2 * np.real(ss[0, 1])
+            a1**2 * ss[0, 0] + a2**2 * ss[1, 1] + 2.0 * a1 * a2 * np.real(ss[0, 1])
         )
     )
     assert pw_ss == pytest.approx(0.5, abs=1e-10)
@@ -111,15 +119,15 @@ def test_trajectory_matches_analytic_two_level_curve() -> None:
 
 def test_trajectory_follows_the_critically_damped_curve() -> None:
     tl, co = _clean_system(256)
-    base = damping_rate(co, BathSpec(g=1.0, beta=math.inf, omega_c=2.0), tl.delta)
-    g_needed = math.sqrt(0.5 * tl.delta / base)
+    base = damping_rate(co, BathSpec(g=1.0, beta=math.inf, omega_c=2.0), tl.delta[0])
+    g_needed = math.sqrt(0.5 * tl.delta[0] / base)
     bath = BathSpec(g=g_needed, beta=math.inf, omega_c=2.0)
-    gamma = damping_rate(co, bath, tl.delta)
-    assert gamma / tl.delta == pytest.approx(0.5, rel=1e-12)
-    tensor = assemble_redfield(co, tl, bath)
+    gamma = damping_rate(co, bath, tl.delta[0])
+    assert gamma / tl.delta[0] == pytest.approx(0.5, rel=1e-12)
+    tensor = assemble_redfield(co, tl.eigenvalues[0], bath)
     rho0 = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
     times = np.linspace(0.0, 5.0 / gamma, 800)
-    analytic = analytic_rho_x(times, gamma, tl.delta)
+    analytic = analytic_rho_x(times, gamma, tl.delta[0])
     traj = integrate_master(tensor, rho0, times)
     rho_x = 2.0 * np.real(traj.rhos[:, 0, 1])
     assert np.max(np.abs(rho_x - analytic)) < 1e-8
@@ -130,14 +138,13 @@ def test_thermal_fixed_point_random_gaps() -> None:
     for _ in range(10):
         beta_delta = rng.uniform(0.1, 5.0)
         n = int(rng.integers(64, 4096))
-        tl = reduce_two_level(n, 0.0, policy="plain")
-        bath = BathSpec(g=0.05, beta=beta_delta / tl.delta, omega_c=2.0)
-        co = coupling_coefficients(tl, 2)
+        tl, co = _clean_system(n)
+        bath = BathSpec(g=0.05, beta=beta_delta / tl.delta[0], omega_c=2.0)
         gibbs = 1.0 / (1.0 + math.exp(-beta_delta))
-        tensor = assemble_redfield(co, tl, bath)
+        tensor = assemble_redfield(co, tl.eigenvalues[0], bath)
         ss = steady_state(tensor)
         assert float(np.real(ss[0, 0])) == pytest.approx(gibbs, abs=1e-4)
-        rates = secular_rates(co, bath, tl.delta)
+        rates = _rates(co, bath, tl.delta[0])
         assert rates.p_suc == pytest.approx(gibbs, abs=1e-4)
         assert rates.w12 / rates.w21 == pytest.approx(math.exp(beta_delta), rel=1e-10)
 
@@ -166,21 +173,21 @@ def test_three_level_system_thermalizes_to_gibbs() -> None:
 
 def test_pauli_vector_form_structure() -> None:
     tl, co = _clean_system(10**4)
-    m, b = pauli_two_level_matrix(co, ZERO_T, tl.delta)
+    m, b = pauli_two_level_matrix(co, ZERO_T, tl.delta[0])
     # disorder-free: O2 = O3 = 0, so x couples only to y through the splitting
     assert m[0, 0] == pytest.approx(0.0, abs=1e-12)
-    assert m[0, 1] == pytest.approx(tl.delta, rel=1e-12)
+    assert m[0, 1] == pytest.approx(tl.delta[0], rel=1e-12)
     assert m[0, 2] == pytest.approx(0.0, abs=1e-12)
-    assert m[1, 0] == pytest.approx(-tl.delta, rel=1e-12)
+    assert m[1, 0] == pytest.approx(-tl.delta[0], rel=1e-12)
     assert b[0] == b[1] == 0.0
 
 
 def test_pauli_fixed_point_is_thermal() -> None:
     tl, co = _clean_system(10**4)
     bath = BathSpec(g=0.02, beta=20.0, omega_c=2.0)
-    m, b = pauli_two_level_matrix(co, bath, tl.delta)
+    m, b = pauli_two_level_matrix(co, bath, tl.delta[0])
     z_star = float(np.linalg.solve(m, -b)[2])
-    assert z_star == pytest.approx(math.tanh(10.0 * tl.delta), abs=1e-12)
+    assert z_star == pytest.approx(math.tanh(10.0 * tl.delta[0]), abs=1e-12)
 
 
 def test_analytic_curve_limits() -> None:
@@ -196,10 +203,10 @@ def test_analytic_curve_limits() -> None:
 
 def test_analytic_population_overdamped_slow_rate() -> None:
     tl, _ = _clean_system(10**4)
-    gamma = 5.0 * tl.delta
-    slow = tl.delta**2 / (2.0 * gamma)
+    gamma = 5.0 * tl.delta[0]
+    slow = tl.delta[0]**2 / (2.0 * gamma)
     times = np.linspace(1.0 / gamma, 40.0 / slow, 2500)
-    pw = analytic_population(times, gamma, tl.delta)
+    pw = analytic_population(times, gamma, tl.delta[0])
     assert bool(np.all(np.diff(pw) >= -1e-15))
     approx = 0.5 * (1.0 - np.exp(-times * slow))
     assert np.max(np.abs(pw - approx)) <= 0.01
@@ -213,34 +220,32 @@ def test_analytic_population_overdamped_slow_rate() -> None:
 )
 def test_analytic_population_overdamped_rate_without_factor_two() -> None:
     tl, _ = _clean_system(10**4)
-    gamma = 5.0 * tl.delta
-    times = np.linspace(1.0 / gamma, 40.0 * gamma / tl.delta**2, 2500)
-    pw = analytic_population(times, gamma, tl.delta)
-    approx = 0.5 * (1.0 - np.exp(-times * tl.delta**2 / gamma))
+    gamma = 5.0 * tl.delta[0]
+    times = np.linspace(1.0 / gamma, 40.0 * gamma / tl.delta[0]**2, 2500)
+    pw = analytic_population(times, gamma, tl.delta[0])
+    approx = 0.5 * (1.0 - np.exp(-times * tl.delta[0]**2 / gamma))
     assert np.max(np.abs(pw - approx)) <= 0.04
 
 
 def test_analytic_population_underdamped_oscillates() -> None:
     tl, co = _clean_system(10**4)
-    gamma = damping_rate(co, ZERO_T, tl.delta)
+    gamma = damping_rate(co, ZERO_T, tl.delta[0])
     times = np.linspace(0.0, 5.0 / gamma, 4000)
-    pw = analytic_population(times, gamma, tl.delta)
+    pw = analytic_population(times, gamma, tl.delta[0])
     d = np.diff(pw)
     sign_changes = int(np.sum(np.abs(np.diff(np.sign(d[np.abs(d) > 1e-16]))) > 0))
     assert sign_changes >= 2
 
 
 def test_secular_rates_thermal_success_probability() -> None:
-    tl = reduce_two_level(10**6, 0.0, sigma=0.007, policy="plain")
-    co = coupling_coefficients(tl, 2)
-    rates = secular_rates(co, BathSpec(g=0.02, beta=40.0, omega_c=2.0), 0.05)
+    co = pair_coefficients(reduce_two_level(10**6, [0.0], sigma=0.007, policy="plain"))
+    rates = _rates(co, BathSpec(g=0.02, beta=40.0, omega_c=2.0), 0.05)
     assert rates.p_suc == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), rel=1e-12)
 
 
 def test_secular_rates_zero_temperature() -> None:
-    tl = reduce_two_level(10**6, 0.0, sigma=0.007, policy="plain")
-    co = coupling_coefficients(tl, 2)
-    rates = secular_rates(co, BathSpec(g=0.02, beta=math.inf, omega_c=2.0), 0.05)
+    co = pair_coefficients(reduce_two_level(10**6, [0.0], sigma=0.007, policy="plain"))
+    rates = _rates(co, BathSpec(g=0.02, beta=math.inf, omega_c=2.0), 0.05)
     assert rates.w21 == 0.0
     assert rates.p_suc == 1.0
     assert rates.t_rel == pytest.approx(1.0 / rates.w12, rel=1e-14)
@@ -248,17 +253,15 @@ def test_secular_rates_zero_temperature() -> None:
 
 def test_secular_relaxation_time_thermal_speedup() -> None:
     # w12 + w21 scales like coth(beta delta / 2) relative to zero temperature
-    tl = reduce_two_level(10**6, 0.0, sigma=0.007, policy="plain")
-    co = coupling_coefficients(tl, 2)
-    warm = secular_rates(co, BathSpec(g=0.02, beta=15.0, omega_c=2.0), 0.011)
-    cold = secular_rates(co, BathSpec(g=0.02, beta=math.inf, omega_c=2.0), 0.011)
+    co = pair_coefficients(reduce_two_level(10**6, [0.0], sigma=0.007, policy="plain"))
+    warm = _rates(co, BathSpec(g=0.02, beta=15.0, omega_c=2.0), 0.011)
+    cold = _rates(co, BathSpec(g=0.02, beta=math.inf, omega_c=2.0), 0.011)
     assert warm.t_rel / cold.t_rel == pytest.approx(math.tanh(0.0825), rel=1e-12)
 
 
 def test_secular_population_curve_value() -> None:
-    tl = reduce_two_level(10**6, 0.0, sigma=0.007, policy="plain")
-    co = coupling_coefficients(tl, 2)
-    rates = secular_rates(co, BathSpec(g=0.02, beta=15.0, omega_c=2.0), 0.011)
+    co = pair_coefficients(reduce_two_level(10**6, [0.0], sigma=0.007, policy="plain"))
+    rates = _rates(co, BathSpec(g=0.02, beta=15.0, omega_c=2.0), 0.011)
     p_suc = 1.0 / (1.0 + math.exp(-0.165))
     predicted = p_suc * (1.0 - math.exp(-1.0)) + math.exp(-1.0) * 1e-6
     assert secular_populations(rates, rates.t_rel, 1e-6) == pytest.approx(predicted, rel=1e-6)
@@ -271,21 +274,20 @@ def test_secular_population_curve_value() -> None:
 
 def test_secular_rates_outside_the_coarse_graining_bound_are_computed() -> None:
     # the refusal is the runner's (test_relax_refuses_outside_the_coarse_graining_bound)
-    tl = reduce_two_level(10**6, 0.0, sigma=0.007, policy="plain")
-    co = coupling_coefficients(tl, 2)
+    co = pair_coefficients(reduce_two_level(10**6, [0.0], sigma=0.007, policy="plain"))
     bath = BathSpec(g=0.5, beta=15.0, omega_c=2.0)
-    rates = secular_rates(co, bath, 0.011)
+    rates = _rates(co, bath, 0.011)
     assert rates.w12 > 0.0
 
 
 def test_secular_rates_of_a_stack_are_each_pair_s_rates() -> None:
-    tls = [reduce_two_level(10**6, eps, sigma=0.007, policy="plain") for eps in (-0.006, 0.0, 0.005)]
-    coeffs = [coupling_coefficients(tl, 2) for tl in tls]
+    tls = reduce_two_level(10**6, [-0.006, 0.0, 0.005], sigma=0.007, policy="plain")
+    coeffs = [pair_coefficients(tls, i) for i in range(3)]
     deltas = np.array([0.02, 0.005, 0.001])
     bath = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
-    stack = secular_rates(coeffs, bath, deltas)
+    stack = _transfer_rates(np.array([co.lambda_kl[0, 1] for co in coeffs]), bath, deltas)
     for i, (co, delta) in enumerate(zip(coeffs, deltas)):
-        one = secular_rates(co, bath, delta)
+        one = _rates(co, bath, delta)
         assert [x[i] for x in vars(stack).values()] == list(vars(one).values())
 
 
@@ -293,7 +295,7 @@ def test_assemble_outside_the_memory_bound_builds_the_tensor() -> None:
     # the refusal is the runner's (test_relax_refuses_outside_the_memory_bound)
     tl, co = _clean_system(256)
     bath = BathSpec(g=0.1, beta=15.0, omega_c=2.0)
-    tensor = assemble_redfield(co, tl, bath)
+    tensor = assemble_redfield(co, tl.eigenvalues[0], bath)
     assert tensor.r.shape == (2, 2, 2, 2)
 
 
@@ -310,9 +312,8 @@ def test_decay_time_synthetic_exponential() -> None:
 
 
 def test_decay_time_secular_curve() -> None:
-    tl = reduce_two_level(10**6, 0.0, sigma=0.007, policy="plain")
-    co = coupling_coefficients(tl, 2)
-    rates = secular_rates(co, BathSpec(g=0.02, beta=15.0, omega_c=2.0), 0.011)
+    co = pair_coefficients(reduce_two_level(10**6, [0.0], sigma=0.007, policy="plain"))
+    rates = _rates(co, BathSpec(g=0.02, beta=15.0, omega_c=2.0), 0.011)
     times = np.linspace(0.0, 6.0 * rates.t_rel, 3000)
     series = secular_populations(rates, times, 1e-6)
     assert _decay_time(times, series, rates.p_suc) == (pytest.approx(rates.t_rel, rel=0.02), "")
@@ -320,9 +321,9 @@ def test_decay_time_secular_curve() -> None:
 
 def test_decay_time_oscillatory_envelope() -> None:
     tl, co = _clean_system(10**4)
-    gamma = damping_rate(co, ZERO_T, tl.delta)
+    gamma = damping_rate(co, ZERO_T, tl.delta[0])
     times = np.linspace(0.0, 5.0 / gamma, 4000)
-    series = analytic_population(times, gamma, tl.delta)
+    series = analytic_population(times, gamma, tl.delta[0])
     assert _decay_time(times, series, 0.5) == (pytest.approx(1.0 / gamma, rel=0.10), "")
 
 
@@ -457,23 +458,24 @@ def test_row_fit_covers_every_branch() -> None:
 
 def test_solution_population_identities() -> None:
     tl, co = _clean_system(10**4)
-    tensor = assemble_redfield(co, tl, ZERO_T)
+    tensor = assemble_redfield(co, tl.eigenvalues[0], ZERO_T)
     rho0 = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
     times = np.linspace(0.0, 1000.0, 50)
     traj = integrate_master(tensor, rho0, times)
-    pw = solution_population(traj, tl)
+    pw = solution_population(traj, tl.overlaps[0, :2])
     rho_x = 2.0 * np.real(traj.rhos[:, 0, 1])
-    diag_part = tl.a1**2 * np.real(traj.rhos[:, 0, 0]) + tl.a2**2 * np.real(traj.rhos[:, 1, 1])
-    expected = diag_part + tl.a1 * tl.a2 * rho_x
+    a1, a2 = tl.overlaps[0, :2]
+    diag_part = a1**2 * np.real(traj.rhos[:, 0, 0]) + a2**2 * np.real(traj.rhos[:, 1, 1])
+    expected = diag_part + a1 * a2 * rho_x
     assert np.max(np.abs(pw.values - expected)) < 1e-12
-    assert pw.truncation_bound == pytest.approx(2.0 / 10**4, rel=1e-12)
+    assert tl.truncation_bound == pytest.approx(2.0 / 10**4, rel=1e-12)
 
 
 def test_solution_population_maximally_mixed() -> None:
     tl, co = _clean_system(64)
-    tensor = assemble_redfield(co, tl, ZERO_T)
+    tensor = assemble_redfield(co, tl.eigenvalues[0], ZERO_T)
     traj = integrate_master(tensor, np.eye(2, dtype=complex) / 2.0, np.array([0.0]))
-    pw = solution_population(traj, tl)
+    pw = solution_population(traj, tl.overlaps[0, :2])
     assert pw.values[0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -481,22 +483,22 @@ def test_solution_population_shifted_ground_state() -> None:
     # n (sigma - eps_w)^2 = 64, so the marked weight of the ground state
     # should sit within 1/64 of 1 - 1/64
     n, sigma, eps_w = 10**4, 0.05, -0.03
-    tl = reduce_two_level(n, eps_w, sigma=sigma, policy="shifted")
-    co = coupling_coefficients(tl, 2)
-    tensor = assemble_redfield(co, tl, BathSpec(g=0.02, beta=math.inf, omega_c=2.0))
+    tl = reduce_two_level(n, [eps_w], sigma=sigma, policy="shifted")
+    co = pair_coefficients(tl)
+    tensor = assemble_redfield(co, tl.eigenvalues[0], BathSpec(g=0.02, beta=math.inf, omega_c=2.0))
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[0, 0] = 1.0
     traj = integrate_master(tensor, rho0, np.array([0.0]))
-    pw = solution_population(traj, tl)
-    assert pw.values[0] == pytest.approx(tl.a1**2, abs=1e-12)
+    pw = solution_population(traj, tl.overlaps[0, :2])
+    assert pw.values[0] == pytest.approx(tl.overlaps[0, 0] ** 2, abs=1e-12)
     assert pw.values[0] == pytest.approx(0.98646, abs=1e-4)
     assert abs(pw.values[0] - (1.0 - 1.0 / 64.0)) < 1.0 / 64.0
-    assert pw.truncation_bound == pytest.approx(1.0 / (sigma * 100.0), rel=1e-12)
+    assert tl.truncation_bound == pytest.approx(1.0 / (sigma * 100.0), rel=1e-12)
 
 
 def test_integrate_master_input_validation() -> None:
     tl, co = _clean_system(256)
-    tensor = assemble_redfield(co, tl, ZERO_T)
+    tensor = assemble_redfield(co, tl.eigenvalues[0], ZERO_T)
     good = np.eye(2, dtype=complex) / 2.0
     times = np.array([0.0, 1.0])
     with pytest.raises(ContractViolationError):
@@ -600,7 +602,7 @@ def test_one_long_step_matches_a_high_precision_exponential() -> None:
     import mpmath
 
     tl, co = _clean_system(256)
-    warm = assemble_redfield(co, tl, BathSpec(g=0.02, beta=5.0, omega_c=2.0))
+    warm = assemble_redfield(co, tl.eigenvalues[0], BathSpec(g=0.02, beta=5.0, omega_c=2.0))
     mixed = np.array([[0.3, 0.2], [0.2, 0.7]], dtype=complex)
     gen = warm.generator()
     # about 20, 30 and 40 squarings, with no cap and no sub-steps
@@ -687,7 +689,7 @@ def test_block_steps_keep_the_trace_within_rounding() -> None:
     # their trace rows are pinned, without which tr rho drifts by ~1e-12
     tl, co = _clean_system(10**4)
     for beta in (math.inf, 15.0, 5.0):
-        tensor = assemble_redfield(co, tl, BathSpec(g=0.02, beta=beta, omega_c=2.0))
+        tensor = assemble_redfield(co, tl.eigenvalues[0], BathSpec(g=0.02, beta=beta, omega_c=2.0))
         rho0 = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]], dtype=complex)
         traj = integrate_master(tensor, rho0, np.linspace(0.0, 4e5, 40000))
         assert np.max(np.abs(traces(traj) - 1.0)) <= 1e-14
@@ -806,7 +808,7 @@ def test_tensor_that_breaks_hermiticity_is_refused() -> None:
 def test_steady_state_without_coupling_is_not_unique() -> None:
     # at g = 0 every population vector is stationary: no single answer exists
     tl, co = _clean_system(256)
-    tensor = assemble_redfield(co, tl, BathSpec(g=0.0, beta=math.inf, omega_c=2.0))
+    tensor = assemble_redfield(co, tl.eigenvalues[0], BathSpec(g=0.0, beta=math.inf, omega_c=2.0))
     with pytest.raises(QSearchError, match="not unique"):
         steady_state(tensor)
 

@@ -51,7 +51,7 @@ def _hamiltonian(n: int, sigma: float, seed: int, policy: str, ties: str):
     if ties == "exact" and seed % 2 == 0:
         sigma = 0.0
     eps = _epsilons(n, sigma, seed, ties)
-    field = DisorderField(epsilons=eps, sigma=sigma, seed=seed, distribution="uniform")
+    field = DisorderField(epsilons=eps, sigma=sigma, seed=seed)
     gamma = gamma_policy(n, sigma, policy)
     return build_search_hamiltonian(build_complete_graph(n), w=0, gamma=gamma, disorder=field)
 
@@ -182,7 +182,7 @@ def test_blocks_whose_series_would_converge_slowly_fall_back(gap, sub_fallbacks,
     eps = np.arange(n, dtype=float)
     eps[300:] += gap - 1.0
     eps = sigma * (2.0 * eps / eps[-1] - 1.0)
-    field = DisorderField(epsilons=eps, sigma=sigma, seed=0, distribution="uniform")
+    field = DisorderField(epsilons=eps, sigma=sigma, seed=0)
     gamma = gamma_policy(n, sigma, "shifted")
     h = build_search_hamiltonian(build_complete_graph(n), w=0, gamma=gamma, disorder=field)
     blocks = _sub_blocks(monkeypatch)

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from qsearch.errors import ContractViolationError, InvalidParameterError, OutOfRegimeError
 from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian, sample_disorder
-from qsearch.spectral import _fix_phases, _reduce_pairs, coupling_coefficients, eigendecompose, reduce_two_level
+from qsearch.spectral import _fix_phases, _s_overlaps, coupling_coefficients, eigendecompose, reduce_two_level
 from reference import (
     coupling_by_pair,
     fix_phases_by_column,
     materialized,
+    pair_coefficients,
     quartic_o2_o3,
     reduce_by_pair,
     s_overlaps_by_pair,
@@ -21,10 +22,10 @@ from reference import (
 
 
 def test_eigendecompose_reduced_pair_analytic() -> None:
-    tl = reduce_two_level(4, 0.0, policy="plain")
-    spectrum = eigendecompose(tl.h_red)
+    tl = reduce_two_level(4, [0.0], policy="plain")
+    spectrum = eigendecompose(tl.h_red[0])
     assert np.allclose(spectrum.eigenvalues, [-1.5, -0.5], atol=1e-14)
-    assert np.allclose(tl.eigenvalues, [-1.5, -0.5], atol=1e-14)
+    assert np.allclose(tl.eigenvalues[0], [-1.5, -0.5], atol=1e-14)
 
 
 def test_eigendecompose_complete_graph_gap() -> None:
@@ -83,33 +84,33 @@ def test_eigendecompose_rejects_nonhermitian() -> None:
 
 def test_reduced_plain_matrix_and_gap_formula() -> None:
     n, eps_w = 256, 0.1
-    tl = reduce_two_level(n, eps_w, policy="plain")
+    tl = reduce_two_level(n, [eps_w], policy="plain")
     assert np.allclose(
-        tl.h_red,
+        tl.h_red[0],
         [[-1.0 + eps_w, -1.0 / 16.0], [-1.0 / 16.0, -1.0]],
         atol=1e-15,
     )
-    assert tl.delta == pytest.approx(math.sqrt(eps_w**2 + 4.0 / n), rel=1e-14)
+    assert tl.delta[0] == pytest.approx(math.sqrt(eps_w**2 + 4.0 / n), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [64, 1024, 10**6])
 def test_reduced_gap_disorder_free(n: int) -> None:
-    assert reduce_two_level(n, 0.0, policy="plain").delta == pytest.approx(
+    assert reduce_two_level(n, [0.0], policy="plain").delta[0] == pytest.approx(
         2.0 / math.sqrt(n), rel=1e-14
     )
 
 
 def test_reduced_overlap_columns_are_normalized() -> None:
-    tl = reduce_two_level(10**4, -0.03, sigma=0.05, policy="shifted")
-    assert tl.a1**2 + tl.b1**2 == pytest.approx(1.0, abs=1e-12)
-    assert tl.a2**2 + tl.b2**2 == pytest.approx(1.0, abs=1e-12)
-    assert tl.a1 * tl.a2 + tl.b1 * tl.b2 == pytest.approx(0.0, abs=1e-12)
+    a1, a2, b1, b2 = reduce_two_level(10**4, [-0.03], sigma=0.05, policy="shifted").overlaps[0]
+    assert a1**2 + b1**2 == pytest.approx(1.0, abs=1e-12)
+    assert a2**2 + b2**2 == pytest.approx(1.0, abs=1e-12)
+    assert a1 * a2 + b1 * b2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reduced_delta_matches_h_red_gap() -> None:
-    tl = reduce_two_level(512, 0.04, sigma=0.05, policy="shifted")
-    lam = np.linalg.eigvalsh(tl.h_red)
-    assert tl.delta == pytest.approx(float(lam[1] - lam[0]), abs=1e-12)
+    tl = reduce_two_level(512, [0.04], sigma=0.05, policy="shifted")
+    lam = np.linalg.eigvalsh(tl.h_red[0])
+    assert tl.delta[0] == pytest.approx(float(lam[1] - lam[0]), abs=1e-12)
 
 
 @pytest.mark.xfail(
@@ -118,50 +119,51 @@ def test_reduced_delta_matches_h_red_gap() -> None:
     "just above the stated 5% bound; the 4/n term is not small at n=64",
 )
 def test_reduced_gap_cross_check_n64_strong_defect_within_5pct() -> None:
-    tl = reduce_two_level(64, 0.5, policy="plain")
+    (delta,) = reduce_two_level(64, [0.5], policy="plain").delta
     eps = np.zeros(64)
     eps[0] = 0.5
-    field = DisorderField(epsilons=eps, sigma=0.5, seed=0, distribution="uniform")
+    field = DisorderField(epsilons=eps, sigma=0.5, seed=0)
     h = build_search_hamiltonian(build_complete_graph(64), w=0, gamma=1.0 / 64, disorder=field)
     exact_gap = eigendecompose(h).gap
-    assert abs(tl.delta / exact_gap - 1.0) < 0.05
+    assert abs(delta / exact_gap - 1.0) < 0.05
 
 
 def test_reduced_gap_cross_check_n64_strong_defect_measured() -> None:
     # pins the measured deviation the strict-xfail companion documents
-    tl = reduce_two_level(64, 0.5, policy="plain")
-    assert tl.delta == pytest.approx(math.sqrt(0.25 + 0.0625), rel=1e-14)
+    (delta,) = reduce_two_level(64, [0.5], policy="plain").delta
+    assert delta == pytest.approx(math.sqrt(0.25 + 0.0625), rel=1e-14)
     eps = np.zeros(64)
     eps[0] = 0.5
-    field = DisorderField(epsilons=eps, sigma=0.5, seed=0, distribution="uniform")
+    field = DisorderField(epsilons=eps, sigma=0.5, seed=0)
     h = build_search_hamiltonian(build_complete_graph(64), w=0, gamma=1.0 / 64, disorder=field)
     exact_gap = eigendecompose(h).gap
-    deviation = abs(tl.delta / exact_gap - 1.0)
+    deviation = abs(delta / exact_gap - 1.0)
     assert 0.05 < deviation < 0.06
 
 
 def test_reduced_shifted_gap_near_sigma_minus_eps() -> None:
-    tl = reduce_two_level(10**6, -0.004, sigma=0.007, policy="shifted")
+    (delta,) = reduce_two_level(10**6, [-0.004], sigma=0.007, policy="shifted").delta
     exact = math.sqrt(0.011**2 + 4.0 * (1.0 - 0.007) ** 2 / 10**6)
-    assert tl.delta == pytest.approx(exact, rel=1e-12)
-    assert abs(tl.delta - 0.011) < 2e-4
+    assert delta == pytest.approx(exact, rel=1e-12)
+    assert abs(delta - 0.011) < 2e-4
 
 
 def test_reduced_rejects_bad_inputs() -> None:
     with pytest.raises(InvalidParameterError):
-        reduce_two_level(1, 0.0)
+        reduce_two_level(1, [0.0])
     with pytest.raises(OutOfRegimeError):
-        reduce_two_level(64, 0.0, sigma=1.0, policy="shifted")
+        reduce_two_level(64, [0.0], sigma=1.0, policy="shifted")
     with pytest.raises(InvalidParameterError):
-        reduce_two_level(64, 0.2, sigma=0.1, policy="shifted")
+        reduce_two_level(64, [0.2], sigma=0.1, policy="shifted")
     with pytest.raises(InvalidParameterError):
-        reduce_two_level(64, 0.0, policy="shifted")
+        reduce_two_level(64, [0.0], policy="shifted")
+    with pytest.raises(InvalidParameterError, match="1-d array"):
+        reduce_two_level(64, 0.0)
 
 
 def test_coupling_disorder_free_quartics() -> None:
     n = 10**4
-    tl = reduce_two_level(n, 0.0, policy="plain")
-    coeffs = coupling_coefficients(tl, retained=2)
+    coeffs = pair_coefficients(reduce_two_level(n, [0.0], policy="plain"))
     o2, o3 = quartic_o2_o3(coeffs)
     assert abs(o2) < 1e-12
     assert abs(o3) < 1e-12
@@ -171,8 +173,7 @@ def test_coupling_disorder_free_quartics() -> None:
 
 
 def test_coupling_lambda_symmetric_nonnegative() -> None:
-    tl = reduce_two_level(500, 0.02, sigma=0.05, policy="shifted")
-    coeffs = coupling_coefficients(tl, retained=2)
+    coeffs = pair_coefficients(reduce_two_level(500, [0.02], sigma=0.05, policy="shifted"))
     assert np.allclose(coeffs.lambda_kl, coeffs.lambda_kl.T, atol=1e-15)
     assert np.all(coeffs.lambda_kl >= 0.0)
     assert coeffs.o1 >= 0.0
@@ -181,8 +182,7 @@ def test_coupling_lambda_symmetric_nonnegative() -> None:
 
 def test_coupling_strong_disorder_lambda12_window() -> None:
     n, sigma = 10**4, 0.05
-    tl = reduce_two_level(n, -0.03, sigma=sigma, policy="shifted")
-    coeffs = coupling_coefficients(tl, retained=2)
+    coeffs = pair_coefficients(reduce_two_level(n, [-0.03], sigma=sigma, policy="shifted"))
     lam12 = float(coeffs.lambda_kl[0, 1])
     assert 0.1 / (n * sigma**2) <= lam12 <= 10.0 / (n * sigma**2)
 
@@ -195,8 +195,7 @@ def test_coupling_retained_all_levels_row_sums() -> None:
 
 
 def test_coupling_compact_rows_match_materialized_matrix() -> None:
-    tl = reduce_two_level(1000, 0.01, sigma=0.02, policy="shifted")
-    coeffs = coupling_coefficients(tl, retained=2)
+    coeffs = pair_coefficients(reduce_two_level(1000, [0.01], sigma=0.02, policy="shifted"))
     c = materialized(coeffs)
     assert c.shape == (1000, 2)
     assert np.allclose(np.sum(c**2, axis=0), np.ones(2), atol=1e-12)
@@ -204,10 +203,7 @@ def test_coupling_compact_rows_match_materialized_matrix() -> None:
 
 
 def test_coupling_rejects_bad_retention() -> None:
-    tl = reduce_two_level(64, 0.0, policy="plain")
-    with pytest.raises(InvalidParameterError):
-        coupling_coefficients(tl, retained=3)
-    spectrum = eigendecompose(tl.h_red)
+    spectrum = eigendecompose(reduce_two_level(64, [0.0], policy="plain").h_red[0])
     with pytest.raises(InvalidParameterError):
         coupling_coefficients(spectrum, retained=5)
 
@@ -241,18 +237,15 @@ def test_shifted_ground_state_orients_to_marked_node() -> None:
 def test_sign_flip_structure_of_reduced_ground_state() -> None:
     # n*eps_w^2 >> 1: the ground state localizes on the marked node only
     # when the marked level is pulled below the band
-    low = reduce_two_level(256, -0.3, policy="plain")
-    high = reduce_two_level(256, 0.3, policy="plain")
-    assert abs(low.a1) > abs(low.b1)
-    assert abs(high.a1) < abs(high.b1)
+    low, high = reduce_two_level(256, [-0.3, 0.3], policy="plain").overlaps
+    assert abs(low[0]) > abs(low[2])
+    assert abs(high[0]) < abs(high[2])
 
 
 def test_s_overlap_completeness() -> None:
-    tl = reduce_two_level(400, 0.01, sigma=0.03, policy="shifted")
-    s1, s2 = tl.s_overlap(1), tl.s_overlap(2)
+    tl = reduce_two_level(400, [0.01], sigma=0.03, policy="shifted")
+    s1, s2 = _s_overlaps(tl.n, tl.overlaps)[0]
     assert s1**2 + s2**2 == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InvalidParameterError):
-        tl.s_overlap(3)
 
 
 def _bits(x) -> bytes:
@@ -270,15 +263,17 @@ def _bits(x) -> bytes:
 def test_stacked_reduction_is_each_pair_s_reduction_bit_for_bit(n, sigma, fractions, policy, with_sigma) -> None:
     eps_w = [f * sigma for f in fractions]  # in [-sigma, sigma], with +-0.0 when sigma = 0
     sigma_arg = sigma if (with_sigma or policy == "shifted") else None
-    pairs = _reduce_pairs(n, np.array(eps_w), sigma_arg, policy)
+    pairs = reduce_two_level(n, eps_w, sigma_arg, policy)
     for i, e in enumerate(eps_w):
-        tl, scalar = reduce_two_level(n, e, sigma_arg, policy), reduce_by_pair(n, e, sigma_arg, policy)
+        one, scalar = reduce_two_level(n, [e], sigma_arg, policy), reduce_by_pair(n, e, sigma_arg, policy)
         row = (pairs.delta[i], pairs.eigenvalues[i], pairs.overlaps[i], pairs.h_red[i])
         for fields in (row, (scalar.delta, scalar.eigenvalues, scalar.overlaps, scalar.h_red)):
-            assert [_bits(x) for x in fields] == [_bits(x) for x in (tl.delta, tl.eigenvalues, tl.overlaps, tl.h_red)]
+            assert [_bits(x) for x in fields] == [
+                _bits(x) for x in (one.delta[0], one.eigenvalues[0], one.overlaps[0], one.h_red[0])
+            ]
         # and the coupling sums and uniform-state overlaps of the pair, as the scalar forms give them
-        ours, by_pair = coupling_coefficients(tl, 2), coupling_by_pair(tl)
+        ours, by_pair = pair_coefficients(pairs, i), coupling_by_pair(scalar)
         assert [_bits(getattr(ours, f)) for f in ("rows", "counts", "lambda_kl", "o1")] == [
             _bits(getattr(by_pair, f)) for f in ("rows", "counts", "lambda_kl", "o1")
         ]
-        assert _bits([tl.s_overlap(1), tl.s_overlap(2)]) == _bits(s_overlaps_by_pair(tl))
+        assert _bits(_s_overlaps(n, pairs.overlaps)[i]) == _bits(s_overlaps_by_pair(scalar))

@@ -17,8 +17,8 @@ from qsearch.unitary import (
     _amplitudes,
     _closed_modes,
     _first_peak,
+    _reduced_peaks,
     evolve_closed,
-    reduced_peak,
     regime_classify,
     success_probability_reduced,
 )
@@ -31,8 +31,20 @@ def _clean_hamiltonian(n: int, eps_w: float = 0.0):
     if eps_w != 0.0:
         eps = np.zeros(n)
         eps[0] = eps_w
-        disorder = DisorderField(epsilons=eps, sigma=abs(eps_w), seed=0, distribution="uniform")
+        disorder = DisorderField(epsilons=eps, sigma=abs(eps_w), seed=0)
     return build_search_hamiltonian(graph, w=0, gamma=1.0 / n, disorder=disorder)
+
+
+def _pair(n: int, eps_w: float, sigma=None, policy: str = "plain"):
+    """The reduced pair at eps_w, as a stack of one, and its delta."""
+    tl = reduce_two_level(n, [eps_w], sigma=sigma, policy=policy)
+    return tl, float(tl.delta[0])
+
+
+def _peak(tl):
+    """(t_peak, p_peak) of a stack of one pair."""
+    t_peak, p_peak = _reduced_peaks(tl)
+    return float(t_peak[0]), float(p_peak[0])
 
 
 def test_closed_evolution_reaches_unity_at_4pi_for_n64() -> None:
@@ -89,25 +101,25 @@ def test_first_peak_picks_the_index_of_the_scan(levels) -> None:
 
 def test_reduced_probability_starts_at_zero() -> None:
     # the closed form drops the O(1/n) initial weight
-    tl = reduce_two_level(10**6, 0.007, policy="plain")
-    assert success_probability_reduced(tl, 0.0) == 0.0
-    half = success_probability_reduced(tl, math.pi / tl.delta / 2.0)
-    full = success_probability_reduced(tl, math.pi / tl.delta)
+    tl, delta = _pair(10**6, 0.007)
+    assert success_probability_reduced(tl, 0.0)[0] == 0.0
+    half = success_probability_reduced(tl, math.pi / delta / 2.0)[0]
+    full = success_probability_reduced(tl, math.pi / delta)[0]
     assert 0.0 < half < full
 
 
 def test_reduced_peak_damped_by_marked_site_energy() -> None:
-    tl = reduce_two_level(10**6, 0.007, policy="plain")
-    t_peak, p_peak = reduced_peak(tl)
+    tl, delta = _pair(10**6, 0.007)
+    t_peak, p_peak = _peak(tl)
     assert p_peak == pytest.approx(1.0 / 13.25, rel=1e-12)
-    assert t_peak == pytest.approx(math.pi / tl.delta, rel=1e-14)
-    assert success_probability_reduced(tl, t_peak) == pytest.approx(p_peak, rel=1e-6)
+    assert t_peak == pytest.approx(math.pi / delta, rel=1e-14)
+    assert success_probability_reduced(tl, t_peak)[0] == pytest.approx(p_peak, rel=1e-6)
 
 
 def _exact_peak_n1024_eps02() -> float:
-    tl = reduce_two_level(1024, 0.2, policy="plain")
+    _, delta = _pair(1024, 0.2)
     h = _clean_hamiltonian(1024, eps_w=0.2)
-    result = evolve_closed(h, np.linspace(0.0, 3.0 * math.pi / tl.delta, 6000))
+    result = evolve_closed(h, np.linspace(0.0, 3.0 * math.pi / delta, 6000))
     return result.p_peak
 
 
@@ -128,22 +140,22 @@ def test_exact_peak_near_first_order_estimate_n1024_measured() -> None:
 
 
 def test_reduced_peak_shifted_consistent_with_trajectory() -> None:
-    tl = reduce_two_level(10**5, -0.004, sigma=0.006, policy="shifted")
-    t_peak, p_peak = reduced_peak(tl)
-    ts = np.linspace(0.0, 2.2 * math.pi / tl.delta, 20001)
-    traj = success_probability_reduced(tl, ts)
+    tl, delta = _pair(10**5, -0.004, sigma=0.006, policy="shifted")
+    t_peak, p_peak = _peak(tl)
+    ts = np.linspace(0.0, 2.2 * math.pi / delta, 20001)
+    traj = success_probability_reduced(tl, ts)[0]
     assert np.max(traj) == pytest.approx(p_peak, rel=1e-4)
-    assert success_probability_reduced(tl, t_peak) == pytest.approx(p_peak, rel=1e-6)
+    assert success_probability_reduced(tl, t_peak)[0] == pytest.approx(p_peak, rel=1e-6)
 
 
 @pytest.mark.parametrize("eps_w", [0.0, 0.1, 0.3])
 def test_reduced_matches_exact_evolution(eps_w: float) -> None:
     n = 1024
     h = _clean_hamiltonian(n, eps_w=eps_w)
-    tl = reduce_two_level(n, eps_w, policy="plain")
-    times = np.linspace(0.0, 3.0 * math.pi / tl.delta, 1500)
+    tl, delta = _pair(n, eps_w)
+    times = np.linspace(0.0, 3.0 * math.pi / delta, 1500)
     exact = evolve_closed(h, times).p_w
-    reduced = success_probability_reduced(tl, times)
+    reduced = success_probability_reduced(tl, times)[0]
     assert np.max(np.abs(exact - reduced)) <= 0.05
 
 
@@ -152,10 +164,10 @@ def test_peak_decreases_with_marked_site_energy() -> None:
     peaks_formula = []
     peaks_exact = []
     for eps_w in (0.0, 0.1, 0.3):
-        tl = reduce_two_level(n, eps_w, policy="plain")
-        peaks_formula.append(reduced_peak(tl)[1])
+        tl, delta = _pair(n, eps_w)
+        peaks_formula.append(_peak(tl)[1])
         h = _clean_hamiltonian(n, eps_w=eps_w)
-        result = evolve_closed(h, np.linspace(0.0, 3.0 * math.pi / tl.delta, 4000))
+        result = evolve_closed(h, np.linspace(0.0, 3.0 * math.pi / delta, 4000))
         peaks_exact.append(result.p_peak)
     assert peaks_formula[0] > peaks_formula[1] > peaks_formula[2]
     assert peaks_exact[0] > peaks_exact[1] > peaks_exact[2]
@@ -173,7 +185,7 @@ def test_regime_boundary_is_inclusive() -> None:
 
 def _plain_runtime(n: int, eps_w: float):
     """(t_single, repetitions, t_expected) of the plain pair: t_peak, 1/p_peak and their product."""
-    t_peak, p_peak = reduced_peak(reduce_two_level(n, eps_w, policy="plain"))
+    t_peak, p_peak = _peak(_pair(n, eps_w)[0])
     return t_peak, 1.0 / p_peak, t_peak / p_peak
 
 
