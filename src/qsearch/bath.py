@@ -214,12 +214,13 @@ def validate_approximations(bath: BathSpec, delta, n: int) -> dict:
     The memoryless-bath condition needs g << 1/delta_t; the
     population-coherence decoupling needs g << sqrt(delta/delta_t); the
     two-level truncation needs beta above log(n) divided by the spectral
-    gap 1 - delta separating the retained pair from the rest. A margin is
-    the ratio of the coupling to its bound; the booleans are True below 1,
-    with statuses grading "ok" (below the configured threshold),
-    "marginal", or "fail". Returns the fields of validity_row but notes,
-    each an array of delta's shape. Reports failed margins; raises only for
-    delta <= 0 or n < 2.
+    gap 1 - delta separating the retained pair from the rest (at n = 2
+    the pair is the whole space: beta_star is 0 and the check passes). A
+    margin is the ratio of the coupling to its bound; the booleans are
+    True below 1, with statuses grading "ok" (below the configured
+    threshold), "marginal", or "fail". Returns the fields of validity_row
+    but notes, each an array of delta's shape. Reports failed margins;
+    raises only for delta <= 0 or n < 2.
     """
     delta = np.asarray(delta, dtype=float)
     if (delta <= 0).any():
@@ -230,8 +231,11 @@ def validate_approximations(bath: BathSpec, delta, n: int) -> dict:
     markov_margin = np.full(delta.shape, bath.g * dt)
     secular_margin = bath.g * np.sqrt(dt / delta)
     rest_gap = 1.0 - delta
-    # infinite where the retained pair reaches the rest of the spectrum
-    beta_star = np.divide(math.log(n), rest_gap, out=np.full(delta.shape, math.inf), where=rest_gap > 0)
+    # 0 when the pair is the whole space (n = 2), infinite where it reaches the rest of the spectrum
+    if n == 2:
+        beta_star = np.zeros(delta.shape)
+    else:
+        beta_star = np.divide(math.log(n), rest_gap, out=np.full(delta.shape, math.inf), where=rest_gap > 0)
     return {
         "delta_t": np.full(delta.shape, dt),
         "markov_margin": markov_margin,

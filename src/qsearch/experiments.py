@@ -38,7 +38,6 @@ from .redfield import (
     _decay_times,
     _transfer_rates,
     assemble_redfield,
-    damping_rate,
     integrate_master,
     secular_populations,
     solution_population,
@@ -413,12 +412,6 @@ def _times(grid: GridConfig, t_max) -> np.ndarray:
     return np.ascontiguousarray(np.linspace(0.0, stop, grid.points, axis=-1))
 
 
-def _gibbs_p_suc(beta: float, delta: float) -> float:
-    if math.isinf(beta):
-        return 1.0
-    return 1.0 / (1.0 + math.exp(-beta * delta))
-
-
 def _run_unitary(cfg: ExperimentConfig, force: bool) -> _Output:
     sys_cfg = cfg.system
     h = _hamiltonian(sys_cfg) if sys_cfg.n <= DENSE_LIMIT else None
@@ -457,16 +450,18 @@ def _relax(
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], dict]:
     """Relax the projected uniform state of each reduced pair of a stack and fit t_rel.
 
-    The secular path propagates the stack's populations on transfer rates
-    (default window 6 t_rel, zero coherence): one rate call and one
-    population array from the arrays of its pairs' delta, Lambda_12,
-    rho11(0) and validity margins. The tensor path integrates the full
-    two-level Redfield tensor of a stack of one pair (default window
-    6/gamma), from that pair's row of coupling coefficients, eigenvalues
-    and <w|k>. The validity report of every pair is built first: unless
-    forced, the first pair whose margin fails its path's bound (secular:
-    coarse graining; tensor: memoryless bath) raises ValidityError before
-    anything is propagated.
+    The validity report of every pair is built first: unless forced, the
+    first pair whose margin fails its path's bound (secular: coarse
+    graining; tensor: memoryless bath) raises ValidityError before
+    anything is propagated. Then one _transfer_rates call gives every
+    pair's rates from its Lambda_12 and delta, and both paths read them:
+    p_suc and t_rel_formula are its p_suc and t_rel. The secular path
+    propagates the stack's populations on those rates (default window
+    6 t_rel, zero coherence): one population array from the arrays of its
+    pairs' rates and rho11(0). The tensor path integrates the full
+    two-level Redfield tensor of a stack of one pair, from that pair's row
+    of coupling coefficients, eigenvalues and <w|k>; its damping rate is
+    gamma = 1/(2 t_rel) and its default window 6/gamma = 12 t_rel.
     Returns (times, columns, fields): times and the columns p_w, rho11,
     rho22, re_rho12 and im_rho12 have one row per pair, and fields holds
     each per-pair result as an array along the stack (fit_note and regime
@@ -489,33 +484,28 @@ def _relax(
     s = _s_overlaps(pairs.n, pairs.overlaps)
     weight = s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1]
     psi = s / np.sqrt(weight)[:, None]
-    rows, counts, lambda_kl, o1 = _pair_coefficients(pairs.n, pairs.overlaps)
-    fields = {"projection_defect": 1.0 - weight, "validity": validity}
+    rows, counts, lambda12 = _pair_coefficients(pairs.n, pairs.overlaps)
+    rates = _transfer_rates(lambda12[:, None], bath, pairs.delta[:, None])
+    t_rel = rates.t_rel[:, 0]
+    fields = {"projection_defect": 1.0 - weight, "validity": validity, "t_rel_formula": t_rel}
     if secular:
         wsq = _squares(pairs.overlaps[:, :2])
         a1sq, a2sq = wsq[:, :1], wsq[:, 1:]
-        rates = _transfer_rates(lambda_kl[:, 0, 1, None], bath, pairs.delta[:, None])
-        times = _times(grid, 6.0 * rates.t_rel[:, 0])
+        times = _times(grid, 6.0 * t_rel)
         rho11 = secular_populations(rates, times, (psi[:, 0] * psi[:, 0])[:, None])
         rho22 = 1.0 - rho11
         zeros = np.broadcast_to(0.0, times.shape)
         p_w = a1sq * rho11
         p_w += a2sq * rho22  # in place: one (P, N) temporary fewer at the stack's peak
         columns = (p_w, rho11, rho22, zeros, zeros)
-        p_suc = rates.p_suc[:, 0]
         p_w_steady = (a1sq * rates.p_suc + a2sq * (1.0 - rates.p_suc))[:, 0]
-        fields.update(
-            rates=SecularRates(*(x[:, 0] for x in vars(rates).values())), t_rel_formula=rates.t_rel[:, 0]
-        )
+        fields.update(rates=SecularRates(*(x[:, 0] for x in vars(rates).values())))
     else:
         # the tensor path relaxes one pair: every seed of a sigma = 0 value is the same point
         (delta,) = pairs.delta.tolist()
-        c = CouplingCoefficients(pairs.n, 2, rows[0], counts, lambda_kl[0], o1[0].item())
-        tensor = assemble_redfield(c, pairs.eigenvalues[0], bath)
-        gamma = damping_rate(c, bath, delta)
-        if gamma == 0.0:  # g > 0 whose square underflows
-            raise InvalidParameterError(f"the damping rate at g = {bath.g} is zero; nothing relaxes")
-        times = _times(grid, 6.0 / gamma)[None]
+        gamma = 0.5 / t_rel
+        tensor = assemble_redfield(CouplingCoefficients(pairs.n, 2, rows[0], counts), pairs.eigenvalues[0], bath)
+        times = _times(grid, 12.0 * t_rel)
         traj = integrate_master(tensor, np.outer(psi[0], psi[0]).astype(complex), times[0])
         wrow = pairs.overlaps[0, :2]
         rhos = traj.rhos
@@ -523,16 +513,14 @@ def _relax(
             solution_population(traj, wrow).values, np.real(rhos[:, 0, 0]), np.real(rhos[:, 1, 1]),
             np.real(rhos[:, 0, 1]), np.imag(rhos[:, 0, 1]),
         ))
-        p_suc = np.array([_gibbs_p_suc(bath.beta, delta)])
         p_w_steady = np.array([np.real(wrow @ steady_state(tensor) @ wrow)])
         fields.update(
-            gamma_damping=np.array([gamma]),
-            regime=["underdamped" if gamma < delta else "overdamped"],
-            t_rel_formula=np.array([1.0 / (2.0 * gamma)]),
+            gamma_damping=gamma,
+            regime=["underdamped" if gamma[0] < delta else "overdamped"],
             truncation_bound=np.array([pairs.truncation_bound]),
         )
     fits, notes = _decay_times(times, columns[0], p_w_steady)
-    fields.update(p_suc=p_suc, p_w_steady=p_w_steady, t_rel_fit=fits, fit_note=notes)
+    fields.update(p_suc=rates.p_suc[:, 0], p_w_steady=p_w_steady, t_rel_fit=fits, fit_note=notes)
     return times, columns, fields
 
 

@@ -150,7 +150,6 @@ class RedfieldTensor:
     m: int
     r: np.ndarray
     omegas: np.ndarray
-    eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
         r, omegas = self.r, self.omegas
@@ -269,8 +268,7 @@ def assemble_redfield(
     r *= 0.5
     r.setflags(write=False)
     omegas.setflags(write=False)
-    levels.setflags(write=False)
-    return RedfieldTensor(m=m, r=r, omegas=omegas, eigenvalues=levels)
+    return RedfieldTensor(m=m, r=r, omegas=omegas)
 
 
 def _validate_rho0(rho0: np.ndarray, m: int) -> np.ndarray:
@@ -521,17 +519,6 @@ def steady_state(tensor: RedfieldTensor) -> np.ndarray:
     return _hermitian_coordinates(m).to_rho(x[None, :])[0]
 
 
-def damping_rate(coeffs: CouplingCoefficients, bath: BathSpec, delta: float) -> float:
-    """Decay rate of the reduced coherence: pi * o1 * (S(delta) + S(-delta)).
-
-    Equals half the total secular population-transfer rate, so the
-    relaxation time of the disorder-free pair is 1/(2 * damping_rate).
-    """
-    if delta <= 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    return math.pi * coeffs.o1 * rate_S([delta, -delta], bath).sum()
-
-
 @dataclass(frozen=True)
 class SecularRates:
     """Population-transfer rates of a stack of retained pairs, each field an array along the stack."""
@@ -545,10 +532,16 @@ class SecularRates:
 def _transfer_rates(lam12: np.ndarray, bath: BathSpec, delta: np.ndarray) -> SecularRates:
     """Downward/upward rates 2*pi*Lambda_12*S(+-delta) of pairs given by arrays of one shape.
 
-    w12 feeds the ground state, w21 depletes it; their ratio is the
-    thermal detailed-balance factor e^(beta delta), making the fixed
-    point p_suc = 1/(1 + e^(-beta delta)). One rate_S call takes every
-    +-delta; the fields have delta's shape.
+    This is the one rate formula of the relaxing pair, which both of
+    experiments._relax's propagators read. w12 feeds the ground state,
+    w21 depletes it; their ratio is the thermal detailed-balance factor
+    e^(beta delta), so the fixed point p_suc = w12/(w12 + w21) is the
+    Gibbs weight 1/(1 + e^(-beta delta)) (1 at zero temperature), and
+    t_rel = 1/(w12 + w21) is the relaxation time of the populations. The
+    coherence of a disorder-free pair decays at half their sum,
+    1/(2 t_rel). One rate_S call takes every +-delta; the fields have
+    delta's shape. Raises InvalidParameterError where delta <= 0, or
+    where the rates are zero (a g > 0 whose square underflows).
     """
     if (delta <= 0).any():
         raise InvalidParameterError(f"delta must be positive, got {delta[delta <= 0][0]}")
@@ -556,7 +549,7 @@ def _transfer_rates(lam12: np.ndarray, bath: BathSpec, delta: np.ndarray) -> Sec
     w12, w21 = rates[..., 0], rates[..., 1]
     total = w12 + w21
     if (total <= 0).any():
-        raise InvalidParameterError("total transfer rate is zero; no relaxation")
+        raise InvalidParameterError(f"the transfer rate at g = {bath.g} is zero; nothing relaxes")
     return SecularRates(w12=w12, w21=w21, t_rel=1.0 / total, p_suc=w12 / total)
 
 

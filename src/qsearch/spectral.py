@@ -460,7 +460,7 @@ class TwoLevelSystem:
     leading axis of P points, and a single pair is a stack of one. Row i
     holds eps_w, the splitting delta, the ascending eigenvalues (2,),
     overlaps = (<w|lam1>, <w|lam2>, <s_wbar|lam1>, <s_wbar|lam2>), with the
-    same phase convention as eigendecompose, and the 2x2 matrix h_red.
+    same phase convention as eigendecompose.
     """
 
     n: int
@@ -470,7 +470,6 @@ class TwoLevelSystem:
     delta: np.ndarray
     eigenvalues: np.ndarray
     overlaps: np.ndarray
-    h_red: np.ndarray
 
     @property
     def truncation_bound(self) -> float:
@@ -494,24 +493,18 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _positive_pivot(e: np.ndarray) -> np.ndarray:
-    """Negate, in place, each row of e (P, 2) whose entry of larger magnitude is negative (ties: the first)."""
-    a, b = e[:, 0], e[:, 1]
-    flip = np.where(np.abs(a) >= np.abs(b), a, b) < 0
-    return np.negative(e, out=e, where=flip[:, None])
-
-
 def reduce_two_level(n: int, eps_w, sigma: Optional[float] = None, policy: str = "plain") -> TwoLevelSystem:
     """Reduced 2x2 problems of the complete graph at each marked-site energy of the 1-d array eps_w.
 
-    plain policy: h_red = [[-1+eps_w, -1/sqrt(n)], [-1/sqrt(n), -1]], whose
-    gap is exactly sqrt(eps_w^2 + 4/n). shifted policy replaces the
-    off-diagonal and second diagonal by the (1-sigma)-scaled hopping,
-    giving gap sqrt((sigma-eps_w)^2 + 4(1-sigma)^2/n); it is diagonalized
-    exactly rather than to leading order. The pairs are solved as one
-    stack; elementwise array operations round as their scalar forms do,
-    and the one step whose array form would not, the hypotenuse of each
-    pair's eigenvalue split, is taken pair by pair with math.hypot.
+    plain policy: the pair's matrix is [[-1+eps_w, -1/sqrt(n)],
+    [-1/sqrt(n), -1]], whose gap is exactly sqrt(eps_w^2 + 4/n). shifted
+    policy replaces the off-diagonal and second diagonal by the
+    (1-sigma)-scaled hopping, giving gap
+    sqrt((sigma-eps_w)^2 + 4(1-sigma)^2/n); it is diagonalized exactly
+    rather than to leading order. The pairs are solved as one stack;
+    elementwise array operations round as their scalar forms do, and the
+    one step whose array form would not, the hypotenuse of each pair's
+    eigenvalue split, is taken pair by pair with math.hypot.
     """
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got n={n}")
@@ -559,24 +552,20 @@ def reduce_two_level(n: int, eps_w, sigma: Optional[float] = None, policy: str =
     zero = norm[:, 0] == 0.0
     np.divide(e1, norm, out=e1, where=~zero[:, None])
     e1[zero] = (1.0, 0.0)
-    _positive_pivot(e1)
+    # the eigenvectors are the columns of the (2, P) views, phased as eigendecompose's
+    e1 = _fix_phases(e1.T).T
     e2 = np.empty((points, 2))
     np.negative(e1[:, 1], out=e2[:, 0])
     e2[:, 1] = e1[:, 0]
-    _positive_pivot(e2)
+    e2 = _fix_phases(e2.T).T
     overlaps = np.empty((points, 4))
     overlaps[:, 0::2] = e1
     overlaps[:, 1::2] = e2
-    h_red = np.empty((points, 2, 2))
-    h_red[:, 0, 0] = d1
-    h_red[:, 0, 1] = h_red[:, 1, 0] = v
-    h_red[:, 1, 1] = d2
     delta = eigenvalues[:, 1] - eigenvalues[:, 0]
-    for arr in (delta, eigenvalues, overlaps, h_red):
+    for arr in (delta, eigenvalues, overlaps):
         arr.setflags(write=False)
     return TwoLevelSystem(
-        n=n, sigma=sigma, policy=policy, eps_w=eps_w, delta=delta,
-        eigenvalues=eigenvalues, overlaps=overlaps, h_red=h_red,
+        n=n, sigma=sigma, policy=policy, eps_w=eps_w, delta=delta, eigenvalues=eigenvalues, overlaps=overlaps,
     )
 
 
@@ -587,28 +576,28 @@ class CouplingCoefficients:
     rows holds the distinct coefficient rows, counts their site
     multiplicities; every site-summed product needed downstream is an
     exact weighted sum over the distinct rows, so reduced systems with
-    n ~ 1e6 never allocate per-site storage. lambda_kl = sum_j c_jk^2 c_jl^2
-    feeds the secular rates and o1 = sum_j c_j1^2 c_j2^2 the coherence
-    damping rate.
+    n ~ 1e6 never allocate per-site storage. assemble_redfield forms its
+    sums from them; a reduced pair's one transfer-rate sum, Lambda_12,
+    comes from _pair_coefficients.
     """
 
     n: int
     m: int
     rows: np.ndarray
     counts: np.ndarray
-    lambda_kl: np.ndarray
-    o1: float
 
 
 def _pair_coefficients(n: int, overlaps: np.ndarray):
     """The coupling coefficients of a stack of reduced pairs from their overlaps (P, 4).
 
     The marked node carries (a1, a2) and each of the n-1 remaining nodes
-    (b1, b2)/sqrt(n-1). Returns (rows, counts, lambda_kl, o1): rows
-    (P, 2, 2), the counts (2,) that every pair shares, lambda_kl (P, 2, 2)
-    and o1 (P,); row i of each with counts are the fields of pair i's
-    CouplingCoefficients. The site sums are matmul's per-pair BLAS calls,
-    so each pair rounds as a stack of one.
+    (b1, b2)/sqrt(n-1). Returns (rows, counts, lambda12): rows (P, 2, 2)
+    and the counts (2,) that every pair shares, row i of rows with counts
+    being the fields of pair i's CouplingCoefficients, and lambda12 (P,),
+    Lambda_12 = sum_j c_j1^2 c_j2^2, the site sum behind the pair's
+    transfer rates (redfield._transfer_rates). It is the off-diagonal
+    entry of each pair's 2x2 product of squared rows, by matmul's per-pair
+    BLAS calls, so each pair rounds as a stack of one.
     """
     scale = 1.0 / math.sqrt(n - 1)
     rows = np.empty((overlaps.shape[0], 2, 2))
@@ -617,35 +606,23 @@ def _pair_coefficients(n: int, overlaps: np.ndarray):
     counts = np.array([1.0, float(n - 1)])
     sq = rows**2
     weighted_sq = counts[:, None] * sq
-    lambda_kl = np.swapaxes(weighted_sq, 1, 2) @ sq
-    o1 = (((rows[:, :, 0] * rows[:, :, 1]) ** 2)[:, None, :] @ counts)[:, 0]
-    for arr in (rows, counts, lambda_kl):
+    lambda12 = (np.swapaxes(weighted_sq, 1, 2) @ sq)[:, 0, 1]
+    for arr in (rows, counts):
         arr.setflags(write=False)
-    return rows, counts, lambda_kl, o1
+    return rows, counts, lambda12
 
 
 def coupling_coefficients(source: Spectrum, retained: int) -> CouplingCoefficients:
-    """Coefficients of the retained levels of a Spectrum over its n sites.
+    """Coefficients of all n levels of a Spectrum over its n sites: its eigenvectors, each site once.
 
-    retained may be 2 (the two lowest levels) or n (all). A reduced pair's
-    coefficients come from _pair_coefficients.
+    retained must be n. A reduced pair's coefficients come from
+    _pair_coefficients.
     """
     n = source.n
-    if retained == n:
-        rows = np.asarray(source.eigenvectors, dtype=float)
-    elif retained == 2:
-        rows = np.asarray(source.eigenvectors[:, :2], dtype=float)
-    else:
-        raise InvalidParameterError(f"retained must be 2 or n={n}, got {retained}")
+    if retained != n:
+        raise InvalidParameterError(f"retained must be n={n}, got {retained}")
+    rows = np.asarray(source.eigenvectors, dtype=float)
     counts = np.ones(n)
-    sq = rows**2
-    weighted_sq = counts[:, None] * sq
-    lambda_kl = weighted_sq.T @ sq
-    o1 = float(np.dot(counts, (rows[:, 0] * rows[:, 1]) ** 2))
-    lambda_kl.setflags(write=False)
     rows.setflags(write=False)
     counts.setflags(write=False)
-    return CouplingCoefficients(
-        n=int(n), m=int(rows.shape[1]), rows=rows, counts=counts,
-        lambda_kl=lambda_kl, o1=o1,
-    )
+    return CouplingCoefficients(n=int(n), m=n, rows=rows, counts=counts)

@@ -162,7 +162,8 @@ def success_probability_reduced(tl: TwoLevelSystem, t) -> np.ndarray:
     plain policy: sin^2(delta t/2) / (1 + n eps_w^2/4), the leading-order
     closed form (its t=0 value is 0, dropping the 1/n initial overlap).
     shifted policy: exact two-level propagation of the projected uniform
-    state, |<w|e^{-i h_red t} P|s>|^2, whose t=0 value is exactly 1/n.
+    state, |<w|e^{-i H_2 t} P|s>|^2 with H_2 the pair's 2x2 matrix, whose
+    t=0 value is exactly 1/n.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):

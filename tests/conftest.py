@@ -3,6 +3,17 @@ from __future__ import annotations
 import csv
 
 import pytest
+from hypothesis import Phase, settings
+
+# A failing property is reported with the example that first failed, unshrunk:
+# shrinking a failure of the larger properties can run for minutes and hold
+# hundreds of MB. The phases that find a failure all run, so pass and fail are
+# those of the default profile; --hypothesis-profile=default restores shrinking
+# and the explanation of a failing example.
+settings.register_profile(
+    "unshrunk", phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+)
+settings.load_profile("unshrunk")
 
 
 def _read_artifact_csv(path: str) -> dict[str, list]:

@@ -2,16 +2,19 @@
 
 The disorder-free two-level Pauli-basis Bloch matrix and closed-form
 damped coherence, the coefficient sums and materialized forms that only
-these checks read, the column loop that the vectorised eigenvector
-phase convention and the first-peak search replaced, the per-series
-np.polyfit form of the relaxation-time fit that the row-wise closed-form
-fit replaced, the per-pair eigensolver, coupling sums, peak formulas and
-transfer rates in Python floats that the stacked two-level reduction
-replaced, the per-point loop of sweep rows that the stacked sweep
-replaced, and the per-time exponential sum that the closed amplitude's
-complex product replaced. No mode of the package calls them.
-pair_coefficients is the one adapter: the CouplingCoefficients of one
-pair of a TwoLevelSystem, as the tensor path forms them.
+these checks read (the full Lambda_kl matrix and o1, the coherence
+damping sum, which equals Lambda_12 in exact arithmetic), a reduced
+pair's 2x2 matrix h_red built from the documented formulas, the column
+loop that the vectorised eigenvector phase convention and the
+first-peak search replaced, the per-series np.polyfit form of the
+relaxation-time fit that the row-wise closed-form fit replaced, the
+per-pair eigensolver, coupling sums, peak formulas and transfer rates
+in Python floats that the stacked two-level reduction replaced, the
+per-point loop of sweep rows that the stacked sweep replaced, and the
+per-time exponential sum that the closed amplitude's complex product
+replaced. No mode of the package calls them. pair_coefficients and
+pair_rates are the adapters: the CouplingCoefficients and the transfer
+rates of one pair of a TwoLevelSystem, as the runner forms them.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from qsearch.bath import BathSpec, rate_S, validate_approximations
 from qsearch.errors import InvalidParameterError
 from qsearch.model import uniform_site
 from qsearch.redfield import (
+    SecularRates,
     Trajectory,
     _decay_times,
+    _transfer_rates,
     assemble_redfield,
-    damping_rate,
     integrate_master,
     solution_population,
     steady_state,
@@ -40,8 +44,32 @@ from qsearch.spectral import CouplingCoefficients, TwoLevelSystem, _pair_coeffic
 
 def pair_coefficients(tl: TwoLevelSystem, i: int = 0) -> CouplingCoefficients:
     """CouplingCoefficients of pair i of a stack, from its row of _pair_coefficients."""
-    rows, counts, lambda_kl, o1 = _pair_coefficients(tl.n, tl.overlaps)
-    return CouplingCoefficients(n=tl.n, m=2, rows=rows[i], counts=counts, lambda_kl=lambda_kl[i], o1=float(o1[i]))
+    rows, counts, _ = _pair_coefficients(tl.n, tl.overlaps)
+    return CouplingCoefficients(n=tl.n, m=2, rows=rows[i], counts=counts)
+
+
+def pair_rates(tl: TwoLevelSystem, bath: BathSpec, i: int = 0) -> SecularRates:
+    """_transfer_rates of pair i of a stack alone: its Lambda_12 from _pair_coefficients and delta, as 0-d arrays."""
+    _, _, lambda12 = _pair_coefficients(tl.n, tl.overlaps)
+    return _transfer_rates(np.asarray(lambda12[i]), bath, np.asarray(tl.delta[i]))
+
+
+def site_sums(coeffs: CouplingCoefficients) -> Tuple[np.ndarray, float]:
+    """Lambda_kl = sum_j c_jk^2 c_jl^2 over the sites by a GEMM, and o1 = sum_j c_j1^2 c_j2^2 by a dot product."""
+    rows, counts = coeffs.rows, coeffs.counts
+    sq = rows**2
+    return (counts[:, None] * sq).T @ sq, float(np.dot(counts, (rows[:, 0] * rows[:, 1]) ** 2))
+
+
+def h_red(tl: TwoLevelSystem, i: int = 0) -> np.ndarray:
+    """The 2x2 matrix of pair i in the {|w>, |s_wbar>} basis, as reduce_two_level documents it.
+
+    plain: [[-1 + eps_w, -1/sqrt(n)], [-1/sqrt(n), -1]]; shifted scales
+    the off-diagonal and the second diagonal by 1 - sigma.
+    """
+    c = 1.0 - tl.sigma if tl.policy == "shifted" else 1.0
+    v = -c / math.sqrt(tl.n)
+    return np.array([[-1.0 + tl.eps_w[i], v], [v, -c]])
 
 
 def materialized(coeffs: CouplingCoefficients) -> np.ndarray:
@@ -149,17 +177,18 @@ def pauli_two_level_matrix(
     if delta <= 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
     o2, o3 = quartic_o2_o3(coeffs)
+    _, o1 = site_sums(coeffs)
     two_pi = 2.0 * math.pi
     s_plus = two_pi * rate_S(delta, bath)
     s_minus = two_pi * rate_S(-delta, bath)
     s_zero = two_pi * rate_S(0.0, bath)
-    gamma = 0.5 * coeffs.o1 * (s_plus + s_minus)
+    gamma = 0.5 * o1 * (s_plus + s_minus)
     m = np.array([
         [-0.5 * s_zero * o3, delta, s_minus * o2],
         [-delta, -0.5 * s_zero * o3 - 2.0 * gamma, 0.0],
         [s_zero * o2, 0.0, -2.0 * gamma],
     ])
-    b = np.array([0.0, 0.0, coeffs.o1 * (s_plus - s_minus)])
+    b = np.array([0.0, 0.0, o1 * (s_plus - s_minus)])
     return m, b
 
 
@@ -252,7 +281,6 @@ class ScalarPair:
     a2: float
     b1: float
     b2: float
-    h_red: np.ndarray
 
     @property
     def overlaps(self) -> Tuple[float, float, float, float]:
@@ -268,7 +296,7 @@ def reduce_by_pair(n: int, eps_w: float, sigma, policy: str) -> ScalarPair:
     return ScalarPair(
         n=int(n), eps_w=float(eps_w), sigma=None if sigma is None else float(sigma), policy=policy,
         delta=float(lam2 - lam1), eigenvalues=np.array([lam1, lam2]),
-        a1=float(e1[0]), a2=float(e2[0]), b1=float(e1[1]), b2=float(e2[1]), h_red=np.array([[d1, v], [v, d2]]),
+        a1=float(e1[0]), a2=float(e2[0]), b1=float(e1[1]), b2=float(e2[1]),
     )
 
 
@@ -279,15 +307,10 @@ def s_overlaps_by_pair(tl) -> Tuple[float, float]:
 
 
 def coupling_by_pair(tl) -> CouplingCoefficients:
-    """Coupling coefficients of a reduced pair by the 2-D forms: Lambda a GEMM, o1 a dot product."""
+    """Coupling coefficients of a reduced pair by the 2-D forms; site_sums gives its Lambda_12."""
     scale = 1.0 / math.sqrt(tl.n - 1)
     rows = np.array([[tl.a1, tl.a2], [tl.b1 * scale, tl.b2 * scale]])
-    counts = np.array([1.0, float(tl.n - 1)])
-    sq = rows**2
-    return CouplingCoefficients(
-        n=tl.n, m=2, rows=rows, counts=counts, lambda_kl=(counts[:, None] * sq).T @ sq,
-        o1=float(np.dot(counts, (rows[:, 0] * rows[:, 1]) ** 2)),
-    )
+    return CouplingCoefficients(n=tl.n, m=2, rows=rows, counts=np.array([1.0, float(tl.n - 1)]))
 
 
 def reduced_peak_by_pair(tl) -> float:
@@ -303,10 +326,11 @@ def sweep_rows_by_point(cfg) -> list:
 
     Each point draws its eps_w, is reduced, coupled and projected, and
     gets its peak, by the scalar forms above, and is checked and relaxed
-    alone: by its own transfer rates 2 pi Lambda_12 S(+-delta) at
-    sigma > 0, by the one-pair tensor calls at sigma = 0. The validity
-    report and the fit are those of a stack of one, so that rows compare
-    bit for bit.
+    alone. Its transfer rates 2 pi Lambda_12 S(+-delta) give t_rel and
+    p_suc; it relaxes on them at sigma > 0, and by the one-pair tensor
+    calls at sigma = 0 (default window 12 t_rel). The validity report and
+    the fit are those of a stack of one, so that rows compare bit for
+    bit.
     """
     sw = cfg.sweep
     rows = []
@@ -321,22 +345,20 @@ def sweep_rows_by_point(cfg) -> list:
             s1, s2 = s_overlaps_by_pair(tl)
             psi = np.array([s1, s2]) / math.sqrt(s1 * s1 + s2 * s2)
             wrow = np.array([tl.a1, tl.a2])
+            lambda_kl, _ = site_sums(coeffs)
+            w12, w21 = 2.0 * math.pi * lambda_kl[0, 1] * rate_S(np.array([tl.delta, -tl.delta]), bath)
+            t_rel_formula, p_suc = float(1.0 / (w12 + w21)), float(w12 / (w12 + w21))
             if system.sigma > 0:
-                w12, w21 = 2.0 * math.pi * coeffs.lambda_kl[0, 1] * rate_S(np.array([tl.delta, -tl.delta]), bath)
-                t_rel_formula, p_suc = float(1.0 / (w12 + w21)), float(w12 / (w12 + w21))
                 times = experiments._times(cfg.grid, 6.0 * t_rel_formula)
                 rho11 = p_suc + (psi[0] * psi[0] - p_suc) * np.exp(-times / t_rel_formula)
                 p_w = tl.a1**2 * rho11 + tl.a2**2 * (1.0 - rho11)
                 steady = tl.a1**2 * p_suc + tl.a2**2 * (1.0 - p_suc)
             else:
                 tensor = assemble_redfield(coeffs, tl.eigenvalues, bath)
-                gamma = damping_rate(coeffs, bath, tl.delta)
-                times = experiments._times(cfg.grid, 6.0 / gamma)
+                times = experiments._times(cfg.grid, 12.0 * t_rel_formula)
                 traj = integrate_master(tensor, np.outer(psi, psi).astype(complex), times)
                 p_w = solution_population(traj, wrow).values
                 steady = np.real(wrow @ steady_state(tensor) @ wrow)
-                t_rel_formula = 1.0 / (2.0 * gamma)
-                p_suc = 1.0 if math.isinf(bath.beta) else 1.0 / (1.0 + math.exp(-bath.beta * tl.delta))
             (t_rel_fit,), (note,) = _decay_times(times[None], p_w[None], [steady])
             rows.append({
                 "eps_w": eps_w, "delta": tl.delta, "t_rel_fit": float(t_rel_fit),

@@ -23,9 +23,7 @@ from qsearch.bath import (
 from qsearch.experiments import parse_config, run, sweep
 from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian
 from qsearch.redfield import (
-    _transfer_rates,
     assemble_redfield,
-    damping_rate,
     integrate_master,
     secular_populations,
     solution_population,
@@ -33,7 +31,7 @@ from qsearch.redfield import (
 )
 from qsearch.spectral import _s_overlaps, eigendecompose, reduce_two_level
 from qsearch.unitary import evolve_closed
-from reference import analytic_rho_x, pair_coefficients
+from reference import analytic_rho_x, pair_coefficients, pair_rates
 
 RECIPES = __file__.rsplit("/", 2)[0] + "/recipes"
 
@@ -138,7 +136,8 @@ def test_criterion_03_damped_trajectory_oracle() -> None:
     coeffs = pair_coefficients(tl)
     bath = BathSpec(g=0.02, beta=math.inf, omega_c=2.0)
     (delta,) = tl.delta
-    gamma = damping_rate(coeffs, bath, delta)
+    # the coherence decays at half the pair's total transfer rate
+    gamma = 0.5 / pair_rates(tl, bath).t_rel
     tensor = assemble_redfield(coeffs, tl.eigenvalues[0], bath)
     rho0 = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
     times = np.linspace(0.0, 5.0 / gamma, 4000)
@@ -173,7 +172,7 @@ def test_criterion_04_gibbs_fixed_point() -> None:
         tensor = assemble_redfield(coeffs, tl.eigenvalues[0], bath)
         ss = steady_state(tensor)
         worst_full = max(worst_full, abs(float(np.real(ss[0, 0])) - gibbs))
-        rates = _transfer_rates(np.asarray(coeffs.lambda_kl[0, 1]), bath, tl.delta[0])
+        rates = pair_rates(tl, bath)
         worst_secular = max(worst_secular, abs(rates.p_suc - gibbs))
         worst_balance = max(
             worst_balance,
@@ -290,7 +289,7 @@ def test_criterion_08_secular_full_window_agreement() -> None:
     report = validity_row(validate_approximations(bath, tl.delta, 10**4), 0)
     assert report["markov_status"] != "fail" and report["secular_status"] != "fail"
     tensor = assemble_redfield(coeffs, tl.eigenvalues[0], bath)
-    rates = _transfer_rates(np.asarray(coeffs.lambda_kl[0, 1]), bath, tl.delta[0])
+    rates = pair_rates(tl, bath)
     delta = tl.delta[0]
     width = 5.0 / delta
     t_lo = 3.0 / delta

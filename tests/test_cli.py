@@ -173,15 +173,15 @@ def test_two_level_redfield_path_loads_no_scipy() -> None:
     code = (
         "import sys, numpy as np, qsearch as q\n"
         "tl = q.spectral.reduce_two_level(10**4, [0.0])\n"
-        "rows, counts, lam, o1 = q.spectral._pair_coefficients(tl.n, tl.overlaps)\n"
-        "co = q.spectral.CouplingCoefficients(tl.n, 2, rows[0], counts, lam[0], float(o1[0]))\n"
+        "rows, counts, _ = q.spectral._pair_coefficients(tl.n, tl.overlaps)\n"
+        "co = q.spectral.CouplingCoefficients(tl.n, 2, rows[0], counts)\n"
         "te = q.redfield.assemble_redfield(co, tl.eigenvalues[0], q.bath.BathSpec(g=0.02, beta=15.0))\n"
         "q.redfield.integrate_master(te, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 1e5, 400))\n"
         "q.redfield.steady_state(te)\n"
         "q.redfield.integrate_master(te, np.eye(2, dtype=complex) / 2, np.array([1.0, 2.0, 2.0, 7.5]))\n"
         "jordan = -0.5 * np.eye(4)\n"
         "jordan[0, 3] = 0.3\n"
-        "de = q.redfield.RedfieldTensor(2, jordan.reshape(2, 2, 2, 2), np.zeros((2, 2)), np.zeros(2))\n"
+        "de = q.redfield.RedfieldTensor(2, jordan.reshape(2, 2, 2, 2), np.zeros((2, 2)))\n"
         "q.redfield.integrate_master(de, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 12.0, 40))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )

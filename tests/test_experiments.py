@@ -331,6 +331,23 @@ def test_run_redfield_trajectory_columns(tmp_path, read_csv) -> None:
     assert summary["regime"] == "underdamped"
 
 
+def test_both_propagators_read_one_rate_source(tmp_path) -> None:
+    # t_rel and p_suc come from the pair's one pair of transfer rates on either path,
+    # and the tensor path's damping rate is half their sum
+    doc = {
+        "system": {"n": 10**4, "sigma": 0.006, "seed": 2, "gamma_policy": "shifted"},
+        "bath": {"g": 0.02, "beta": 15.0, "omega_c": 2.0},
+        "grid": {"t_max": 6e4, "points": 50},
+    }
+    summaries = {}
+    for mode in ("redfield", "secular"):
+        _, summaries[mode] = run(parse_config(dict(doc, mode=mode)), out_dir=str(tmp_path), force=True)
+    tensor, secular = summaries["redfield"], summaries["secular"]
+    for key in ("t_rel_formula", "p_suc"):
+        assert tensor[key].hex() == secular[key].hex(), key
+    assert tensor["gamma_damping"] == 0.5 / tensor["t_rel_formula"]
+
+
 def test_run_secular_curve(tmp_path, read_csv) -> None:
     files, summary = run(parse_config(_secular_doc()), out_dir=str(tmp_path))
     cols = read_csv(files[0])
@@ -1120,12 +1137,36 @@ def test_summaries_are_strict_json(tmp_path) -> None:
     assert summary["per_value"][2] == {
         "iqr_t_rel_fit": None, "median_t_rel_fit": None, "points": 0, "value": 1e5,
     }
-    # at n = 2 the retained pair reaches the rest of the spectrum: beta_star is infinite
-    validate = {"mode": "validate", "system": {"n": 2}, "bath": {"g": 0.01}}
+    # at n = 3 the pair's 1 - delta is negative: beta_star is infinite
+    validate = {"mode": "validate", "system": {"n": 3}, "bath": {"g": 0.01}}
     files, summary = run(parse_config(validate), out_dir=str(tmp_path))
     assert summary["validity"]["beta_star"] == math.inf
     with open(files[0]) as f:
         assert json.load(f, parse_constant=refuse)["validity"]["beta_star"] is None
+
+
+def test_a_pair_that_spans_the_space_needs_no_two_level_bound(tmp_path) -> None:
+    # at n = 2 nothing lies outside the pair: beta_star is 0 and no note is written
+    validate = {"mode": "validate", "system": {"n": 2}, "bath": {"g": 0.01, "beta": 50.0}}
+    _, summary = run(parse_config(validate), out_dir=str(tmp_path))
+    validity = summary["validity"]
+    assert (validity["beta_star"], validity["two_level_ok"]) == (0.0, True)
+    assert "two-level" not in validity["notes"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the two-level bound reads the gap 1 - delta, which is negative at n = 3 and 0 at "
+    "n = 4 (sigma = 0), and reports beta_star = inf; the dense H puts the band 0.42 and 0.50 "
+    "above the pair, which the graph's own gap lambda_3 - lambda_2 would use",
+)
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_two_level_bound_reads_the_band_above_the_pair(tmp_path, n) -> None:
+    validate = {"mode": "validate", "system": {"n": n}, "bath": {"g": 0.01, "beta": 50.0}}
+    _, summary = run(parse_config(validate), out_dir=str(tmp_path))
+    h = model.build_search_hamiltonian(model.build_complete_graph(n), w=0, gamma=1.0 / n)
+    levels = np.linalg.eigvalsh(h.dense())
+    assert summary["validity"]["beta_star"] == pytest.approx(math.log(n) / (levels[2] - levels[1]), rel=1e-12)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)

@@ -22,7 +22,6 @@ from qsearch.redfield import (
     SecularRates,
     _transfer_rates,
     assemble_redfield,
-    damping_rate,
     integrate_master,
     secular_populations,
     solution_population,
@@ -35,6 +34,7 @@ from reference import (
     decay_time_by_polyfit,
     pair_coefficients,
     pauli_two_level_matrix,
+    site_sums,
     traces,
 )
 
@@ -48,7 +48,12 @@ def _clean_system(n: int):
 
 def _rates(co: CouplingCoefficients, bath: BathSpec, delta) -> SecularRates:
     """_transfer_rates of one pair, its Lambda_12 and delta as 0-d arrays."""
-    return _transfer_rates(np.asarray(co.lambda_kl[0, 1]), bath, np.asarray(delta, dtype=float))
+    return _transfer_rates(np.asarray(site_sums(co)[0][0, 1]), bath, np.asarray(delta, dtype=float))
+
+
+def _damping(co: CouplingCoefficients, bath: BathSpec, delta) -> float:
+    """The pair's coherence damping rate, 1/(2 t_rel) of its transfer rates."""
+    return 0.5 / _rates(co, bath, delta).t_rel
 
 
 def test_generator_preserves_trace() -> None:
@@ -89,17 +94,19 @@ def test_zero_coupling_reduces_to_phase_evolution() -> None:
 
 def test_damping_rate_reference_value() -> None:
     tl, co = _clean_system(10**4)
-    gamma = damping_rate(co, ZERO_T, tl.delta[0])
+    gamma = _damping(co, ZERO_T, tl.delta[0])
     assert gamma == pytest.approx(6.221289e-6, rel=1e-6)
+    # pi * o1 * (S(delta) + S(-delta)), the coherence's own damping sum
+    _, o1 = site_sums(co)
     assert gamma == pytest.approx(
-        math.pi * co.o1 * 2.0 * 0.0004 * tl.delta[0] * math.exp(-tl.delta[0] / 2.0) / 2.0,
+        math.pi * o1 * 2.0 * 0.0004 * tl.delta[0] * math.exp(-tl.delta[0] / 2.0) / 2.0,
         rel=1e-12,
     )
 
 
 def test_trajectory_matches_analytic_two_level_curve() -> None:
     tl, co = _clean_system(10**4)
-    gamma = damping_rate(co, ZERO_T, tl.delta[0])
+    gamma = _damping(co, ZERO_T, tl.delta[0])
     tensor = assemble_redfield(co, tl.eigenvalues[0], ZERO_T)
     rho0 = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
     times = np.linspace(0.0, 5.0 / gamma, 1500)
@@ -119,10 +126,10 @@ def test_trajectory_matches_analytic_two_level_curve() -> None:
 
 def test_trajectory_follows_the_critically_damped_curve() -> None:
     tl, co = _clean_system(256)
-    base = damping_rate(co, BathSpec(g=1.0, beta=math.inf, omega_c=2.0), tl.delta[0])
+    base = _damping(co, BathSpec(g=1.0, beta=math.inf, omega_c=2.0), tl.delta[0])
     g_needed = math.sqrt(0.5 * tl.delta[0] / base)
     bath = BathSpec(g=g_needed, beta=math.inf, omega_c=2.0)
-    gamma = damping_rate(co, bath, tl.delta[0])
+    gamma = _damping(co, bath, tl.delta[0])
     assert gamma / tl.delta[0] == pytest.approx(0.5, rel=1e-12)
     tensor = assemble_redfield(co, tl.eigenvalues[0], bath)
     rho0 = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
@@ -229,7 +236,7 @@ def test_analytic_population_overdamped_rate_without_factor_two() -> None:
 
 def test_analytic_population_underdamped_oscillates() -> None:
     tl, co = _clean_system(10**4)
-    gamma = damping_rate(co, ZERO_T, tl.delta[0])
+    gamma = _damping(co, ZERO_T, tl.delta[0])
     times = np.linspace(0.0, 5.0 / gamma, 4000)
     pw = analytic_population(times, gamma, tl.delta[0])
     d = np.diff(pw)
@@ -285,7 +292,7 @@ def test_secular_rates_of_a_stack_are_each_pair_s_rates() -> None:
     coeffs = [pair_coefficients(tls, i) for i in range(3)]
     deltas = np.array([0.02, 0.005, 0.001])
     bath = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
-    stack = _transfer_rates(np.array([co.lambda_kl[0, 1] for co in coeffs]), bath, deltas)
+    stack = _transfer_rates(np.array([site_sums(co)[0][0, 1] for co in coeffs]), bath, deltas)
     for i, (co, delta) in enumerate(zip(coeffs, deltas)):
         one = _rates(co, bath, delta)
         assert [x[i] for x in vars(stack).values()] == list(vars(one).values())
@@ -321,7 +328,7 @@ def test_decay_time_secular_curve() -> None:
 
 def test_decay_time_oscillatory_envelope() -> None:
     tl, co = _clean_system(10**4)
-    gamma = damping_rate(co, ZERO_T, tl.delta[0])
+    gamma = _damping(co, ZERO_T, tl.delta[0])
     times = np.linspace(0.0, 5.0 / gamma, 4000)
     series = analytic_population(times, gamma, tl.delta[0])
     assert _decay_time(times, series, 0.5) == (pytest.approx(1.0 / gamma, rel=0.10), "")
@@ -547,7 +554,7 @@ def test_steps_follow_a_defective_generator() -> None:
     gen = -0.5 * np.eye(4)
     gen[0, 3] = 0.3
     tensor = RedfieldTensor(
-        m=2, r=gen.reshape(2, 2, 2, 2), omegas=np.zeros((2, 2)), eigenvalues=np.zeros(2)
+        m=2, r=gen.reshape(2, 2, 2, 2), omegas=np.zeros((2, 2))
     )
     assert np.linalg.cond(np.linalg.eig(tensor.generator())[1]) > 1e10
     rho0 = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]], dtype=complex)
@@ -563,7 +570,7 @@ def test_every_grid_follows_a_generator_that_does_not_preserve_trace() -> None:
     gen = np.diag([-0.5, -0.2, -0.2, -0.3])
     gen[0, 3] = 0.1
     tensor = RedfieldTensor(
-        m=2, r=gen.reshape(2, 2, 2, 2), omegas=np.zeros((2, 2)), eigenvalues=np.zeros(2)
+        m=2, r=gen.reshape(2, 2, 2, 2), omegas=np.zeros((2, 2))
     )
     rho0 = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]], dtype=complex)
     grids = (
@@ -802,7 +809,7 @@ def test_tensor_that_breaks_hermiticity_is_refused() -> None:
     broken = ((r, tensor.omegas), (tensor.r, omegas), (tensor.r.astype(complex), tensor.omegas))
     for r_bad, omegas_bad in broken:
         with pytest.raises(ContractViolationError):
-            RedfieldTensor(m=3, r=r_bad, omegas=omegas_bad, eigenvalues=tensor.eigenvalues)
+            RedfieldTensor(m=3, r=r_bad, omegas=omegas_bad)
 
 
 def test_steady_state_without_coupling_is_not_unique() -> None:

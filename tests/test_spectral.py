@@ -9,21 +9,30 @@ from hypothesis import strategies as st
 
 from qsearch.errors import ContractViolationError, InvalidParameterError, OutOfRegimeError
 from qsearch.model import DisorderField, build_complete_graph, build_search_hamiltonian, sample_disorder
-from qsearch.spectral import _fix_phases, _s_overlaps, coupling_coefficients, eigendecompose, reduce_two_level
+from qsearch.spectral import (
+    _fix_phases,
+    _pair_coefficients,
+    _s_overlaps,
+    coupling_coefficients,
+    eigendecompose,
+    reduce_two_level,
+)
 from reference import (
     coupling_by_pair,
     fix_phases_by_column,
+    h_red,
     materialized,
     pair_coefficients,
     quartic_o2_o3,
     reduce_by_pair,
     s_overlaps_by_pair,
+    site_sums,
 )
 
 
 def test_eigendecompose_reduced_pair_analytic() -> None:
     tl = reduce_two_level(4, [0.0], policy="plain")
-    spectrum = eigendecompose(tl.h_red[0])
+    spectrum = eigendecompose(h_red(tl))
     assert np.allclose(spectrum.eigenvalues, [-1.5, -0.5], atol=1e-14)
     assert np.allclose(tl.eigenvalues[0], [-1.5, -0.5], atol=1e-14)
 
@@ -85,8 +94,10 @@ def test_eigendecompose_rejects_nonhermitian() -> None:
 def test_reduced_plain_matrix_and_gap_formula() -> None:
     n, eps_w = 256, 0.1
     tl = reduce_two_level(n, [eps_w], policy="plain")
+    # the pair's eigenpairs rebuild the documented matrix
+    vectors = tl.overlaps[0].reshape(2, 2)
     assert np.allclose(
-        tl.h_red[0],
+        vectors @ np.diag(tl.eigenvalues[0]) @ vectors.T,
         [[-1.0 + eps_w, -1.0 / 16.0], [-1.0 / 16.0, -1.0]],
         atol=1e-15,
     )
@@ -109,7 +120,7 @@ def test_reduced_overlap_columns_are_normalized() -> None:
 
 def test_reduced_delta_matches_h_red_gap() -> None:
     tl = reduce_two_level(512, [0.04], sigma=0.05, policy="shifted")
-    lam = np.linalg.eigvalsh(tl.h_red[0])
+    lam = np.linalg.eigvalsh(h_red(tl))
     assert tl.delta[0] == pytest.approx(float(lam[1] - lam[0]), abs=1e-12)
 
 
@@ -165,33 +176,38 @@ def test_coupling_disorder_free_quartics() -> None:
     n = 10**4
     coeffs = pair_coefficients(reduce_two_level(n, [0.0], policy="plain"))
     o2, o3 = quartic_o2_o3(coeffs)
+    _, o1 = site_sums(coeffs)
     assert abs(o2) < 1e-12
     assert abs(o3) < 1e-12
-    assert abs(coeffs.o1 - 0.25) < 1.0 / n
+    assert abs(o1 - 0.25) < 1.0 / n
     c = materialized(coeffs)
-    assert coeffs.o1 == pytest.approx(float(np.sum((c[:, 0] * c[:, 1]) ** 2)), rel=1e-12)
+    assert o1 == pytest.approx(float(np.sum((c[:, 0] * c[:, 1]) ** 2)), rel=1e-12)
 
 
 def test_coupling_lambda_symmetric_nonnegative() -> None:
-    coeffs = pair_coefficients(reduce_two_level(500, [0.02], sigma=0.05, policy="shifted"))
-    assert np.allclose(coeffs.lambda_kl, coeffs.lambda_kl.T, atol=1e-15)
-    assert np.all(coeffs.lambda_kl >= 0.0)
-    assert coeffs.o1 >= 0.0
+    tl = reduce_two_level(500, [0.02], sigma=0.05, policy="shifted")
+    coeffs = pair_coefficients(tl)
+    lambda_kl, o1 = site_sums(coeffs)
+    assert np.allclose(lambda_kl, lambda_kl.T, atol=1e-15)
+    assert np.all(lambda_kl >= 0.0)
+    assert o1 >= 0.0
     assert quartic_o2_o3(coeffs)[1] >= 0.0
+    # the package's one sum is the matrix's off-diagonal entry
+    assert _pair_coefficients(tl.n, tl.overlaps)[2][0] == lambda_kl[0, 1]
 
 
 def test_coupling_strong_disorder_lambda12_window() -> None:
     n, sigma = 10**4, 0.05
-    coeffs = pair_coefficients(reduce_two_level(n, [-0.03], sigma=sigma, policy="shifted"))
-    lam12 = float(coeffs.lambda_kl[0, 1])
+    tl = reduce_two_level(n, [-0.03], sigma=sigma, policy="shifted")
+    lam12 = float(_pair_coefficients(tl.n, tl.overlaps)[2][0])
     assert 0.1 / (n * sigma**2) <= lam12 <= 10.0 / (n * sigma**2)
 
 
 def test_coupling_retained_all_levels_row_sums() -> None:
     h = build_search_hamiltonian(build_complete_graph(8), w=0, gamma=1.0 / 8)
     spectrum = eigendecompose(h)
-    coeffs = coupling_coefficients(spectrum, retained=8)
-    assert np.allclose(coeffs.lambda_kl.sum(axis=1), np.ones(8), atol=1e-12)
+    lambda_kl, _ = site_sums(coupling_coefficients(spectrum, retained=8))
+    assert np.allclose(lambda_kl.sum(axis=1), np.ones(8), atol=1e-12)
 
 
 def test_coupling_compact_rows_match_materialized_matrix() -> None:
@@ -199,11 +215,11 @@ def test_coupling_compact_rows_match_materialized_matrix() -> None:
     c = materialized(coeffs)
     assert c.shape == (1000, 2)
     assert np.allclose(np.sum(c**2, axis=0), np.ones(2), atol=1e-12)
-    assert coeffs.o1 == pytest.approx(float(np.sum((c[:, 0] * c[:, 1]) ** 2)), rel=1e-12)
+    assert site_sums(coeffs)[1] == pytest.approx(float(np.sum((c[:, 0] * c[:, 1]) ** 2)), rel=1e-12)
 
 
 def test_coupling_rejects_bad_retention() -> None:
-    spectrum = eigendecompose(reduce_two_level(64, [0.0], policy="plain").h_red[0])
+    spectrum = eigendecompose(h_red(reduce_two_level(64, [0.0], policy="plain")))
     with pytest.raises(InvalidParameterError):
         coupling_coefficients(spectrum, retained=5)
 
@@ -266,14 +282,15 @@ def test_stacked_reduction_is_each_pair_s_reduction_bit_for_bit(n, sigma, fracti
     pairs = reduce_two_level(n, eps_w, sigma_arg, policy)
     for i, e in enumerate(eps_w):
         one, scalar = reduce_two_level(n, [e], sigma_arg, policy), reduce_by_pair(n, e, sigma_arg, policy)
-        row = (pairs.delta[i], pairs.eigenvalues[i], pairs.overlaps[i], pairs.h_red[i])
-        for fields in (row, (scalar.delta, scalar.eigenvalues, scalar.overlaps, scalar.h_red)):
+        row = (pairs.delta[i], pairs.eigenvalues[i], pairs.overlaps[i])
+        for fields in (row, (scalar.delta, scalar.eigenvalues, scalar.overlaps)):
             assert [_bits(x) for x in fields] == [
-                _bits(x) for x in (one.delta[0], one.eigenvalues[0], one.overlaps[0], one.h_red[0])
+                _bits(x) for x in (one.delta[0], one.eigenvalues[0], one.overlaps[0])
             ]
-        # and the coupling sums and uniform-state overlaps of the pair, as the scalar forms give them
+        # and the coupling rows, Lambda_12 and uniform-state overlaps of the pair, as the scalar forms give them
         ours, by_pair = pair_coefficients(pairs, i), coupling_by_pair(scalar)
-        assert [_bits(getattr(ours, f)) for f in ("rows", "counts", "lambda_kl", "o1")] == [
-            _bits(getattr(by_pair, f)) for f in ("rows", "counts", "lambda_kl", "o1")
+        lambda12 = _pair_coefficients(n, pairs.overlaps)[2][i]
+        assert [_bits(x) for x in (ours.rows, ours.counts, lambda12)] == [
+            _bits(x) for x in (by_pair.rows, by_pair.counts, site_sums(by_pair)[0][0, 1])
         ]
         assert _bits(_s_overlaps(n, pairs.overlaps)[i]) == _bits(s_overlaps_by_pair(scalar))
