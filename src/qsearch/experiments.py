@@ -317,6 +317,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if g_min <= 0:
             # nothing relaxes at g = 0: the rates vanish and the default window is 6/gamma
             raise ConfigError(f"mode {mode!r} needs g > 0, got {g_min}")
+        if grid.points < 4:
+            raise ConfigError(f"mode {mode!r} fits a decay time and needs grid.points >= 4, got {grid.points}")
     if mode in ("correlation", "redfield", "secular") and grid.t_max is None:
         raise ConfigError(f"mode {mode!r} requires grid.t_max")
     return ExperimentConfig(
@@ -504,7 +506,7 @@ def _relax(
         # the tensor path relaxes one pair: every seed of a sigma = 0 value is the same point
         (delta,) = pairs.delta.tolist()
         gamma = 0.5 / t_rel
-        tensor = assemble_redfield(CouplingCoefficients(pairs.n, 2, rows[0], counts), pairs.eigenvalues[0], bath)
+        tensor = assemble_redfield(CouplingCoefficients(rows[0], counts), pairs.eigenvalues[0], bath)
         times = _times(grid, 12.0 * t_rel)
         traj = integrate_master(tensor, np.outer(psi[0], psi[0]).astype(complex), times[0])
         wrow = pairs.overlaps[0, :2]

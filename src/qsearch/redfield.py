@@ -1,19 +1,18 @@
 """Weak-coupling open dynamics in the system eigenbasis.
 
-Assembles the full relaxation tensor from coupling coefficients and bath
+Assembles the Redfield generator from coupling coefficients and bath
 rates, integrates the master equation with the constant generator, and
 provides the secular population rates with their closed-form solution,
 steady states, and the row-wise decay-time fit of a stack of series.
 
 Propagation and the steady state work in real Hermitian coordinates:
 x holds sqrt2 Im rho_ab and sqrt2 Re rho_ab for a < b, then the
-populations rho_aa, an orthonormal basis of the Hermitian matrices. A
-real tensor with R_abcd = R_badc (and omega_ab = -omega_ba) maps
-Hermitian rho to Hermitian rho, so the generator G is a real m^2 x m^2
-matrix there, which integrate_master and steady_state each build afresh
-from the tensor; a RedfieldTensor that breaks this is refused with
-ContractViolationError when it is built. RedfieldTensor.generator() keeps
-the complex row-major form.
+populations rho_aa, an orthonormal basis of the Hermitian matrices. The
+tensor is kept as the real m^2 x m^2 generator G on x, which
+assemble_redfield writes once from the site sums; any real G maps
+Hermitian rho to Hermitian rho. integrate_master and steady_state each
+take one copy of it. RedfieldTensor.generator() rebuilds the complex
+row-major form.
 
 integrate_master propagates by exact steps: for each distinct gap h
 between consecutive times it forms E = exp(G h) once, by the degree-18
@@ -43,14 +42,12 @@ from .model import require_memory
 from .spectral import CouplingCoefficients, Spectrum
 
 # peak memory of assemble_redfield + integrate_master on a uniform grid, in m^4
-# doubles: R and the Taylor polynomial's five m^4 buffers plus a row eighth
-# (5.1-5.25 traced besides R). With a 200-point trajectory ru_maxrss rose by
-# 6.75, 6.42 and 6.30 such units at m = 30, 40 and 50; the trajectory is 0.67
-# of them at m = 30
+# doubles: the tensor's G and the Taylor polynomial's five m^4 buffers plus a
+# row eighth (5.1-5.25 traced besides G). With a 200-point trajectory
+# ru_maxrss rose by 6.75, 6.42 and 6.30 such units at m = 30, 40 and 50; the
+# trajectory is 0.67 of them at m = 30
 _PEAK_M4_DOUBLES = 7
 
-# bound on |R_abcd - R_badc| relative to max |R|: rounding only
-_HERMITIAN_TOL = 1e-12
 # bound on the column sums of G's population rows relative to their largest
 # entry, below which G counts as trace-preserving: rounding only
 _TRACE_TOL = 1e-12
@@ -96,7 +93,8 @@ class _Coordinates:
     sqrt2 Re rho_ab in the same order, then the m populations. With the
     populations last, the trace row t^T is 1 on the last m coordinates and
     0 elsewhere, so pinning it (_pin_trace_row) and the trace condition of
-    steady_state each touch one contiguous block.
+    steady_state each touch one contiguous block. (a[k], b[k]) are the
+    pairs a <= b of the Re coordinates and the populations, in x's order.
     """
 
     def __init__(self, m: int) -> None:
@@ -105,16 +103,26 @@ class _Coordinates:
         diag = np.arange(m) * (m + 1)
         upper = ia * m + ib
         lower = ib * m + ia
-        sym = np.concatenate((upper, diag))
         self.m = m
         self.pairs = p
-        self.upper = upper
-        # the rows ab (a <= b) of R against the columns ab, ba and aa, in one gather
-        self.rows_of_r = np.ix_(sym, np.concatenate((upper, lower, diag)))
+        self.a = np.concatenate((ia, np.arange(m)))
+        self.b = np.concatenate((ib, np.arange(m)))
         # flat positions of G[p + k, k] (Re from Im) and G[k, p + k] (Im from Re)
         n2 = m * m
         self.re_from_im = slice(p * n2, p * n2 + p * (n2 + 1), n2 + 1)
         self.im_from_re = slice(p, p + p * (n2 + 1), n2 + 1)
+        # assemble_redfield's delta terms U[ur[k], uc[l]] wherever kr[k] == kc[l], as flat
+        # positions in G and in U: B+ subtracts all four, B- the first two and adds the others
+        a, b = self.a, self.b
+        drop, lift = [], []
+        for kr, kc, ur, uc, sign in ((b, b, a, a, 1), (a, a, b, b, 1), (b, a, a, b, -1), (a, b, b, a, -1)):
+            k, l = np.nonzero(kr[:, None] == kc[None, :])
+            u = ur[k] * m + uc[l]
+            drop.append(((p + k) * n2 + p + l, u))
+            inner = (k < p) & (l < p)
+            (drop if sign > 0 else lift).append((k[inner] * n2 + l[inner], u[inner]))
+        self.drop_at, self.drop_u = (np.concatenate(x) for x in zip(*drop))
+        self.lift_at, self.lift_u = (np.concatenate(x) for x in zip(*lift))
         re, im = p + np.arange(p), np.arange(p)
         # x from the float view of rho: slot 2i is Re rho_i, slot 2i+1 is Im rho_i
         self.gather = np.concatenate((2 * upper + 1, 2 * upper, 2 * diag))
@@ -145,60 +153,42 @@ def _hermitian_coordinates(m: int) -> _Coordinates:
 
 @dataclass(frozen=True)
 class RedfieldTensor:
-    """Relaxation tensor R_abcd with its Bohr-frequency matrix; built only if it preserves Hermiticity."""
+    """The real m^2 x m^2 generator g of dx/dt = g x on the Hermitian coordinates x of m levels.
+
+    Being real, any g maps Hermitian rho to Hermitian rho; a complex or misshapen g is refused.
+    """
 
     m: int
-    r: np.ndarray
-    omegas: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self) -> None:
-        r, omegas = self.r, self.omegas
-        if np.iscomplexobj(r) or np.iscomplexobj(omegas):
-            raise ContractViolationError("the relaxation tensor and Bohr frequencies must be real")
-        bound = _HERMITIAN_TOL * max(r.max(), -r.min())
-        # omega_ab = lambda_a - lambda_b is antisymmetric to the last bit; R_abcd
-        # is checked against R_badc one leading index a at a time, so that no
-        # m^4 temporary is made: r[:, a] holds R_bacd, transposed to R_badc
-        if (omegas + omegas.T).any() or any(
-            np.abs(r[a] - r[:, a].transpose(0, 2, 1)).max() > bound for a in range(self.m)
-        ):
-            raise ContractViolationError(
-                "tensor does not preserve Hermiticity: need R_abcd = R_badc and omega_ab = -omega_ba"
-            )
+        n2 = self.m * self.m
+        if np.iscomplexobj(self.g) or np.shape(self.g) != (n2, n2):
+            raise ContractViolationError(f"the generator must be a real {n2}x{n2} matrix")
+
+    @property
+    def preserves_trace(self) -> bool:
+        """t^T g = 0 to rounding: each column of the population rows sums within _TRACE_TOL of their largest entry."""
+        populations = self.g[-self.m:]
+        return bool(np.abs(populations.sum(axis=0)).max() <= _TRACE_TOL * np.abs(populations).max())
 
     def generator(self) -> np.ndarray:
-        """Flattened generator L of d(rho)/dt = L rho, rho in row-major order."""
-        m2 = self.m * self.m
-        gen = self.r.reshape(m2, m2).astype(complex)
-        np.einsum("ii->i", gen)[...] -= 1j * self.omegas.reshape(m2)
-        return gen
+        """The complex generator L of d(rho)/dt = L rho, rho in row-major order.
 
-    def _real_generator(self) -> np.ndarray:
-        """The generator as a real matrix acting on x (see _Coordinates).
-
-        Its dissipator is block-diagonal: the symmetric (Re) block takes
-        R_ab,cd + R_ab,dc and the antisymmetric (Im) block R_ab,cd - R_ab,dc;
-        the Hamiltonian part couples each (Re, Im) pair by +-omega_ab.
+        x = T rho for a unitary T, so L = T^H g T: by row eighths, rows of
+        T^H g from the scatter map of _Coordinates.to_rho, times T.
         """
-        m = self.m
-        n2 = m * m
-        c = _hermitian_coordinates(m)
-        p = c.pairs
-        rf = self.r.reshape(n2, n2)
-        g = np.zeros((n2, n2))
-        rows = rf[c.rows_of_r]
-        np.subtract(rows[:p, :p], rows[:p, p:2 * p], out=g[:p, :p])
-        sym = g[p:, p:]
-        np.add(rows[:, :p], rows[:, p:2 * p], out=sym[:, :p])
-        sym[:, p:] = rows[:, 2 * p:]
-        del rows
-        sym[:p, p:] *= _SQRT2
-        sym[p:, :p] *= 1.0 / _SQRT2
-        w = self.omegas.reshape(n2)[c.upper]
-        flat = g.reshape(n2 * n2)
-        flat[c.re_from_im] = w
-        flat[c.im_from_re] = -w
-        return g
+        n2 = self.m * self.m
+        c = _hermitian_coordinates(self.m)
+        re, im = c.scatter[0::2], c.scatter[1::2]
+        alpha, beta = c.scatter_scale[0::2], c.scatter_scale[1::2]
+        gen = np.empty((n2, n2), dtype=complex)
+        for rows in _row_blocks(n2, -(-n2 // 8) if 8 * n2 * n2 >= _WHOLE_BYTES else n2):
+            left_re = self.g[re[rows]] * alpha[rows, None]
+            left_im = self.g[im[rows]] * beta[rows, None]
+            gen[rows].real = left_re[:, re] * alpha + left_im[:, im] * beta
+            gen[rows].imag = left_im[:, re] * alpha - left_re[:, im] * beta
+        return gen
 
 
 @dataclass(frozen=True)
@@ -213,62 +203,70 @@ class Trajectory:
         return self.rhos.shape[1]
 
 
-def _eigenvalues_of(source: Union[Spectrum, np.ndarray], m: int) -> np.ndarray:
-    if isinstance(source, Spectrum):
-        levels = np.asarray(source.eigenvalues[:m], dtype=float)
-    else:
-        levels = np.asarray(source, dtype=float)
-    if levels.shape != (m,):
-        raise InvalidParameterError(
-            f"need {m} level energies to match the coefficients, got shape {levels.shape}"
-        )
-    return levels
-
-
 def assemble_redfield(
     coeffs: CouplingCoefficients,
     source: Union[Spectrum, np.ndarray],
     bath: BathSpec,
 ) -> RedfieldTensor:
-    """Assemble the relaxation tensor for the retained levels.
+    """Assemble the real generator G of the retained levels' Redfield equation.
 
     source gives their energies: a Spectrum's lowest m, or an array of m
-    (a reduced pair's row of eigenvalues).
-
-    Site couplings are identical across nodes, so every element is a
-    weighted quartic sum over the distinct coefficient rows. Raises
-    DenseLimitError, before allocating, when the O(m^4) arrays of assembly
-    and propagation would not fit in the memory the process can still
-    allocate.
+    (a reduced pair's row of eigenvalues). With S_ca = 2 pi rate_S(lambda_c
+    - lambda_a) and the site sums Q_abcd = sum_j c_ja c_jb c_jc c_jd and
+    U_ac = sum_x Q_acxx S_cx, the tensor of d(rho_ab)/dt = -i omega_ab rho_ab
+    + sum_cd R_abcd rho_cd is R_abcd = (Q_abcd (S_ca + S_db) - delta_bd U_ac
+    - delta_ac U_bd) / 2. G is written without it: Q is symmetric in all
+    four indices, so one GEMM over the pairs a <= b gives it, and with
+    B+- = Q_abcd (S_ca + S_db +- (S_da + S_cb)) - (delta_bd U_ac
+    + delta_ac U_bd +- (delta_bc U_ad + delta_ad U_bc)), R_ab,cd +- R_ab,dc
+    = B+-/2. The Im block is B-/2; the Re/population block is B+ times 1/2,
+    1/(2 sqrt2) where one pair is a population, 1/4 where both are; the
+    last population row is minus the sum of the others, as it is exactly;
+    +-omega_ab couples each (Re, Im) pair. Raises DenseLimitError, before
+    allocating, when the O(m^4) arrays of assembly and propagation would
+    not fit in the memory the process can still allocate.
     """
-    m = coeffs.m
+    rows, counts = coeffs.rows, coeffs.counts
+    m = rows.shape[1]
     require_memory(_PEAK_M4_DOUBLES * 8.0 * m**4, f"full Redfield dynamics at m={m}")
-    levels = _eigenvalues_of(source, m)
-    rows = coeffs.rows
-    counts = coeffs.counts
-    omegas = levels[:, None] - levels[None, :]
-    smat = 2.0 * math.pi * rate_S(omegas, bath)
-    sq = rows**2
-    # T[a,c,x] = sum_sites c_a c_c c_x^2 ; U[a,c] = sum_x T S[c,x]
-    t3 = np.einsum("j,ja,jc,jx->acx", counts, rows, rows, sq)
-    u = np.einsum("acx,cx->ac", t3, smat)
-    # Q[a,c,d,b] = sum_sites c_a c_c c_d c_b via one rank-k GEMM
-    b2 = (np.sqrt(counts)[:, None, None] * rows[:, :, None] * rows[:, None, :]).reshape(
-        rows.shape[0], m * m
-    )
-    q = (b2.T @ b2).reshape(m, m, m, m)
-    # R_abcd = (Q_acdb (S_ca + S_db) - U_ac delta_bd - delta_ac U_bd) / 2, built
-    # in place: the two delta terms touch only m^3 entries, through views
-    st = smat.T
-    r = np.add(st[:, None, :, None], st[None, :, None, :], out=np.empty((m, m, m, m)))
-    r *= q.transpose(0, 3, 1, 2)
+    levels = np.asarray(source.eigenvalues[:m] if isinstance(source, Spectrum) else source, dtype=float)
+    if levels.shape != (m,):
+        raise InvalidParameterError(f"need {m} level energies to match the coefficients, got shape {levels.shape}")
+    c = _hermitian_coordinates(m)
+    a, b, p, n2 = c.a, c.b, c.pairs, m * m
+    # st[a, c] = S_ca / 2 (pi, not 2 pi: exactly half), so U and the sums below are halved too
+    st = math.pi * rate_S(levels[None, :] - levels[:, None], bath)
+    u = (counts[:, None] * rows).T @ (rows * (rows**2 @ st))
+    # G before the pair-sized temporaries: allocated after them, it raised open_full's peak RSS
+    g = np.zeros((n2, n2))
+    bp = np.sqrt(counts)[:, None] * rows[:, a] * rows[:, b]
+    q = bp.T @ bp
+    im, sym = g[:p, :p], g[p:, p:]
+    # (S_ca + S_db) +- (S_da + S_cb) over the pairs, one pair-sized gather at a time
+    sym[...] = st[a][:, b]
+    sym += st[b][:, a]
+    np.negative(sym[:p, :p], out=im)
+    for idx in (a, b):
+        x = st[idx][:, idx]
+        sym += x
+        im += x[:p, :p]
+        del x
+    sym *= q
+    im *= q[:p, :p]
     del q
-    np.einsum("abcb->abc", r)[...] -= u[:, None, :]
-    np.einsum("abad->abd", r)[...] -= u[None, :, :]
-    r *= 0.5
-    r.setflags(write=False)
-    omegas.setflags(write=False)
-    return RedfieldTensor(m=m, r=r, omegas=omegas)
+    flat, uf = g.reshape(-1), u.reshape(-1)
+    np.subtract.at(flat, c.drop_at, uf[c.drop_u])
+    np.add.at(flat, c.lift_at, uf[c.lift_u])
+    sym[:p, p:] *= 1.0 / _SQRT2
+    sym[p:, :p] *= 1.0 / _SQRT2
+    sym[p:, p:] *= 0.5
+    # the last population row is minus the others' sum: summed in order, they cancel to the bit
+    np.negative(np.sum(g[n2 - m:-1], axis=0), out=g[-1])
+    w = levels[a[:p]] - levels[b[:p]]
+    flat[c.re_from_im] = w
+    flat[c.im_from_re] = -w
+    g.setflags(write=False)
+    return RedfieldTensor(m=m, g=g)
 
 
 def _validate_rho0(rho0: np.ndarray, m: int) -> np.ndarray:
@@ -422,10 +420,11 @@ def integrate_master(tensor: RedfieldTensor, rho0: np.ndarray, times) -> Traject
     G is constant and real in the Hermitian coordinates x (see the module
     docstring), so every step is exact: x_k = exp(G h_k) x_(k-1) with
     h_k = t_k - t_(k-1) and t_(-1) = 0. E = exp(G h) is formed once per
-    distinct h (the degree-18 Taylor polynomial with scaling and squaring;
-    when G preserves the trace, the trace row t^T E = t^T is pinned at
-    every squaring), and a zero step copies the row before. A uniform grid from 0 (t_k = k h to
-    a few ulps of t_max, as np.linspace(0, T, N) gives) takes one E and
+    distinct h (the degree-18 Taylor polynomial with scaling and squaring,
+    on one copy of tensor.g; when G preserves the trace, the trace row
+    t^T E = t^T is pinned at every squaring), and a zero step copies the
+    row before. A uniform grid from 0 (t_k = k h to a few ulps of t_max,
+    as np.linspace(0, T, N) gives) takes one E and
     fills B = max(1, N // m^2) rows per product from the stacked powers
     E, ..., E^B, which are thus never larger than the trajectory. Raises
     DenseLimitError, before any exponential is formed, when a grid's
@@ -455,16 +454,11 @@ def integrate_master(tensor: RedfieldTensor, rho0: np.ndarray, times) -> Traject
             lengths.size * 8.0 * n2 * n2,
             f"the exponential of each of {lengths.size} distinct time steps at m={m}",
         )
-    gen = tensor._real_generator()
+    gen = tensor.g.copy()
     coords = _hermitian_coordinates(m)
-
-    # a trace-preserving G has t^T G = 0: its population rows sum to zero in
-    # every column. E then has the trace row t^T; pinning that removes the
-    # rounding that would drift tr rho(t) and the stationary mode
-    populations = gen[n2 - m:]
-    preserving = bool(np.abs(populations.sum(axis=0)).max() <= _TRACE_TOL * np.abs(populations).max())
-    pinned = m if preserving else 0
-    del populations
+    # E of a trace-preserving G has the trace row t^T; pinning that removes
+    # the rounding that would drift tr rho(t) and the stationary mode
+    pinned = m if tensor.preserves_trace else 0
 
     exps = {}
     for i, step in enumerate(lengths.tolist()):
@@ -496,15 +490,19 @@ def steady_state(tensor: RedfieldTensor) -> np.ndarray:
 
     Trace preservation gives t^T G = 0 for the trace row t of the real
     generator G, so the state solves the square system
-    (G + e_00 t^T) x = e_00. That system is singular exactly when the
-    kernel is not one-dimensional (e.g. g = 0, where every population
-    vector is stationary); the steady state is then not unique and
-    InvalidParameterError is raised.
+    (G + e_00 t^T) x = e_00, formed on one copy of tensor.g. A G that does
+    not preserve the trace (RedfieldTensor.preserves_trace) has no
+    trace-one stationary state and is refused with InvalidParameterError.
+    The system is singular exactly when the kernel is not one-dimensional
+    (e.g. g = 0, where every population vector is stationary); the steady
+    state is then not unique and InvalidParameterError is raised.
     """
+    if not tensor.preserves_trace:
+        raise InvalidParameterError("steady state needs a generator that preserves the trace")
     m = tensor.m
     n2 = m * m
     # the populations are the last m coordinates; rho_00 is the first of them
-    a = tensor._real_generator()
+    a = tensor.g.copy()
     a[n2 - m, n2 - m:] += 1.0
     e00 = np.zeros(n2)
     e00[n2 - m] = 1.0

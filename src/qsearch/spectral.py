@@ -573,16 +573,14 @@ def reduce_two_level(n: int, eps_w, sigma: Optional[float] = None, policy: str =
 class CouplingCoefficients:
     """Node-basis coefficients of the retained eigenvectors, in compact form.
 
-    rows holds the distinct coefficient rows, counts their site
-    multiplicities; every site-summed product needed downstream is an
-    exact weighted sum over the distinct rows, so reduced systems with
+    rows (sites x m levels) holds the distinct coefficient rows, counts their
+    site multiplicities; every site-summed product needed downstream is
+    an exact weighted sum over the distinct rows, so reduced systems with
     n ~ 1e6 never allocate per-site storage. assemble_redfield forms its
     sums from them; a reduced pair's one transfer-rate sum, Lambda_12,
     comes from _pair_coefficients.
     """
 
-    n: int
-    m: int
     rows: np.ndarray
     counts: np.ndarray
 
@@ -625,4 +623,4 @@ def coupling_coefficients(source: Spectrum, retained: int) -> CouplingCoefficien
     counts = np.ones(n)
     rows.setflags(write=False)
     counts.setflags(write=False)
-    return CouplingCoefficients(n=int(n), m=n, rows=rows, counts=counts)
+    return CouplingCoefficients(rows=rows, counts=counts)

@@ -12,7 +12,9 @@ per-pair eigensolver, coupling sums, peak formulas and transfer rates
 in Python floats that the stacked two-level reduction replaced, the
 per-point loop of sweep rows that the stacked sweep replaced, and the
 per-time exponential sum that the closed amplitude's complex product
-replaced. No mode of the package calls them. pair_coefficients and
+replaced, and the complex Redfield generator from the documented
+relaxation tensor over every site, which the real generator written from
+the pair sums replaced. No mode of the package calls them. pair_coefficients and
 pair_rates are the adapters: the CouplingCoefficients and the transfer
 rates of one pair of a TwoLevelSystem, as the runner forms them.
 """
@@ -45,7 +47,7 @@ from qsearch.spectral import CouplingCoefficients, TwoLevelSystem, _pair_coeffic
 def pair_coefficients(tl: TwoLevelSystem, i: int = 0) -> CouplingCoefficients:
     """CouplingCoefficients of pair i of a stack, from its row of _pair_coefficients."""
     rows, counts, _ = _pair_coefficients(tl.n, tl.overlaps)
-    return CouplingCoefficients(n=tl.n, m=2, rows=rows[i], counts=counts)
+    return CouplingCoefficients(rows=rows[i], counts=counts)
 
 
 def pair_rates(tl: TwoLevelSystem, bath: BathSpec, i: int = 0) -> SecularRates:
@@ -75,6 +77,32 @@ def h_red(tl: TwoLevelSystem, i: int = 0) -> np.ndarray:
 def materialized(coeffs: CouplingCoefficients) -> np.ndarray:
     """Materialized n x m coefficient matrix (marked-node row first)."""
     return np.repeat(coeffs.rows, coeffs.counts.astype(int), axis=0)
+
+
+def redfield_generator(coeffs: CouplingCoefficients, levels: np.ndarray, bath: BathSpec) -> np.ndarray:
+    """The complex row-major generator L of the documented relaxation tensor, over every site.
+
+    R_abcd = (Q_abcd (S_ca + S_db) - delta_bd U_ac - delta_ac U_bd) / 2 with
+    S_ca = 2 pi rate_S(lambda_c - lambda_a), Q_abcd = sum_j c_ja c_jb c_jc c_jd
+    and U_ac = sum_x Q_acxx S_cx, each by einsum over the materialized
+    coefficients; L = R with -i omega_ab on the diagonal.
+    """
+    c = materialized(coeffs)
+    m = c.shape[1]
+    omegas = levels[:, None] - levels[None, :]
+    s = 2.0 * math.pi * rate_S(omegas, bath)
+    q = np.einsum("ja,jb,jc,jd->abcd", c, c, c, c)
+    u = np.einsum("acxx,cx->ac", q, s)
+    eye = np.eye(m)
+    sca = s.T  # sca[a, c] = S_ca
+    r = 0.5 * (
+        q * (sca[:, None, :, None] + sca[None, :, None, :])
+        - np.einsum("bd,ac->abcd", eye, u)
+        - np.einsum("ac,bd->abcd", eye, u)
+    )
+    gen = r.reshape(m * m, m * m).astype(complex)
+    gen[np.diag_indices(m * m)] -= 1j * omegas.reshape(-1)
+    return gen
 
 
 def quartic_o2_o3(coeffs: CouplingCoefficients) -> Tuple[float, float]:
@@ -172,8 +200,9 @@ def pauli_two_level_matrix(
     Basis order (rho_x, rho_y, rho_z). With vanishing o2 and o3 the z
     component decouples and the x-y block closes on itself.
     """
-    if coeffs.m != 2:
-        raise InvalidParameterError(f"Bloch form needs 2 retained levels, got m={coeffs.m}")
+    m = coeffs.rows.shape[1]
+    if m != 2:
+        raise InvalidParameterError(f"Bloch form needs 2 retained levels, got m={m}")
     if delta <= 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
     o2, o3 = quartic_o2_o3(coeffs)
@@ -310,7 +339,7 @@ def coupling_by_pair(tl) -> CouplingCoefficients:
     """Coupling coefficients of a reduced pair by the 2-D forms; site_sums gives its Lambda_12."""
     scale = 1.0 / math.sqrt(tl.n - 1)
     rows = np.array([[tl.a1, tl.a2], [tl.b1 * scale, tl.b2 * scale]])
-    return CouplingCoefficients(n=tl.n, m=2, rows=rows, counts=np.array([1.0, float(tl.n - 1)]))
+    return CouplingCoefficients(rows=rows, counts=np.array([1.0, float(tl.n - 1)]))
 
 
 def reduced_peak_by_pair(tl) -> float:

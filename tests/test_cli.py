@@ -102,6 +102,17 @@ def test_tensor_path_refusal_and_force_override(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("points", [2, 3])
+@pytest.mark.parametrize("mode", ["redfield", "secular", "sweep"])
+def test_relaxing_grid_too_short_to_fit_is_config_error(tmp_path, capsys, mode, points) -> None:
+    doc = dict(_tensor_doc(0.02), mode=mode, grid={"t_max": 200.0, "points": points})
+    if mode == "sweep":
+        doc.update(grid={"points": points}, sweep={"parameter": "beta", "values": [10.0, 20.0], "seeds": 1})
+    assert main([mode, "--config", _write(tmp_path, doc), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"needs grid.points >= 4, got {points}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_memory_margin_of_exactly_one_is_refused(tmp_path, capsys) -> None:
     # g * delta_t = 0.1 * 10 = 1: the summary has always reported it as failed,
     # and the refusal reads that report
@@ -174,14 +185,14 @@ def test_two_level_redfield_path_loads_no_scipy() -> None:
         "import sys, numpy as np, qsearch as q\n"
         "tl = q.spectral.reduce_two_level(10**4, [0.0])\n"
         "rows, counts, _ = q.spectral._pair_coefficients(tl.n, tl.overlaps)\n"
-        "co = q.spectral.CouplingCoefficients(tl.n, 2, rows[0], counts)\n"
+        "co = q.spectral.CouplingCoefficients(rows[0], counts)\n"
         "te = q.redfield.assemble_redfield(co, tl.eigenvalues[0], q.bath.BathSpec(g=0.02, beta=15.0))\n"
         "q.redfield.integrate_master(te, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 1e5, 400))\n"
         "q.redfield.steady_state(te)\n"
         "q.redfield.integrate_master(te, np.eye(2, dtype=complex) / 2, np.array([1.0, 2.0, 2.0, 7.5]))\n"
         "jordan = -0.5 * np.eye(4)\n"
-        "jordan[0, 3] = 0.3\n"
-        "de = q.redfield.RedfieldTensor(2, jordan.reshape(2, 2, 2, 2), np.zeros((2, 2)))\n"
+        "jordan[2, 3] = 0.3\n"
+        "de = q.redfield.RedfieldTensor(2, jordan)\n"
         "q.redfield.integrate_master(de, np.eye(2, dtype=complex) / 2, np.linspace(0.0, 12.0, 40))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )

@@ -34,6 +34,7 @@ from reference import (
     decay_time_by_polyfit,
     pair_coefficients,
     pauli_two_level_matrix,
+    redfield_generator,
     site_sums,
     traces,
 )
@@ -83,7 +84,12 @@ def test_evolution_preserves_hermiticity_and_trace() -> None:
 def test_zero_coupling_reduces_to_phase_evolution() -> None:
     tl, co = _clean_system(256)
     tensor = assemble_redfield(co, tl.eigenvalues[0], BathSpec(g=0.0, beta=math.inf, omega_c=2.0))
-    assert np.max(np.abs(tensor.r)) == 0.0
+    # x = (sqrt2 Im rho_01, sqrt2 Re rho_01, rho_00, rho_11): only omega_01 couples Re and Im
+    omega = tl.eigenvalues[0, 0] - tl.eigenvalues[0, 1]
+    gen = np.array(tensor.g)
+    assert (gen[1, 0], gen[0, 1]) == (omega, -omega)
+    gen[1, 0] = gen[0, 1] = 0.0
+    assert np.max(np.abs(gen)) == 0.0
     rho0 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
     times = np.linspace(0.0, 50.0, 7)
     traj = integrate_master(tensor, rho0, times)
@@ -303,7 +309,7 @@ def test_assemble_outside_the_memory_bound_builds_the_tensor() -> None:
     tl, co = _clean_system(256)
     bath = BathSpec(g=0.1, beta=15.0, omega_c=2.0)
     tensor = assemble_redfield(co, tl.eigenvalues[0], bath)
-    assert tensor.r.shape == (2, 2, 2, 2)
+    assert tensor.g.shape == (4, 4)
 
 
 def _decay_time(times, series, target: float):
@@ -550,12 +556,11 @@ def _complex_oracle(tensor: RedfieldTensor, rho0: np.ndarray, times) -> np.ndarr
 
 def test_steps_follow_a_defective_generator() -> None:
     # one Jordan block: rho11 feeds rho00 at the shared decay rate, so the
-    # generator has no eigenvector basis; exp(G h) needs none
+    # generator has no eigenvector basis; exp(G h) needs none. In
+    # x = (sqrt2 Im rho_01, sqrt2 Re rho_01, rho_00, rho_11)
     gen = -0.5 * np.eye(4)
-    gen[0, 3] = 0.3
-    tensor = RedfieldTensor(
-        m=2, r=gen.reshape(2, 2, 2, 2), omegas=np.zeros((2, 2))
-    )
+    gen[2, 3] = 0.3
+    tensor = RedfieldTensor(m=2, g=gen)
     assert np.linalg.cond(np.linalg.eig(tensor.generator())[1]) > 1e10
     rho0 = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]], dtype=complex)
     times = np.linspace(0.0, 12.0, 40)
@@ -564,14 +569,20 @@ def test_steps_follow_a_defective_generator() -> None:
     assert np.max(np.abs(traj.rhos.reshape(len(times), 4) - oracle)) <= 1e-12
 
 
+def _leaking_tensor() -> RedfieldTensor:
+    """rho11 feeds rho00 at less than its own decay rate: trace leaks away.
+
+    In x = (sqrt2 Im rho_01, sqrt2 Re rho_01, rho_00, rho_11).
+    """
+    gen = np.diag([-0.2, -0.2, -0.5, -0.3])
+    gen[2, 3] = 0.1
+    return RedfieldTensor(m=2, g=gen)
+
+
 def test_every_grid_follows_a_generator_that_does_not_preserve_trace() -> None:
-    # rho11 feeds rho00 at less than its own decay rate: trace leaks away,
-    # so no trace row may be pinned
-    gen = np.diag([-0.5, -0.2, -0.2, -0.3])
-    gen[0, 3] = 0.1
-    tensor = RedfieldTensor(
-        m=2, r=gen.reshape(2, 2, 2, 2), omegas=np.zeros((2, 2))
-    )
+    # no trace row may be pinned
+    tensor = _leaking_tensor()
+    assert not tensor.preserves_trace
     rho0 = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]], dtype=complex)
     grids = (
         np.linspace(0.0, 12.0, 40),
@@ -613,7 +624,7 @@ def test_one_long_step_matches_a_high_precision_exponential() -> None:
     mixed = np.array([[0.3, 0.2], [0.2, 0.7]], dtype=complex)
     gen = warm.generator()
     # about 20, 30 and 40 squarings, with no cap and no sub-steps
-    assert redfield._squarings(warm._real_generator(), 1e14) >= 40
+    assert redfield._squarings(warm.g, 1e14) >= 40
     for t_max in (1e8, 1e11, 1e14):
         traj = integrate_master(warm, mixed, np.array([0.0, t_max]))
         with mpmath.workdps(60):
@@ -799,17 +810,33 @@ def test_real_coordinate_path_matches_the_complex_generator(m, seed, g, beta, om
     assert np.max(np.abs(rho_star - rho_star.conj().T)) == 0.0
 
 
-def test_tensor_that_breaks_hermiticity_is_refused() -> None:
+def test_complex_or_misshapen_generator_is_refused() -> None:
+    # any real 9x9 g maps Hermitian rho to Hermitian rho; nothing else is a generator of m = 3
     spec, co, _ = _random_levels(3, 5)
     tensor = assemble_redfield(co, spec, BathSpec(g=0.05, beta=15.0, omega_c=2.0))
-    r = np.array(tensor.r)
-    r[0, 1, 2, 0] += 0.1 * np.max(np.abs(r))  # R_0120 != R_1002
-    omegas = np.array(tensor.omegas)
-    omegas[0, 2] += 1e-3  # omega_02 != -omega_20
-    broken = ((r, tensor.omegas), (tensor.r, omegas), (tensor.r.astype(complex), tensor.omegas))
-    for r_bad, omegas_bad in broken:
-        with pytest.raises(ContractViolationError):
-            RedfieldTensor(m=3, r=r_bad, omegas=omegas_bad)
+    assert not tensor.g.flags.writeable
+    broken = (tensor.g.astype(complex), tensor.g[:8, :8], tensor.g.reshape(3, 3, 9), tensor.g[0])
+    for g_bad in broken:
+        with pytest.raises(ContractViolationError, match="real 9x9"):
+            RedfieldTensor(m=3, g=g_bad)
+    assert RedfieldTensor(m=3, g=-np.eye(9)).m == 3
+
+
+def test_steady_state_refuses_a_generator_that_does_not_preserve_trace() -> None:
+    # its trace-pinned system is regular, and solving it would give diag(2, 0)
+    # with ||L rho|| = 1
+    with pytest.raises(InvalidParameterError, match="preserves the trace"):
+        steady_state(_leaking_tensor())
+
+
+@pytest.mark.parametrize("beta", [math.inf, 15.0])
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_generator_matches_the_documented_tensor(m, beta) -> None:
+    spec, co, _ = _random_levels(m, 11 + m)
+    bath = BathSpec(g=0.05, beta=beta, omega_c=2.0)
+    reference = redfield_generator(co, spec.eigenvalues[:m], bath)
+    gen = assemble_redfield(co, spec, bath).generator()
+    assert np.max(np.abs(gen - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 def test_steady_state_without_coupling_is_not_unique() -> None:
@@ -838,14 +865,27 @@ def test_assembly_and_steady_state_peak_below_three_tensors() -> None:
     assert steady_peak <= 3 * m**4 * 8
 
 
-def test_real_generator_peak_below_one_point_six_tensors() -> None:
+def test_complex_generator_peak_below_three_tensors() -> None:
     m = 24
     spec, co, _ = _random_levels(m, 9)
     tensor = assemble_redfield(co, spec, BathSpec(g=0.02, beta=15.0, omega_c=2.0))
-    tensor._real_generator()  # builds the cached coordinate maps
-    _, peak = _traced_peak(tensor._real_generator)
-    # G and the gathered rows of R (0.52 m^4)
-    assert peak < 1.6 * m**4 * 8
+    _, peak = _traced_peak(tensor.generator)
+    # L (two m^4 doubles) and a row eighth's gathers: 2.53 measured
+    assert peak <= 3 * m**4 * 8
+
+
+def test_assembly_holds_g_and_the_pair_sums_and_steady_state_one_copy_of_g() -> None:
+    m = 24
+    spec, co, _ = _random_levels(m, 9)
+    bath = BathSpec(g=0.02, beta=15.0, omega_c=2.0)
+    tensor, assemble_peak = _traced_peak(lambda: assemble_redfield(co, spec, bath))
+    _, steady_peak = _traced_peak(lambda: steady_state(tensor))
+    # G, Q over the pairs a <= b and one pair-sized gather (0.27 m^4 each),
+    # and the coordinate maps when this call builds them: 1.64 measured
+    # with them cached, 1.82 without
+    assert assemble_peak <= 2.14 * m**4 * 8
+    # the copy of G that is solved; the solver's own buffer is not traced: 1.01 measured
+    assert steady_peak <= 1.1 * m**4 * 8
 
 
 def test_step_route_peak_at_most_five_and_a_half_tensors() -> None:
