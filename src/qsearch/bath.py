@@ -1,4 +1,4 @@
-"""Thermal bath with an exponential-cutoff power-law spectral density.
+"""Ohmic thermal bath: J(omega) = g^2 omega exp(-omega/omega_c).
 
 Provides the spectral density, one-sided transition rates S(omega), the
 bath correlation function (closed forms plus an adaptive-quadrature
@@ -29,13 +29,15 @@ _CORRELATION_BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Bath parameters. beta=inf selects the zero-temperature branch."""
+    """Ohmic bath: coupling g, inverse temperature beta, cutoff omega_c.
+
+    g is the one coupling scale: the rates scale as g^2 and every validity
+    margin as g. beta=inf selects the zero-temperature branch.
+    """
 
     g: float
     beta: float = math.inf
     omega_c: float = 2.0
-    eta: float = 1.0
-    d: float = 1.0
 
     def __post_init__(self) -> None:
         if self.g < 0:
@@ -44,10 +46,6 @@ class BathSpec:
             raise InvalidParameterError(f"beta must be positive, got {self.beta}")
         if self.omega_c <= 0:
             raise InvalidParameterError(f"omega_c must be positive, got {self.omega_c}")
-        if self.eta <= 0:
-            raise InvalidParameterError(f"eta must be positive, got {self.eta}")
-        if self.d <= 0:
-            raise InvalidParameterError(f"exponent d must be positive, got {self.d}")
 
     @property
     def temperature_mode(self) -> str:
@@ -59,20 +57,13 @@ class BathSpec:
 
 
 def spectral_density(omega, bath: BathSpec):
-    """J(omega) = eta g^2 omega^d omega_c^(1-d) exp(-omega/omega_c), omega >= 0."""
+    """Ohmic J(omega) = g^2 omega exp(-omega/omega_c), omega >= 0."""
     omega = np.asarray(omega, dtype=float)
     if (omega < 0).any():
         raise OutOfRegimeError(
             f"spectral density is defined for omega >= 0, got {omega.min()}; use rate_S for signed frequencies"
         )
-    # omega^d with d > 0 makes J(0) = 0
-    return (
-        bath.eta
-        * bath.g**2
-        * omega**bath.d
-        * bath.omega_c ** (1.0 - bath.d)
-        * np.exp(-omega / bath.omega_c)
-    )[()]
+    return (bath.g**2 * omega * np.exp(-omega / bath.omega_c))[()]
 
 
 def _occupation(x: np.ndarray) -> np.ndarray:
@@ -85,8 +76,9 @@ def rate_S(omega, bath: BathSpec):
 
     omega > 0 is the emission branch J(omega)(N+1): energy omega is
     released into the bath. omega < 0 is the absorption branch
-    J(|omega|) N(|omega|). The omega=0 limit is eta g^2 / beta, which both
-    branches approach continuously; it vanishes at zero temperature.
+    J(|omega|) N(|omega|). Both branches approach g^2 / beta, the limit
+    of J(|omega|) N(|omega|) at omega = 0, which is returned there; it
+    vanishes at zero temperature.
     """
     omega = np.asarray(omega, dtype=float)
     a = np.abs(omega)
@@ -97,42 +89,35 @@ def rate_S(omega, bath: BathSpec):
     # replaced by its limit
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = j * (_occupation(bath.beta * a) + (omega > 0))
-    return np.where(omega == 0.0, bath.eta * bath.g**2 / bath.beta, out)[()]
+    return np.where(omega == 0.0, bath.g**2 / bath.beta, out)[()]
 
 
 def correlation_zero_T(t, bath: BathSpec):
-    """Zero-temperature correlation eta g^2 omega_c^2 / (1 + i t omega_c)^2.
-
-    Closed form for d=1 only.
-    """
+    """Zero-temperature correlation g^2 omega_c^2 / (1 + i t omega_c)^2."""
     if not bath.is_zero_temperature:
         raise OutOfRegimeError("zero-temperature correlation requested for a finite-beta bath")
-    if bath.d != 1.0:
-        raise OutOfRegimeError(f"closed form requires d=1, got d={bath.d}")
     t_arr = np.asarray(t, dtype=float)
-    out = bath.eta * bath.g**2 * bath.omega_c**2 / (1.0 + 1j * t_arr * bath.omega_c) ** 2
+    out = bath.g**2 * bath.omega_c**2 / (1.0 + 1j * t_arr * bath.omega_c) ** 2
     return out[()]
 
 
 def correlation_finite_T(t, bath: BathSpec):
-    """Finite-temperature correlation via the trigamma closed form (d=1).
+    """Finite-temperature correlation via the trigamma closed form.
 
-    F(t) = (eta g^2/beta^2) [psi'(1/(beta omega_c) + it/beta)
-                             + psi'(1 + 1/(beta omega_c) - it/beta)].
+    F(t) = (g^2/beta^2) [psi'(1/(beta omega_c) + it/beta)
+                         + psi'(1 + 1/(beta omega_c) - it/beta)].
     Evaluated in blocks of _CORRELATION_BLOCK points, so the temporaries
     stay a fixed size.
     """
     if bath.is_zero_temperature:
         raise OutOfRegimeError("finite-temperature correlation requested for a zero-T bath")
-    if bath.d != 1.0:
-        raise OutOfRegimeError(f"closed form requires d=1, got d={bath.d}")
     if bath.beta * bath.omega_c < 5.0:
         warnings.warn(
             f"beta*omega_c = {bath.beta * bath.omega_c:.3g} < 5: "
             "finite-temperature correlation accuracy may degrade",
             stacklevel=2,
         )
-    pref = bath.eta * bath.g**2 / bath.beta**2
+    pref = bath.g**2 / bath.beta**2
     a = 1.0 / (bath.beta * bath.omega_c)
     t_arr = np.asarray(t, dtype=float)
     out = np.empty(t_arr.size, dtype=complex)
@@ -152,9 +137,9 @@ def correlation_quadrature(t: float, bath: BathSpec, epsabs: float = 1e-13) -> c
     """Adaptive-quadrature oracle for the bath correlation function.
 
     Integrates J(omega) [coth(beta omega/2) cos(omega t) - i sin(omega t)]
-    over [0, 40 omega_c]; at zero temperature the coth weight is 1. Works
-    for any exponent d > 0. Oscillatory weights are integrated with the
-    dedicated cos/sin rules.
+    over [0, 40 omega_c]; at zero temperature the coth weight is 1, and at
+    omega = 0 the thermal integrand takes its limit 2 g^2 / beta.
+    Oscillatory weights are integrated with the dedicated cos/sin rules.
     """
     # imported on use: scipy.integrate costs more than the rest of `import qsearch`
     from scipy.integrate import quad
@@ -173,8 +158,7 @@ def correlation_quadrature(t: float, bath: BathSpec, epsabs: float = 1e-13) -> c
 
         def real_integrand(omega: float) -> float:
             if omega == 0.0:
-                # ohmic-like J ~ omega^d; finite limit only for d=1
-                return 2.0 * bath.eta * bath.g**2 / bath.beta if bath.d == 1.0 else 0.0
+                return 2.0 * bath.g**2 / bath.beta
             return j_density(omega) * _coth(0.5 * bath.beta * omega)
 
     with warnings.catch_warnings():

@@ -3,7 +3,8 @@
 qsearch <mode> --config <file.json> [--out DIR] [--force]
 
 Exit codes: 0 success, 2 configuration error, 3 validity refusal
-(bypass with --force), 4 numerical failure.
+(bypass with --force), 4 numerical failure (linear algebra, or any
+ArithmeticError: the bath's closed forms overflow at g = 1e200).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidityError as exc:
         print(f"validity: {exc}; pass --force to override", file=sys.stderr)
         return EXIT_VALIDITY
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for path in files:

@@ -63,7 +63,7 @@ _CUSTOM_GRAPH_MODES = ("unitary", "spectrum")
 
 _TOP_KEYS = {"mode", "system", "bath", "grid", "sweep", "output"}
 _SYSTEM_KEYS = {"n", "sigma", "seed", "w", "gamma_policy", "distribution", "kind", "adjacency"}
-_BATH_KEYS = {"beta", "g", "omega_c", "eta", "d"}
+_BATH_KEYS = {"g", "beta", "omega_c"}
 _GRID_KEYS = {"t_max", "points"}
 _SWEEP_KEYS = {"parameter", "values", "seeds", "fit"}
 _OUTPUT_KEYS = {"stem"}
@@ -132,8 +132,6 @@ def _number(value, where: str, integer: bool = False):
     """A finite JSON number from a config; an int when integer is set."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    if integer and isinstance(value, int):
-        return value
     try:
         x = float(value)
     except OverflowError:  # an integer literal beyond the float range
@@ -141,6 +139,8 @@ def _number(value, where: str, integer: bool = False):
     if not math.isfinite(x) or (integer and not x.is_integer()):
         kind = "integer" if integer else "number"
         raise ConfigError(f"{where} must be a finite {kind}, got {value!r}")
+    if integer and isinstance(value, int):
+        return value  # exact: float(value) rounds above 2^53
     return int(x) if integer else x
 
 
@@ -205,8 +205,6 @@ def _parse_bath(doc: dict) -> BathSpec:
             g=_number(_require(doc, "g", "bath"), "bath.g"),
             beta=beta,
             omega_c=_number(doc.get("omega_c", 2.0), "bath.omega_c"),
-            eta=_number(doc.get("eta", 1.0), "bath.eta"),
-            d=_number(doc.get("d", 1.0), "bath.d"),
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc

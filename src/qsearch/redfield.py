@@ -146,7 +146,9 @@ class _Coordinates:
         return parts.view(complex).reshape(x.shape[0], self.m, self.m)
 
 
-@functools.lru_cache(maxsize=None)
+# bounded: one map holds about 1.7 m^3 index pairs (2 MB at m = 40); eight
+# sizes cover a full-dimension pipeline's m = 8..40 plus the pair's m = 2
+@functools.lru_cache(maxsize=8)
 def _hermitian_coordinates(m: int) -> _Coordinates:
     return _Coordinates(m)
 

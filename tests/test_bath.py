@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -236,8 +237,11 @@ def test_bath_spec_validation() -> None:
         BathSpec(g=0.1, beta=0.0)
     with pytest.raises(InvalidParameterError):
         BathSpec(g=0.1, omega_c=-2.0)
-    with pytest.raises(InvalidParameterError):
-        BathSpec(g=0.1, eta=0.0)
+    # ohmic, with g its one coupling: no second scale, no power of omega
+    assert [f.name for f in dataclasses.fields(BathSpec)] == ["g", "beta", "omega_c"]
+    for key in ("eta", "d"):
+        with pytest.raises(TypeError):
+            BathSpec(g=0.1, **{key: 1.0})
     assert BathSpec(g=0.1).temperature_mode == "zero"
     assert BathSpec(g=0.1, beta=3.0).temperature_mode == "finite"
 

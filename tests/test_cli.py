@@ -146,6 +146,30 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch) -> None:
     assert "numerical" in capsys.readouterr().err
 
 
+_SYSTEM = {"n": 10**4, "sigma": 0.05, "seed": 0, "gamma_policy": "shifted"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "correlation", "bath": {"g": 1e200, "beta": 15.0}, "grid": {"t_max": 10.0, "points": 20}},
+        {"mode": "correlation", "bath": {"g": 0.02, "beta": 1e-300}, "grid": {"t_max": 10.0, "points": 20}},
+        {"mode": "correlation", "bath": {"g": 0.02, "beta": 1e300}, "grid": {"t_max": 10.0, "points": 20}},
+        {"mode": "secular", "system": _SYSTEM, "bath": {"g": 1e200, "beta": 15.0}, "grid": {"t_max": 1e6, "points": 30}},
+        {
+            "mode": "sweep", "system": _SYSTEM, "bath": {"g": 0.01, "beta": 15.0},
+            "sweep": {"parameter": "g", "values": [0.01, 1e200], "seeds": 2},
+        },
+    ],
+    ids=["correlation-g-1e200", "correlation-beta-1e-300", "correlation-beta-1e300", "secular-g-1e200", "sweep-g-1e200"],
+)
+@pytest.mark.filterwarnings("ignore:beta\\*omega_c")
+def test_overflow_in_the_bath_closed_forms_is_numerical_failure(tmp_path, capsys, doc) -> None:
+    code = main([doc["mode"], "--config", _write(tmp_path, doc), "--out", str(tmp_path), "--force"])
+    assert code == EXIT_NUMERICAL
+    assert "numerical" in capsys.readouterr().err
+
+
 def test_parser_takes_only_mode_config_out_and_force() -> None:
     # every option is a knob each caller must reason about; a new one needs a reason
     names = {name for action in build_parser()._actions for name in action.option_strings or [action.dest]}

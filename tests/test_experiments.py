@@ -179,6 +179,9 @@ def test_parse_config_refuses_custom_graph_in_reduced_modes() -> None:
         ("grid", "t_max", math.inf),
         ("sweep", "seeds", 2.5),
         ("sweep", "values", [10.0, "x", 30.0]),
+        pytest.param("system", "n", 10**400, id="system-n-overflow"),
+        pytest.param("grid", "points", 10**400, id="grid-points-overflow"),
+        pytest.param("sweep", "seeds", 10**400, id="sweep-seeds-overflow"),
     ],
 )
 def test_malformed_numbers_exit_with_config_error(tmp_path, capsys, section, key, value) -> None:
@@ -188,6 +191,16 @@ def test_malformed_numbers_exit_with_config_error(tmp_path, capsys, section, key
     path.write_text(json.dumps(doc))
     assert cli_main([doc["mode"], "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert section in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["eta", "d"])
+def test_bath_takes_only_g_beta_and_omega_c(tmp_path, capsys, key) -> None:
+    doc = _secular_doc()
+    doc["bath"][key] = 1.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main([doc["mode"], "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"unknown key(s) [{key!r}] in bath" in capsys.readouterr().err
 
 
 def test_config_hash_is_order_independent() -> None:

@@ -22,3 +22,22 @@ def test_library_tour_runs_and_loads_no_scipy() -> None:
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_every_config_key_is_documented() -> None:
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    sections = {
+        "config": qsearch.experiments._TOP_KEYS,
+        "system": qsearch.experiments._SYSTEM_KEYS,
+        "bath": qsearch.experiments._BATH_KEYS,
+        "grid": qsearch.experiments._GRID_KEYS,
+        "sweep": qsearch.experiments._SWEEP_KEYS,
+        "output": qsearch.experiments._OUTPUT_KEYS,
+    }
+    missing = [
+        f"{where}.{key}"
+        for where, keys in sections.items()
+        for key in sorted(keys)
+        if f"`{key}`" not in section and f"`{where}.{key}`" not in section
+    ]
+    assert missing == []

@@ -899,3 +899,20 @@ def test_step_route_peak_at_most_five_and_a_half_tensors() -> None:
     # the Taylor polynomial's five m^4 buffers (B1..B5) plus a row quarter of
     # their first product: 5.25 measured
     assert peak <= 5.5 * m**4 * 8
+
+
+def test_coordinate_cache_is_bounded() -> None:
+    cache = redfield._hermitian_coordinates
+    bound = cache.cache_info().maxsize
+    assert bound is not None
+    # a full-dimension pipeline's sizes and the pair's m = 2 stay held together
+    sizes = (2, 8, 16, 24, 32, 40)
+    for m in sizes:
+        cache(m)
+    hits = cache.cache_info().hits
+    for m in sizes:
+        cache(m)
+    assert cache.cache_info().hits == hits + len(sizes)
+    for m in range(2, 14):
+        cache(m)
+    assert cache.cache_info().currsize <= bound
