@@ -4,7 +4,8 @@ qsearch <mode> --config <file.json> [--out DIR] [--force]
 
 Exit codes: 0 success, 2 configuration error, 3 validity refusal
 (bypass with --force), 4 numerical failure (linear algebra, or any
-ArithmeticError: the bath's closed forms overflow at g = 1e200).
+ArithmeticError: the bath's closed forms overflow at g = 1e200), printed
+as "numerical: <exception class> in <mode> mode: <message>".
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"validity: {exc}; pass --force to override", file=sys.stderr)
         return EXIT_VALIDITY
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical: {exc}", file=sys.stderr)
+        print(f"numerical: {type(exc).__name__} in {args.mode} mode: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for path in files:
         print(path)

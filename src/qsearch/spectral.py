@@ -3,10 +3,10 @@
 The complete-graph Hamiltonian is a diagonal matrix minus a rank-one term,
 so its spectrum and the overlaps closed dynamics need come from the
 secular equation without building the n x n matrix. The roots are solved
-on two levels, as one stack: each sub-block of roots sums its nearest
-poles exactly, the rest of its block's window through a power series
-formed once per sub-block, and the poles beyond through the block's
-series formed once per block. The reduction
+as one stack of leaves: each leaf of roots sums its nearest poles
+exactly and every other pole through one power series, which a
+one-dimensional multipole tree over the poles forms for all leaves in
+O(n). The reduction
 projects the problem onto the marked node |w> and the uniform
 superposition |s_wbar> over the remaining nodes, at a stack of marked-site
 energies. Coupling coefficients derived from either the exact spectrum or
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,13 +29,8 @@ from .model import DENSE_LIMIT, SearchHamiltonian
 _HERMITICITY_TOL = 1e-10
 
 _EPS = np.finfo(float).eps
-# roots per secular solver block, and poles on each side of the block's own
-# in its window (at least 1); the poles beyond enter by a far-field series
-_SECULAR_ROWS = 128
-_SECULAR_NEAR = 128
-# roots per sub-block, and poles on each side of the sub-block's own that it
-# sums exactly (at least 1); the rest of its block's window enters by a
-# second series
+# roots per leaf of the multipole tree, and poles on each side of the
+# leaf's own that it sums exactly (at least 1); the rest enter by its series
 _SUB_ROWS = 16
 _SUB_NEAR = 32
 # powers of the series variables formed at a time, per root
@@ -122,101 +117,221 @@ def _series_terms(q: float) -> int:
     return int(terms[np.argmax(tail <= _EPS / 8)])
 
 
-def _series_coef(y: np.ndarray, side: np.ndarray, rho, terms: int) -> np.ndarray:
-    """Far-field coefficients from the scaled poles y (..., P) and their weights side (..., P, 2).
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """x^0 .. x^(count-1) of every entry of x, along a new leading axis: (count,) + x.shape."""
+    out = np.empty((count,) + x.shape)
+    out[0] = 1.0
+    for m in range(1, count):
+        np.multiply(out[m - 1], x, out=out[m])
+    return out
 
-    Column c of side holds the weights of side c (below, above) and zeros
-    elsewhere. The moments M_k = sum_j side_jc y_j^(k+1), k = 0..terms, give
-    coef (..., terms, 4): the columns of (x^k) @ coef are psi_lo, psi_hi,
-    psi'_lo and psi'_hi of those poles at x = (mu - c)/rho.
+
+def _power_sums(y: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
+    """sum_j w_j y_j^m over the last axis of y and w (n, P), for m = 0..count-1: (n, count)."""
+    return np.einsum("mnp,np->nm", _powers(y, count), w)
+
+
+def _convert(moments: np.ndarray, r: np.ndarray, h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """M2L: the series of P pole spans from their moments (P, N).
+
+    Span p has radius r_p and centre d_p above the series' centre, and its
+    moments are M_m = sum_j weights_j y_j^m at y_j = (poles_j - its
+    centre)/r_p. At x = (mu - series' centre)/h_p, sum_j weights_j /
+    (poles_j - mu) = (1/d) sum_j weights_j / (1 + a y_j - b x), with
+    a = r/d and b = h/d, so the coefficient of x^k is
+    (b^k/d) sum_m C(k+m, m) (-a)^m M_m.
     """
-    powers = np.empty((terms + 1,) + y.shape)  # y^(k+1), a row at a time (np.vander's is slower)
-    powers[0] = y
-    for i in range(terms):
-        np.multiply(powers[i], y, out=powers[i + 1])
-    moments = np.moveaxis(powers, 0, -2) @ side
-    rho = np.asarray(rho, dtype=float)[..., None, None]
-    coef = np.empty(moments.shape[:-2] + (terms, 4))
-    coef[..., :2] = moments[..., :-1, :] / rho
-    coef[..., 2:] = moments[..., 1:, :] * (np.arange(1, terms + 1)[:, None] / (rho * rho))
-    return coef
+    count = moments.shape[1]
+    fact = np.concatenate([[1.0], np.cumprod(np.arange(1.0, 2 * count - 1))])
+    k = np.arange(count)
+    binom = np.round(fact[k[:, None] + k] / np.outer(fact[:count], fact[:count]))  # C(k+m, m)
+    a, b = _powers(np.stack([-r / d, h / d]), count).transpose(1, 2, 0)
+    # in products of at most 2^18 multiply-adds, which OpenBLAS keeps on one
+    # thread: waking a second one costs more than the product
+    block = max(1, 2**18 // count**2)
+    out = np.concatenate([x @ binom for x in np.split(moments * a, range(block, d.size, block))])
+    out *= b / d[:, None]
+    return out
 
 
-def _far_field(poles, weights, start: int, stop: int):
-    """The poles of the window of roots start..stop-1, and a series for the rest.
+def _scatter(rows: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The rows of values (P, N) summed by their index in rows (P,) into size rows: (size, N)."""
+    count = values.shape[1]
+    sums = np.bincount((rows[:, None] * count + np.arange(count)).ravel(), values.ravel(), size * count)
+    return sums.astype(float, copy=False).reshape(size, count)  # (no rows give integer zeros)
 
-    Roots start..stop-1 lie in [poles[start-1], poles[stop-1]], of centre c
-    and half-width h. Poles nlo..nhi-1, the block's own and _SECULAR_NEAR
-    on each side, form its window. Those below nlo and from nhi on are
-    at least rho from c; with y_j = rho/(poles_j - c), their moments
-    M_k = sum_j weights_j y_j^(k+1) give, at x = (mu - c)/rho,
-    psi = (1/rho) sum_k M_k x^k and psi' = (1/rho^2) sum_k (k+1) M_(k+1) x^k,
-    one pair per side (Greengard & Rokhlin 1987). The series converge as
-    (h/rho)^k; the ground root's block, and one with h/rho >= 1/2, takes
-    every pole into its window. Returns (nlo, nhi, c, rho, coef): the
-    columns of (x^k) @ coef are the far parts of psi_lo, psi_hi, psi'_lo,
-    psi'_hi.
+
+def _substitute(x: np.ndarray, table: np.ndarray, scaled: np.ndarray, fact: np.ndarray, moments: bool) -> np.ndarray:
+    """Re-expand the rows x (n, ..., N) of n nodes in a variable u = t v + s.
+
+    table and scaled (n, N) hold s^i/i! and t^i/i!, and fact (N,) i!.
+    moments: x holds M_i = sum_j w_j v_j^i, and the result the moments of u,
+    m! sum_i (s^(m-i)/(m-i)!) (t^i/i!) M_i (M2M). Otherwise x holds a
+    polynomial sum_k x_k u^k, and the result its coefficients in v,
+    (t^j/j!) sum_i (s^i/i!) (j+i)! x_(j+i) (L2L). With |s| + |t| <= 1
+    neither grows. Both sums run over a sliding window of the zero-padded
+    row, so no n x N x N matrix is formed.
+    """
+    count = x.shape[-1]
+    scaled = scaled.reshape(scaled.shape[:1] + (1,) * (x.ndim - 2) + scaled.shape[1:])
+    padded = np.zeros(x.shape[:-1] + (2 * count - 1,))
+    if moments:
+        padded[..., count - 1 :] = x * scaled
+        window = np.lib.stride_tricks.sliding_window_view(padded, count, axis=-1)  # [m, i] = x_(m+i-N+1)
+        return fact * np.einsum("n...mi,ni->n...m", window, table[:, ::-1])
+    padded[..., :count] = x * fact
+    window = np.lib.stride_tricks.sliding_window_view(padded, count, axis=-1)  # [j, i] = x_(j+i)
+    return scaled * np.einsum("n...ji,ni->n...j", window, table)
+
+
+def _local_series(poles, weights):
+    """One local series per leaf of _SUB_ROWS roots, from a multipole tree over the poles.
+
+    Leaf i holds roots first_i..stop_i-1, which lie in [poles[first_i-1],
+    poles[stop_i-1]], of centre c and half-width h, and sums the poles
+    first_i - _SUB_NEAR .. stop_i + _SUB_NEAR - 1 exactly (its window; see
+    _secular_stack). Every other pole enters, as psi = sum_j weights_j /
+    (poles_j - mu) and its derivative, through coef (leaves, 4, terms):
+    the columns of coef @ (x^t), at x = (mu - c)/h, are psi_lo, psi_hi,
+    psi'_lo and psi'_hi of those poles, one pair per side of the window.
+    The series converges as (h/rho)^t, rho the distance from c to the
+    nearest of those poles; a leaf with h/rho >= 1/2 is a fallback, left to
+    the solve that sums every pole. The others take as many terms as
+    _series_terms gives at their worst h/rho.
+
+    The fast multipole method (Greengard & Rokhlin 1987; for the secular
+    equation Gu & Eisenstat 1995) forms the series in O(k). The poles from
+    2 on are cut into the same leaves, paired up a binary tree. Each node
+    holds the moments sum_j weights_j y_j^m of its poles, y_j = (poles_j -
+    c_s)/r_s about the centre c_s of their span, shifted up from its
+    children (M2M). A node pair (T, S) converts S's moments into a series
+    about the centre c_T of T's roots (M2L, _convert). At D = c_s - c_T, its
+    truncations in m and k converge as r_s/(|D| - h_T) and h_T/(|D| - r_s);
+    the larger is the pair's ratio. A pair is converted
+    when S lies wholly outside the windows of T's leaves, on one side of
+    all of them, and its ratio is at most the worst leaf's h/rho (so below
+    1/2); otherwise it is opened to its children. The series shift down to
+    the leaves (L2L). A leaf sums directly, as y_j = h/(poles_j - c) with
+    coefficients (1/h) sum_j weights_j y_j^(k+1), the source leaves it
+    could not convert, their poles outside a window they overlap, and
+    poles 0 and 1: the marked pole sits about 1 below the band and would
+    widen any band node it joined. Returns (first, c, h, coef, fallback)
+    over the leaves.
     """
     k = poles.size
-    nlo, nhi = max(start - _SECULAR_NEAR, 0), min(stop + _SECULAR_NEAR, k)
-    if start == 0 or (nlo == 0 and nhi == k):
-        return 0, k, 0.0, 1.0, np.zeros((0, 4))
-    c = 0.5 * (poles[start - 1] + poles[stop - 1])
-    rho = min(c - poles[nlo - 1] if nlo else math.inf, poles[nhi] - c if nhi < k else math.inf)
-    q = 0.5 * (poles[stop - 1] - poles[start - 1]) / rho
-    if q >= 0.5:
-        return 0, k, 0.0, 1.0, np.zeros((0, 4))
-    y = rho / (np.concatenate([poles[:nlo], poles[nhi:]]) - c)
-    side = np.zeros((y.size, 2))
-    side[:nlo, 0] = weights[:nlo]
-    side[nlo:, 1] = weights[nhi:]
-    return nlo, nhi, c, rho, _series_coef(y, side, rho, _series_terms(q))
-
-
-def _sub_fields(poles, weights, nlo: int, nhi: int, s0: np.ndarray, s1: np.ndarray):
-    """The second series of the sub-blocks s0..s1-1 of one block, whose window is nlo..nhi-1.
-
-    Sub-block i sums poles s0_i - _SUB_NEAR .. s0_i + _SUB_ROWS + _SUB_NEAR - 1
-    of the window exactly (see _secular_stack). The rest of the window
-    enters by a series about the centre c_i of its roots, formed as in
-    _far_field with rho_i the distance from c_i to the nearest of those
-    poles. A sub-block with h_i/rho_i >= 1/2 is a fallback: it is left to
-    the solve that sums every pole. Returns (c, rho, coef, fallback), coef
-    (sub-blocks, terms, 4) with as many terms as the block's slowest other
-    sub-block needs.
-    """
-    lo = np.maximum(s0 - _SUB_NEAR, nlo)
-    hi = np.minimum(s0 + _SUB_ROWS + _SUB_NEAR, nhi)
-    c = 0.5 * (poles[s0 - 1] + poles[s1 - 1])
-    below = np.where(lo > nlo, c - poles[lo - 1], math.inf)
-    above = np.where(hi < nhi, poles[np.minimum(hi, poles.size - 1)] - c, math.inf)
-    rho = np.minimum(below, above)
-    q = 0.5 * (poles[s1 - 1] - poles[s0 - 1]) / rho
-    fallback = q >= 0.5
-    rho[np.isinf(rho)] = 1.0
-    index = np.arange(nlo, nhi)
-    lower = index < lo[:, None]
-    far = (lower | (index >= hi[:, None])) & ~fallback[:, None]
-    y = np.divide(rho[:, None], poles[nlo:nhi] - c[:, None], out=np.zeros(far.shape), where=far)
-    side = np.zeros(far.shape + (2,))
-    side[..., 0] = np.where(far & lower, weights[nlo:nhi], 0.0)
-    side[..., 1] = np.where(far & ~lower, weights[nlo:nhi], 0.0)
-    terms = _series_terms(float(q[~fallback].max())) if far.any() else 0
-    return c, rho, _series_coef(y, side, rho, terms), fallback
+    first = np.arange(2, k, _SUB_ROWS)
+    stop = np.minimum(first + _SUB_ROWS, k)
+    leaves = first.size
+    # level l of the tree holds nodes off[l]..off[l+1]-1, node i of it leaves i 2^l..(i+1) 2^l - 1
+    sizes = [leaves]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    off = np.cumsum([0] + sizes)
+    node_first = np.concatenate([first[:: 2**l] for l in range(len(sizes))])
+    node_stop = np.concatenate([stop[np.minimum(np.arange(1, m + 1) << l, leaves) - 1] for l, m in enumerate(sizes)])
+    # each node's span of poles (centre, radius), of roots (centre, half-width), and window
+    src_c = 0.5 * (poles[node_first] + poles[node_stop - 1])
+    src_r = 0.5 * (poles[node_stop - 1] - poles[node_first])
+    c = 0.5 * (poles[node_first - 1] + poles[node_stop - 1])
+    h = 0.5 * (poles[node_stop - 1] - poles[node_first - 1])
+    lo = np.maximum(node_first - _SUB_NEAR, 0)
+    hi = np.minimum(node_stop + _SUB_NEAR, k)
+    below = np.where(lo[:leaves] > 0, c[:leaves] - poles[np.maximum(lo[:leaves] - 1, 0)], math.inf)
+    above = np.where(hi[:leaves] < k, poles[np.minimum(hi[:leaves], k - 1)] - c[:leaves], math.inf)
+    ratio = h[:leaves] / np.minimum(below, above)
+    fallback = ratio >= 0.5
+    worst = float(ratio[~fallback].max(initial=0.0))
+    terms = _series_terms(worst) if worst > 0 else 0
+    if not terms:
+        return first, c[:leaves], h[:leaves], np.zeros((leaves, 4, 0)), fallback
+    # dual traversal from the root pair: convert, open, or leave to the leaves
+    converted = [None] * len(sizes)
+    t = s = off[-2:-1]
+    for level in reversed(range(len(sizes))):
+        up = node_first[s] >= hi[t]
+        far = up | (node_stop[s] <= lo[t])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.maximum(src_r[s], h[t]) / (np.abs(src_c[s] - c[t]) - np.minimum(src_r[s], h[t]))
+        ok = far & (q <= worst)
+        if not level:
+            ok &= ~fallback[t]
+        converted[level] = (t[ok], s[ok], up[ok])
+        t, s = t[~ok], s[~ok]
+        if level:
+            t = (off[level - 1] + 2 * (t - off[level])[:, None] + np.array([0, 0, 1, 1])).ravel()
+            s = (off[level - 1] + 2 * (s - off[level])[:, None] + np.array([0, 1, 0, 1])).ravel()
+            inside = (t < off[level]) & (s < off[level])
+            t, s = t[inside], s[inside]
+    # moments up the tree
+    count = terms + 1
+    cols = first[:, None] + np.arange(_SUB_ROWS)
+    inside = cols < stop[:, None]
+    cols = np.minimum(cols, k - 1)
+    r = src_r[:leaves, None]
+    y = np.divide(poles[cols] - src_c[:leaves, None], r, out=np.zeros(cols.shape), where=inside & (r > 0))
+    moments = np.empty((off[-1], count))
+    moments[:leaves] = _power_sums(y, np.where(inside, weights[cols], 0.0), count)
+    # every node below the top in its parent's variables: s^i/i! and t^i/i!
+    # of its span of poles (the moments) and of roots (the series)
+    depth = np.repeat(np.arange(len(sizes) - 1), sizes[:-1])
+    parent = off[depth + 1] + (np.arange(off[-2]) - off[depth]) // 2
+    r = src_r[parent]
+    shifts = np.stack([
+        np.divide(src_c[: off[-2]] - src_c[parent], r, out=np.zeros(parent.size), where=r > 0),
+        np.divide(src_r[: off[-2]], r, out=np.ones(parent.size), where=r > 0),
+        (c[: off[-2]] - c[parent]) / h[parent],
+        h[: off[-2]] / h[parent],
+    ])
+    fact = np.concatenate([[1.0], np.cumprod(np.arange(1.0, count))])
+    shifts = (_powers(shifts, count) / fact[:, None, None]).transpose(1, 2, 0)
+    # nothing is converted above level top, so no series is shifted from there
+    top = max((level for level, pairs in enumerate(converted) if pairs[0].size), default=0)
+    for level in range(1, top + 1):
+        child = slice(off[level - 1], off[level])
+        moved = _substitute(moments[child], shifts[0, child], shifts[1, child], fact, True)
+        moments[off[level] : off[level + 1]] = np.add.reduceat(moved, np.arange(0, sizes[level - 1], 2), axis=0)
+    # the converted pairs, and what the leaves sum directly: the parts of
+    # source leaves outside a window they overlap or could not convert, and
+    # poles 0 and 1
+    ct, cs, up = (np.concatenate(x) for x in zip(*converted))
+    values = _convert(moments[cs], src_r[cs], h[ct], src_c[cs] - c[ct])
+    local = _scatter(2 * ct + up, values, 2 * off[-1]).reshape(off[-1], 2, count)
+    target = np.concatenate([t, t, np.arange(leaves)])
+    begin = np.concatenate([first[s], np.maximum(first[s], hi[t]), np.zeros(leaves, dtype=np.intp)])
+    end = np.concatenate([np.minimum(stop[s], lo[t]), stop[s], np.minimum(lo[:leaves], 2)])
+    side = np.repeat([0, 1, 0], [t.size, t.size, leaves])
+    keep = (begin < end) & ~fallback[target]
+    target, begin, end, side = target[keep], begin[keep], end[keep], side[keep]
+    cols = begin[:, None] + np.arange(int((end - begin).max(initial=0)))
+    inside = cols < end[:, None]
+    cols = np.minimum(cols, k - 1)
+    y = np.divide(h[target, None], poles[cols] - c[target, None], out=np.zeros(cols.shape), where=inside)
+    values = _power_sums(y, np.where(inside, weights[cols], 0.0) * y, count) / h[target, None]
+    local[:leaves] += _scatter(2 * target + side, values, 2 * leaves).reshape(leaves, 2, count)
+    # the series down the tree
+    for level in range(top, 0, -1):
+        child = slice(off[level - 1], off[level])
+        local[child] += _substitute(local[parent[child]], shifts[2, child], shifts[3, child], fact, False)
+    coef = np.empty((leaves, 4, terms))
+    coef[:, :2] = local[:leaves, :, :terms]
+    coef[:, 2:] = local[:leaves, :, 1 : terms + 1] * (np.arange(1, terms + 1) / h[:leaves, None, None])
+    return first, c[:leaves], h[:leaves], coef, fallback
 
 
 def _secular_stack(poles, weights, gamma: float, rows, cols, sqrt_w, below: int, strip: int, series):
     """Roots rows of 1 = gamma * sum_j weights_j / (poles_j - mu), as one stack.
 
-    rows (S, R) holds the root indices of S sub-blocks; root r lies in
-    (poles[r-1], poles[r]), root 0 below poles[0]. Sub-block s sums the
-    poles cols[s] exactly, at square-root weights sqrt_w[s] (0 pads a
-    window): the first `below` lie below each of its roots, the next
-    `strip` on either side, the rest above. The other poles come from the
-    series in series: each a tuple (c, rho, coef) of (S,), (S,) and
-    (S, 4, T) arrays whose product coef @ (x^t), at x = (mu - c)/rho, adds
-    the far parts of psi_lo, psi_hi, psi'_lo and psi'_hi. Each root is
-    returned as (origin, tau, norm2): the nearer pole's index, the offset
+    rows (S, R) holds the root indices of S leaves; root r lies in
+    (poles[r-1], poles[r]), root 0 below poles[0]. Leaf s sums the poles
+    cols[s] exactly, at square-root weights sqrt_w[s] (0 pads a window):
+    the first `below` lie below each of its roots, the next `strip` on
+    either side, the rest above. The other poles come from one series per
+    leaf, series = (c, rho, coef) of (S,), (S,) and (S, 4, T) arrays
+    whose product coef @ (x^t), at x = (mu - c)/rho, adds the far parts
+    of psi_lo, psi_hi, psi'_lo and psi'_hi (_local_series); series is None
+    when cols holds every pole. The ground root starts at the lower root
+    of a two-pole model, every other root at its bracket's midpoint. Each
+    root is returned as (origin, tau, norm2): the nearer pole's index, the offset
     mu - poles[origin] and sum_j weights_j / (poles_j - mu)^2. Every
     difference poles_j - mu of an exact pole is formed as
     (poles_j - poles[origin]) - tau, without cancellation (LAPACK dlaed4).
@@ -234,6 +349,15 @@ def _secular_stack(poles, weights, gamma: float, rows, cols, sqrt_w, below: int,
     # start at the bracket midpoint; the ground root lies in [poles[0] - gamma n, poles[0])
     origin = lo_pole.copy()
     tau = np.where(ground, -half, half)
+    if ground.any() and poles.size > 1:
+        # the ground root starts instead at the lower root of a two-pole model,
+        # pole 0 and the others merged at their weighted mean e above it:
+        # tau^2 - b tau = gamma w_0 e
+        rest = weights[1:].sum()
+        e = float(weights[1:] @ (poles[1:] - poles[0])) / rest
+        b = e - gamma * (weights[0] + rest)
+        disc = math.hypot(b, 2.0 * math.sqrt(gamma * weights[0] * e))
+        tau = np.where(ground, 0.5 * (b - disc) if b <= 0 else -2.0 * gamma * weights[0] * e / (b + disc), tau)
     lo = np.where(ground, -2.0 * half, 0.0)
     hi = np.where(ground, 0.0, 2.0 * half)
     norm2 = np.zeros(rows.shape)
@@ -272,7 +396,8 @@ def _secular_stack(poles, weights, gamma: float, rows, cols, sqrt_w, below: int,
             dpsi[side] += np.einsum("srj,srj->sr", r, r)
         psi_lo, psi_hi = psi
         dpsi_lo, dpsi_hi = dpsi
-        for centre, rho, coef in series:
+        if series is not None:
+            centre, rho, coef = series
             x = ((base - centre[:, None]) + tau) / rho[:, None]
             power = np.ones(rows.shape)
             far = np.zeros(coef.shape[:2] + rows.shape[1:])
@@ -335,51 +460,27 @@ def _secular_stack(poles, weights, gamma: float, rows, cols, sqrt_w, below: int,
     )
 
 
-def _stacked(series) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One (c, rho, coef) series of many sub-blocks, coef (S, 4, T) zero-padded to the most terms."""
-    c, rho, coefs = zip(*series)
-    coef = np.zeros((sum(x.shape[0] for x in coefs), 4, max(x.shape[1] for x in coefs)))
-    start = 0
-    for x in coefs:
-        coef[start : start + x.shape[0], :, : x.shape[1]] = x.transpose(0, 2, 1)
-        start += x.shape[0]
-    return np.concatenate(c), np.concatenate(rho), coef
-
-
 def _secular_roots(poles, weights, gamma: float):
     """Every root of the secular equation, as (origin, tau, norm2) arrays of _secular_stack.
 
     The ground pair sums every pole: root 1 lies in the wide gap between
-    the marked pole and the band, where a far-field series would not
-    converge fast. The other roots come in blocks of _SECULAR_ROWS, each
-    with its window and far-field series (_far_field), split into
-    sub-blocks of _SUB_ROWS with their second series (_sub_fields). All
-    sub-blocks iterate as one stack. A block whose far-field series would
-    converge too slowly (its window widened to every pole), and a fallback
-    sub-block, join the ground pair in the stacks that sum every pole,
-    _SUB_ROWS roots at a time.
+    the marked pole and the band, where a series would not converge fast.
+    The other roots come in leaves of _SUB_ROWS, each with its window and
+    one local series from the multipole tree (_local_series), and all
+    leaves iterate as one stack. A fallback leaf joins the ground pair in
+    the stacks that sum every pole, _SUB_ROWS roots at a time.
     """
     k = poles.size
-    bounds = [0, *range(min(2, k), k, _SECULAR_ROWS), k]
-    exact, rows, cols, inside, block, sub = [], [], [], [], [], []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        nlo, nhi, c, rho, coef = _far_field(poles, weights, start, stop)
-        if start == 0 or nhi - nlo > 2 * _SECULAR_NEAR + _SECULAR_ROWS:
-            # the ground pair, or a block whose series would converge too slowly
-            exact.append(np.arange(start, stop))
-            continue
-        s0 = np.arange(start, stop, _SUB_ROWS)
-        s1 = np.minimum(s0 + _SUB_ROWS, stop)
-        c_s, rho_s, coef_s, fallback = _sub_fields(poles, weights, nlo, nhi, s0, s1)
-        exact.extend(np.arange(a, b) for a, b in zip(s0[fallback], s1[fallback]))
-        s0, s1 = s0[~fallback], s1[~fallback]
-        # a short sub-block repeats its last root
-        rows.append(np.minimum(s0[:, None] + np.arange(_SUB_ROWS), s1[:, None] - 1))
-        index = s0[:, None] + np.arange(-_SUB_NEAR, _SUB_ROWS + _SUB_NEAR)
-        inside.append((index >= nlo) & (index < nhi))
-        cols.append(np.clip(index, nlo, nhi - 1))
-        block.append((np.full(s0.size, c), np.full(s0.size, rho), np.broadcast_to(coef, s0.shape + coef.shape)))
-        sub.append((c_s[~fallback], rho_s[~fallback], coef_s[~fallback]))
+    exact = [np.arange(min(2, k))]
+    rows = np.zeros((0, _SUB_ROWS), dtype=np.intp)
+    if k > 2:
+        first, c, h, coef, fallback = _local_series(poles, weights)
+        stop = np.minimum(first + _SUB_ROWS, k)
+        exact.extend(np.arange(a, b) for a, b in zip(first[fallback], stop[fallback]))
+        s0, s1 = first[~fallback], stop[~fallback]
+        series = c, h, coef = c[~fallback], h[~fallback], coef[~fallback]
+        # a short leaf repeats its last root
+        rows = np.minimum(s0[:, None] + np.arange(_SUB_ROWS), s1[:, None] - 1)
     origin = np.empty(k, dtype=np.intp)
     tau = np.empty(k)
     norm2 = np.empty(k)
@@ -387,13 +488,12 @@ def _secular_roots(poles, weights, gamma: float):
     every = np.arange(k)[None, :]
     for i in range(0, exact.size, _SUB_ROWS):
         r = exact[None, i : i + _SUB_ROWS]
-        out = _secular_stack(poles, weights, gamma, r, every, np.sqrt(weights)[None, :], 0, k, ())
+        out = _secular_stack(poles, weights, gamma, r, every, np.sqrt(weights)[None, :], 0, k, None)
         origin[r], tau[r], norm2[r] = out
-    rows = np.concatenate(rows) if rows else np.zeros((0, _SUB_ROWS), dtype=np.intp)
     if rows.size:
-        cols = np.concatenate(cols)
-        sqrt_w = np.where(np.concatenate(inside), np.sqrt(weights)[cols], 0.0)
-        series = (_stacked(block), _stacked(sub))
+        index = s0[:, None] + np.arange(-_SUB_NEAR, _SUB_ROWS + _SUB_NEAR)
+        cols = np.clip(index, 0, k - 1)
+        sqrt_w = np.where((index >= 0) & (index < k), np.sqrt(weights)[cols], 0.0)
         out = _secular_stack(poles, weights, gamma, rows, cols, sqrt_w, _SUB_NEAR, _SUB_ROWS, series)
         origin[rows], tau[rows], norm2[rows] = out
     return origin, tau, norm2
@@ -411,11 +511,11 @@ def secular_spectrum(h: SearchHamiltonian) -> SecularSpectrum:
     secular equation; their eigenvectors are u_j = 1/(a_j - mu), which gives
     <w|lam> = 1/((a_w - mu)||u||) and <lam|s> = 1/(gamma sqrt(n) ||u||).
     The ground pair sums every pole. The other roots iterate as one stack
-    of sub-blocks of _SUB_ROWS roots (_secular_roots): each sums its
-    2 _SUB_NEAR + _SUB_ROWS nearest poles exactly, the rest of its block's
-    window by its own series and the poles beyond by its block's
-    (_far_field), so the work arrays are n roots by 2 _SUB_NEAR + _SUB_ROWS
-    poles, never n x n.
+    of leaves of _SUB_ROWS roots (_secular_roots): each sums its
+    2 _SUB_NEAR + _SUB_ROWS nearest poles exactly and the rest by one
+    series from the multipole tree (_local_series), so the work arrays
+    are n roots by 2 _SUB_NEAR + _SUB_ROWS poles, never n x n, and the
+    series take O(n) to form.
     """
     if h.graph.kind != "complete":
         raise InvalidParameterError(f"secular spectrum needs a complete graph, got {h.graph.kind!r}")

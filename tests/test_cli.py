@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import builtins
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -167,7 +169,11 @@ _SYSTEM = {"n": 10**4, "sigma": 0.05, "seed": 0, "gamma_policy": "shifted"}
 def test_overflow_in_the_bath_closed_forms_is_numerical_failure(tmp_path, capsys, doc) -> None:
     code = main([doc["mode"], "--config", _write(tmp_path, doc), "--out", str(tmp_path), "--force"])
     assert code == EXIT_NUMERICAL
-    assert "numerical" in capsys.readouterr().err
+    # the message names the exception's class and the mode that raised it
+    err = capsys.readouterr().err
+    match = re.match(rf"numerical: (\w+) in {doc['mode']} mode: \S", err)
+    assert match is not None, err
+    assert issubclass(getattr(builtins, match.group(1)), ArithmeticError)
 
 
 def test_parser_takes_only_mode_config_out_and_force() -> None:

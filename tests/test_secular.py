@@ -62,32 +62,25 @@ def _dense_population(h, times: np.ndarray) -> np.ndarray:
     return np.abs(np.exp(-1j * np.outer(times, values)) @ weights) ** 2
 
 
-def _far_blocks(monkeypatch) -> list:
-    """Records, per solver block, how many far-field series terms it used."""
-    terms = []
-    far_field = spectral._far_field
+def _leaves(monkeypatch) -> list:
+    """Records, per solve, how many series terms the leaves of the multipole tree take and which fall back."""
+    solves = []
+    local_series = spectral._local_series
 
     def recorded(*args):
-        out = far_field(*args)
-        terms.append(out[4].shape[0])
+        out = local_series(*args)
+        solves.append((out[3].shape[2], np.flatnonzero(out[4]).tolist()))
         return out
 
-    monkeypatch.setattr(spectral, "_far_field", recorded)
-    return terms
+    monkeypatch.setattr(spectral, "_local_series", recorded)
+    return solves
 
 
-def _sub_blocks(monkeypatch) -> list:
-    """Records, per solver block, its sub-blocks' series terms and how many fell back."""
-    blocks = []
-    sub_fields = spectral._sub_fields
-
-    def recorded(*args):
-        out = sub_fields(*args)
-        blocks.append((out[2].shape[1], int(out[3].sum())))
-        return out
-
-    monkeypatch.setattr(spectral, "_sub_fields", recorded)
-    return blocks
+def _uniform_poles(k: int, seed: int, sigma: float = 0.02):
+    """The sorted diagonal of a shifted complete-graph search: one marked pole about 1 below k - 1 uniform ones."""
+    eps = np.array(sample_disorder(k, sigma, seed=seed).epsilons)
+    eps[0] += -1.0
+    return np.sort(eps), np.ones(k), gamma_policy(k, sigma, "shifted")
 
 
 def _check_against_eigh(h) -> None:
@@ -126,17 +119,20 @@ def test_secular_solver_matches_dense_eigh(n, seed, sigma, policy, ties) -> None
     policy=st.sampled_from(("plain", "shifted")),
 )
 def test_far_field_series_matches_dense_eigh(ties, n, seed, sigma, policy) -> None:
-    # blocks of 3 roots with 5 exact poles a side: the series runs at small n
+    # leaves of 3 roots with 5 exact poles a side: the tree runs at small n,
+    # and every window ends inside a leaf, whose outer part is summed directly
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SECULAR_ROWS", 3)
-        mp.setattr(spectral, "_SECULAR_NEAR", 5)
+        mp.setattr(spectral, "_SUB_ROWS", 3)
+        mp.setattr(spectral, "_SUB_NEAR", 5)
         _check_against_eigh(_hamiltonian(n, sigma, seed, policy, ties))
 
 
 def test_far_field_series_matches_dense_eigh_at_default_blocks(monkeypatch) -> None:
-    terms = _far_blocks(monkeypatch)
+    solves = _leaves(monkeypatch)
     _check_against_eigh(_hamiltonian(1024, 0.02, 5, "shifted", "none"))
-    assert terms[0] == 0 and sum(t > 0 for t in terms) >= 4
+    assert len(solves) == 2
+    terms, fallbacks = solves[0]
+    assert 0 < terms <= spectral._series_terms(0.5) and fallbacks == []
 
 
 @pytest.mark.parametrize("ties", TIES)
@@ -148,32 +144,41 @@ def test_far_field_series_matches_dense_eigh_at_default_blocks(monkeypatch) -> N
     policy=st.sampled_from(("plain", "shifted")),
 )
 def test_sub_block_series_matches_dense_eigh(ties, n, seed, sigma, policy) -> None:
-    # blocks of 8 roots with 8 window poles a side, sub-blocks of 2 roots
-    # with 2 exact poles a side, and powers 3 at a time: both series run
+    # leaves of 2 roots with 2 exact poles a side, whose windows end on leaf
+    # boundaries, a tree up to 8 levels deep, and powers 3 at a time
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SECULAR_ROWS", 8)
-        mp.setattr(spectral, "_SECULAR_NEAR", 8)
         mp.setattr(spectral, "_SUB_ROWS", 2)
         mp.setattr(spectral, "_SUB_NEAR", 2)
         mp.setattr(spectral, "_POWER_ROWS", 3)
         _check_against_eigh(_hamiltonian(n, sigma, seed, policy, ties))
 
 
-def test_sub_block_series_runs_at_default_blocks(monkeypatch) -> None:
-    blocks = _sub_blocks(monkeypatch)
+def test_sub_block_series_runs_at_default_blocks() -> None:
     _check_against_eigh(_hamiltonian(1024, 0.02, 5, "shifted", "none"))
-    assert len(blocks) >= 7 and all(terms > 0 for terms, _ in blocks)
+    # each leaf's series against the sum over the poles outside its window,
+    # at the ends and the middle of its span
+    poles, weights, _ = _uniform_poles(1024, 5)
+    first, centre, half, coef, fallback = spectral._local_series(poles, weights)
+    assert first.size == 64 and not fallback.any()
+    index = np.arange(poles.size)
+    for i, start in enumerate(first):
+        far = (index < start - spectral._SUB_NEAR) | (index >= start + spectral._SUB_ROWS + spectral._SUB_NEAR)
+        lower = far & (index < start)
+        for x in (-1.0, -0.3, 0.0, 0.6, 1.0):
+            d = poles - (centre[i] + x * half[i])
+            exact = [np.sum(weights[m] / d[m] ** p) for p in (1, 2) for m in (lower, far & ~lower)]
+            assert coef[i] @ x ** np.arange(coef.shape[2]) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
     "gap, sub_fallbacks, block_terms",
     [
-        # the sub-block holding root 300 spans 95 spacings with 32 exact poles a
-        # side (h/rho ~ 0.6); its block spans 206 with 128 a side (h/rho ~ 0.45)
-        (80, [0, 0, 1, 0, 0, 0, 0, 0], [0, 39, 39, 55, 39, 39, 39, 39, 39]),
-        # a wider gap leaves the block's series too slow too (h/rho ~ 0.6): the
-        # whole block sums every pole, and none of its sub-blocks is formed
-        (300, [0, 0, 0, 0, 0, 0, 0], [0, 39, 39, 0, 39, 39, 39, 39, 39]),
+        # leaf 18 (roots 290..305) spans 95 spacings with 32 exact poles a side
+        # (h/rho ~ 0.6) and falls back; the leaves beside it sum the source
+        # leaf across the gap directly, and keep the terms of evenly spaced poles
+        (80, [18], [27]),
+        # a wider gap: still only the leaf across it falls back
+        (300, [18], [27]),
     ],
 )
 def test_blocks_whose_series_would_converge_slowly_fall_back(gap, sub_fallbacks, block_terms, monkeypatch) -> None:
@@ -185,11 +190,10 @@ def test_blocks_whose_series_would_converge_slowly_fall_back(gap, sub_fallbacks,
     field = DisorderField(epsilons=eps, sigma=sigma, seed=0)
     gamma = gamma_policy(n, sigma, "shifted")
     h = build_search_hamiltonian(build_complete_graph(n), w=0, gamma=gamma, disorder=field)
-    blocks = _sub_blocks(monkeypatch)
-    terms = _far_blocks(monkeypatch)
+    solves = _leaves(monkeypatch)
     secular_spectrum(h)
-    assert [fallback for _, fallback in blocks] == sub_fallbacks
-    assert terms == block_terms
+    assert [fallback for _, fallback in solves] == [sub_fallbacks]
+    assert [terms for terms, _ in solves] == block_terms
     _check_against_eigh(h)
 
 
@@ -208,20 +212,52 @@ def test_secular_stack_memory_is_linear_in_n() -> None:
     assert peak <= 4 * 8 * n * (spectral._SUB_ROWS + 2 * spectral._SUB_NEAR)
 
 
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_root_converges_in_six_steps(n, seed, monkeypatch) -> None:
+    # the ground root starts from a two-pole model, not its bracket's midpoint
+    monkeypatch.setattr(spectral, "_SECULAR_MAX_ITER", 6)
+    h = _hamiltonian(n, 0.02, seed, "shifted", "none")
+    secular_spectrum(h)
+
+
+def test_roots_past_the_dense_limit_match_the_all_poles_stack() -> None:
+    # 65536 poles, with no n x n matrix and no DENSE_LIMIT on the way
+    poles, weights, gamma = _uniform_poles(65536, 3)
+    k = poles.size
+    tracemalloc.start()
+    try:
+        origin, tau, _ = spectral._secular_roots(poles, weights, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # doubles per root, the bound of test_secular_stack_memory_is_linear_in_n
+    assert peak <= 4 * 8 * k * (spectral._SUB_ROWS + 2 * spectral._SUB_NEAR)
+    # the ground pair and every 97th root, each summing every pole
+    check = np.concatenate([[0, 1], np.arange(97, k, 97)])
+    every = np.arange(k)[None, :]
+    for i in range(0, check.size, spectral._SUB_ROWS):
+        r = check[None, i : i + spectral._SUB_ROWS]
+        o, t, _ = spectral._secular_stack(poles, weights, gamma, r, every, np.sqrt(weights)[None, :], 0, k, None)
+        assert np.array_equal(origin[r], o)
+        assert np.max(np.abs(tau[r] - t) / np.abs(t)) <= 1e-13
+
+
 def test_secular_blocks_do_not_change_results(monkeypatch) -> None:
     h = _hamiltonian(200, 0.05, 7, "shifted", "near")
     uniform = np.linspace(0.0, 60.0, 500)
     scattered = np.sort(np.random.default_rng(1).uniform(0.0, 60.0, 300))
     whole = secular_spectrum(h)
     p_whole = [evolve_closed(h, t).p_w for t in (uniform, scattered)]
-    # three roots per solver block, most poles in the far-field series,
-    # and a few times or levels per phase block
-    terms = _far_blocks(monkeypatch)
-    monkeypatch.setattr(spectral, "_SECULAR_ROWS", 3)
-    monkeypatch.setattr(spectral, "_SECULAR_NEAR", 5)
+    # three roots per leaf with five exact poles a side, so most poles
+    # enter by the tree's series, and a few times or levels per phase block
+    solves = _leaves(monkeypatch)
+    monkeypatch.setattr(spectral, "_SUB_ROWS", 3)
+    monkeypatch.setattr(spectral, "_SUB_NEAR", 5)
     monkeypatch.setattr(unitary, "_PHASE_BLOCK", 7 * whole.roots.size)
     blocked = secular_spectrum(h)
-    assert sum(t > 0 for t in terms) > len(terms) // 2
+    (terms, fallbacks), = solves
+    assert terms > 0 and len(fallbacks) < (whole.roots.size - 2) // 3 // 2
     assert np.max(np.abs(blocked.eigenvalues - whole.eigenvalues)) <= 1e-14
     assert np.max(np.abs(blocked.w_overlaps - whole.w_overlaps)) <= 1e-13
     for t, p in zip((uniform, scattered), p_whole):
